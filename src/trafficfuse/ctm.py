@@ -22,6 +22,7 @@ from .network import CountMatrix, RoadNetwork, Segment, boundary_segments, max_s
 
 __all__ = [
     "FdParams",
+    "FdArrays",
     "TurnRatios",
     "TrafficState",
     "SimulationResult",
@@ -187,12 +188,53 @@ def speed_ratio(v: float, v_free: float, diag: _Clip | None = None) -> float:
     return b
 
 
-def _fd_scalars(seg: Segment, fd: FdParams, bin_seconds: float):
-    qmax = max_storage(seg, bin_seconds)
-    vf = seg.free_flow_mps
-    if fd.wave_speed >= vf or fd.crit_speed >= vf:
-        raise ValueError(f"segment {seg.id}: fd speeds must stay below free flow {vf}")
-    return qmax, vf, fd.wave_speed, fd.jam_pseudo(seg), fd.crit_speed / vf
+@dataclass(frozen=True)
+class FdArrays:
+    """The triangular FD of Daganzo (1994) over per-segment parameter arrays.
+
+    Every FD map in the package evaluates these methods: the scalar API
+    below, the stepping kernel and the feature build. Built once per
+    (segments, FdParams, bin width); the methods broadcast over arrays
+    whose last axis runs over the segments.
+    """
+
+    qmax: np.ndarray
+    v_free: np.ndarray
+    v_w: float
+    rho_jam: np.ndarray
+    b_crit: np.ndarray
+
+    @classmethod
+    def build(cls, segments, fd: FdParams, bin_seconds: float) -> "FdArrays":
+        qmax = np.array([max_storage(s, bin_seconds) for s in segments])
+        for seg in segments:
+            vf = seg.free_flow_mps
+            if fd.wave_speed >= vf or fd.crit_speed >= vf:
+                raise ValueError(f"segment {seg.id}: fd speeds must stay below free flow {vf}")
+        v_free = np.array([s.free_flow_mps for s in segments])
+        rho_jam = np.array([fd.jam_pseudo(s) for s in segments])
+        return cls(qmax, v_free, fd.wave_speed, rho_jam, fd.crit_speed / v_free)
+
+    def branch_densities(self, b):
+        """(free-branch, congested-branch) pseudo-density at speed ratio b."""
+        vf = self.v_free
+        return (self.qmax / vf) * (1.0 - b) * vf / (vf - self.v_w), self.rho_jam * (1.0 - b)
+
+    def density(self, b):
+        free, congested = self.branch_densities(b)
+        return np.where(b >= self.b_crit, free, congested)
+
+    def ratio(self, rho):
+        """Branch-wise inverse of density: the speed ratio b."""
+        b_free = 1.0 - rho * (self.v_free - self.v_w) / self.qmax
+        b_cong = np.clip(1.0 - rho / self.rho_jam, 0.0, 1.0)
+        return np.where(b_free >= self.b_crit, np.minimum(b_free, 1.0), b_cong)
+
+    def demand(self, rho):
+        return np.minimum(rho * self.v_free, self.qmax)
+
+    def supply(self, rho):
+        return np.maximum(0.0, np.minimum(self.v_w * (self.rho_jam - rho), self.qmax))
 
 
 def density_from_speed(b: float, seg: Segment, fd: FdParams, bin_seconds: float) -> float:
@@ -204,10 +246,7 @@ def density_from_speed(b: float, seg: Segment, fd: FdParams, bin_seconds: float)
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"speed ratio {b} outside [0, 1]")
-    qmax, vf, vw, rho_jam, b_crit = _fd_scalars(seg, fd, bin_seconds)
-    if b >= b_crit:
-        return (qmax / vf) * (1.0 - b) * vf / (vf - vw)
-    return rho_jam * (1.0 - b)
+    return float(FdArrays.build((seg,), fd, bin_seconds).density(b)[0])
 
 
 def speed_from_density(rho: float, seg: Segment, fd: FdParams, bin_seconds: float) -> float:
@@ -219,23 +258,17 @@ def speed_from_density(rho: float, seg: Segment, fd: FdParams, bin_seconds: floa
     """
     if rho < 0:
         raise ValueError("density must be nonnegative")
-    qmax, vf, vw, rho_jam, b_crit = _fd_scalars(seg, fd, bin_seconds)
-    b_free = 1.0 - rho * (vf - vw) / qmax
-    if b_free >= b_crit:
-        return min(b_free, 1.0)
-    return float(np.clip(1.0 - rho / rho_jam, 0.0, 1.0))
+    return float(FdArrays.build((seg,), fd, bin_seconds).ratio(rho)[0])
 
 
 def demand(rho: float, seg: Segment, fd: FdParams, bin_seconds: float) -> float:
     """Vehicles segment i offers downstream this bin: min(rho v_free, Q_max)."""
-    qmax, vf, _, _, _ = _fd_scalars(seg, fd, bin_seconds)
-    return min(rho * vf, qmax)
+    return float(FdArrays.build((seg,), fd, bin_seconds).demand(rho)[0])
 
 
 def supply(rho: float, seg: Segment, fd: FdParams, bin_seconds: float) -> float:
     """Vehicles segment j can absorb this bin: min(v_w (rho_jam - rho), Q_max), floored at 0."""
-    qmax, _, vw, rho_jam, _ = _fd_scalars(seg, fd, bin_seconds)
-    return max(0.0, min(vw * (rho_jam - rho), qmax))
+    return float(FdArrays.build((seg,), fd, bin_seconds).supply(rho)[0])
 
 
 def link_flow(d_i: float, s_j: float, beta_ij: float) -> float:
@@ -247,34 +280,23 @@ def link_flow(d_i: float, s_j: float, beta_ij: float) -> float:
 
 def fd_discontinuity(seg: Segment, fd: FdParams, bin_seconds: float) -> float:
     """Jump magnitude of density_from_speed at the branch threshold."""
-    qmax, vf, vw, rho_jam, b_crit = _fd_scalars(seg, fd, bin_seconds)
-    free_side = (qmax / vf) * (1.0 - b_crit) * vf / (vf - vw)
-    cong_side = rho_jam * (1.0 - b_crit)
-    return abs(free_side - cong_side)
+    k = FdArrays.build((seg,), fd, bin_seconds)
+    free_side, cong_side = k.branch_densities(k.b_crit)
+    return float(abs(free_side - cong_side)[0])
 
 
-def _net_arrays(net: RoadNetwork, fd: FdParams, bin_seconds: float):
-    qmax = np.array([max_storage(s, bin_seconds) for s in net.segments])
-    vf = net.free_flow()
-    rho_jam = np.array([fd.jam_pseudo(s) for s in net.segments])
-    b_crit = fd.crit_speed / vf
-    return qmax, vf, rho_jam, b_crit
+def _sink_mask(net: RoadNetwork) -> np.ndarray:
+    """Segments with no downstream edges, which discharge out of the network."""
+    return np.array([not net.downstream[i] for i in range(net.n_segments)])
 
 
-def _speeds_from_residual(residual, qmax, vf, vw, rho_jam, b_crit):
-    rho = residual / vf
-    b_free = 1.0 - rho * (vf - vw) / qmax
-    b_cong = np.clip(1.0 - rho / rho_jam, 0.0, 1.0)
-    return np.where(b_free >= b_crit, np.minimum(b_free, 1.0), b_cong) * vf
-
-
-def _step_kernel(q, net, fd, beta, bin_seconds, bc_in, bc_out_req):
+def _step_kernel(q, fdk: FdArrays, sink, beta, bc_in, bc_out_req):
     """One stepping kernel pass; returns (q_next, speeds, link_flows, bc_out_realized, n_clipped)."""
-    n = net.n_segments
-    qmax, vf, rho_jam, b_crit = _net_arrays(net, fd, bin_seconds)
+    n = len(q)
+    vf = fdk.v_free
     rho = q / vf
-    dem = np.minimum(rho * vf, qmax)
-    sup = np.maximum(0.0, np.minimum(fd.wave_speed * (rho_jam - rho), qmax))
+    dem = fdk.demand(rho)
+    sup = fdk.supply(rho)
 
     ef, et, eb = beta.edge_from, beta.edge_to, beta.edge_beta
     if len(ef):
@@ -292,7 +314,6 @@ def _step_kernel(q, net, fd, beta, bin_seconds, bc_in, bc_out_req):
         in_sum = np.zeros(n)
 
     # implicit discharge at sink segments, then requested boundary outflow
-    sink = np.array([len(net.downstream[i]) == 0 for i in range(n)])
     exit_out = np.minimum(np.where(sink, dem, 0.0), np.maximum(q - out_sum, 0.0))
     room = np.maximum(q - out_sum - exit_out, 0.0)
     bc_out = np.minimum(bc_out_req, room)
@@ -301,7 +322,7 @@ def _step_kernel(q, net, fd, beta, bin_seconds, bc_in, bc_out_req):
 
     q_next = np.maximum(q + in_sum - out_sum + bc_in - bc_out_total, 0.0)
     residual = np.maximum(q - out_sum - bc_out_total, 0.0)
-    speeds = _speeds_from_residual(residual, qmax, vf, fd.wave_speed, rho_jam, b_crit)
+    speeds = fdk.ratio(residual / vf) * vf
     return q_next, speeds, flows, bc_out_total, n_clipped
 
 
@@ -344,7 +365,8 @@ def ctm_step(
     _check_boundary_vectors(net, bc_in, bc_out_req)
     fd.validate(net)
     q_next, speeds, _, _, n_clipped = _step_kernel(
-        state.counts, net, fd, beta, bin_seconds, bc_in, bc_out_req
+        state.counts, FdArrays.build(net.segments, fd, bin_seconds), _sink_mask(net),
+        beta, bc_in, bc_out_req,
     )
     return TrafficState(
         counts=q_next,
@@ -388,8 +410,9 @@ def simulate(
     """Roll ctm_step over a boundary demand profile.
 
     demand_profile has shape (n_segments, n_bins) and must be supported on
-    boundary segments. Mass balance is asserted every step: the change in
-    total count equals net boundary exchange to within 1e-9 of scale.
+    boundary segments. Mass balance is checked every step: the change in
+    total count equals net boundary exchange to within 1e-9 of scale, or
+    RuntimeError names the bin and the drift.
     """
     n = net.n_segments
     profile = np.asarray(demand_profile, dtype=float)
@@ -406,17 +429,20 @@ def simulate(
     speeds = np.zeros((n, horizon))
     bc_out_hist = np.zeros((n, horizon))
     flow_hist = np.zeros((len(net.edges), horizon))
+    fdk = FdArrays.build(net.segments, fd, bin_seconds)
+    sink = _sink_mask(net)
     q = state.counts.copy()
     clipped = state.n_boundary_clipped
     for t in range(horizon):
         counts[:, t] = q
         before = q.sum()
         q_next, spd, flows, bc_out, n_clip = _step_kernel(
-            q, net, fd, beta, bin_seconds, profile[:, t], zero_out
+            q, fdk, sink, beta, profile[:, t], zero_out
         )
         clipped += n_clip
-        drift = abs(q_next.sum() - before - profile[:, t].sum() + bc_out.sum())
-        assert drift <= 1e-9 * max(1.0, before + profile[:, t].sum()), "mass balance violated"
+        drift = float(abs(q_next.sum() - before - profile[:, t].sum() + bc_out.sum()))
+        if drift > 1e-9 * max(1.0, before + profile[:, t].sum()):
+            raise RuntimeError(f"mass balance violated in bin {t}: drift {drift!r} vehicles")
         speeds[:, t] = spd
         bc_out_hist[:, t] = bc_out
         flow_hist[:, t] = flows

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctm import FdParams, demand, density_from_speed, supply
+from .ctm import FdArrays, FdParams, demand, density_from_speed, supply
 from .network import CountMatrix, RoadNetwork, boundary_segments, max_storage
 
 __all__ = [
@@ -274,7 +274,8 @@ def build_tensor(
     n_imp_count = int(np.isnan(q).sum())
     q[np.isnan(q)] = 0.0
 
-    vf = net.free_flow()[:, None]
+    fdk = FdArrays.build(net.segments, fd, counts.bin_seconds)
+    vf = fdk.v_free[:, None]
     if speeds is None:
         b = np.ones((n, t))
         n_imp_speed = n * t
@@ -285,19 +286,11 @@ def build_tensor(
         n_imp_speed = int(np.isnan(speeds).sum())
         b = np.clip(np.where(np.isnan(speeds), vf, speeds) / vf, 0.0, 1.0)
 
-    bin_s = counts.bin_seconds
-    qmax = np.array([max_storage(s, bin_s) for s in net.segments])[:, None]
-    vw = fd.wave_speed
-    rho_jam = np.array([fd.jam_pseudo(s) for s in net.segments])[:, None]
-    b_crit = (fd.crit_speed / net.free_flow())[:, None]
-
-    rho = np.where(
-        b >= b_crit,
-        (qmax / vf) * (1.0 - b) * vf / (vf - vw),
-        rho_jam * (1.0 - b),
-    )
-    dem = np.minimum(rho * vf, qmax)
-    sup = np.maximum(0.0, np.minimum(vw * (rho_jam - rho), qmax))
+    # the FD methods broadcast over a trailing segment axis
+    rho = fdk.density(b.T)
+    qmax = fdk.qmax[:, None]
+    dem = fdk.demand(rho).T
+    sup = fdk.supply(rho).T
     vc = q / qmax
     los = _LOS_VALUES[np.searchsorted(_LOS_THRESHOLDS, vc, side="right")]
 

@@ -11,6 +11,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from trafficfuse import ctm
 from trafficfuse.ctm import (
     ClipCounter,
     FdParams,
@@ -317,3 +318,21 @@ def test_simulate_rejects_bad_profile():
     bad2[0, 0] = -1.0
     with pytest.raises(ValueError, match="nonneg"):
         simulate(net, fd, tr, bad2, BIN, T0)
+
+
+def test_mass_balance_violation_raises_with_bin_and_drift(monkeypatch):
+    net = make_chain(3)
+    fd = default_fd_params(net, BIN)
+    real = ctm._step_kernel
+
+    def leaky(*args):
+        q_next, *rest = real(*args)
+        q_next = q_next.copy()
+        q_next[0] -= 1.0  # one vehicle vanishes
+        return (q_next, *rest)
+
+    monkeypatch.setattr(ctm, "_step_kernel", leaky)
+    profile = np.zeros((3, 4))
+    profile[0, :] = 10.0
+    with pytest.raises(RuntimeError, match=r"bin 0: drift 1\.0"):
+        simulate(net, fd, TurnRatios.uniform(net), profile, BIN, T0)
