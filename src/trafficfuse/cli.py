@@ -13,11 +13,10 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .harness import ExperimentConfig, Pipeline, load_config
 from .network import save_counts
-from .observability import analyze, report_to_csv, report_to_json
-from .propagation import export_localization, export_transition
-from .train import save_checkpoint
 
 STAGES = (
     "simulate",
@@ -72,8 +71,6 @@ def _cmd_sample(pipe: Pipeline, out: str) -> str:
     pipe.sample()
     path = os.path.join(out, "probe_counts.csv")
     save_counts(pipe.probe, path)
-    import numpy as np
-
     rate = float(np.nansum(pipe.probe.values) / max(np.nansum(pipe.truth.values), 1.0))
     return f"sample: through-rate {rate:.3f} -> {path}"
 
@@ -87,49 +84,24 @@ def _cmd_features(pipe: Pipeline, out: str) -> str:
 
 
 def _cmd_train(pipe: Pipeline, out: str) -> str:
-    pipe.fit()
-    log = os.path.join(out, "training_log.csv")
-    pipe.trained.write_log(log)
-    save_checkpoint(os.path.join(out, "model"), pipe.trained.params, pipe.cfg.model)
+    log = pipe.write_training(out)["training_log"]
     return f"train: best validation loss {pipe.trained.best_val:.4f} -> {log}"
 
 
 def _cmd_calibrate(pipe: Pipeline, out: str) -> str:
-    pipe.calibrate()
-    path = os.path.join(out, "calibrated_counts.csv")
-    save_counts(pipe.calibrated, path)
-    pipe._write_calibration_field(os.path.join(out, "calibration_field.csv"))
-    export_transition(pipe.trans, pipe.net, os.path.join(out, "transition.csv"))
-    export_localization(pipe.localization, pipe.net, os.path.join(out, "localization.csv"))
-    import numpy as np
-
+    path = pipe.write_calibration(out)["calibrated_counts"]
     alpha = float(np.median(pipe.alpha_path[:, pipe.t_assim - 1]))
     return f"calibrate: median multiplier {alpha:.3f} -> {path}"
 
 
 def _cmd_observability(pipe: Pipeline, out: str) -> str:
-    pipe.build()
-    report = analyze(pipe.net, pipe.fd, pipe.calibration, bin_seconds=pipe.cfg.bin_seconds)
-    path = os.path.join(out, "observability.json")
-    report_to_json(report, pipe.net, path)
-    report_to_csv(report, pipe.net, os.path.join(out, "observability_conf.csv"))
-    ranks = ", ".join(f"{k}={v:.3f}" for k, v in sorted(report.gamma_rank.items()))
+    path = pipe.write_observability(out)["observability"]
+    ranks = ", ".join(f"{k}={v:.3f}" for k, v in sorted(pipe.obs_report.gamma_rank.items()))
     return f"observability: rank ratios {ranks} -> {path}"
 
 
 def _cmd_evaluate(pipe: Pipeline, out: str) -> str:
-    pipe.metrics()
-    from .util import atomic_write_text, canonical_json
-
-    payload = {
-        "seed": pipe.cfg.seed,
-        "config": pipe.cfg.to_dict(),
-        "metrics": pipe.report.to_dict(),
-        "uncalibrated": pipe.uncal_report.to_dict(),
-        "diagnostics": pipe.diagnostics,
-    }
-    path = os.path.join(out, "metrics.json")
-    atomic_write_text(path, canonical_json(payload))
+    path = pipe.write_metrics(out)["metrics"]
     pooled = pipe.report.pooled_r2
     pooled_txt = "n/a" if pooled is None else f"{pooled:.4f}"
     return f"evaluate: pooled r2 {pooled_txt} -> {path}"

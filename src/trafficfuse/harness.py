@@ -14,14 +14,18 @@ substreams, so a rerun with the same config is byte-identical.
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
+import json
+import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import ensrf
-from .ctm import FdParams, TurnRatios, default_fd_params, simulate
+from .ctm import FdArrays, FdParams, TurnRatios, default_fd_params, simulate
 from .features import build_tensor
 from .model import ModelConfig, normalized_adjacency
 from .network import (
@@ -30,7 +34,6 @@ from .network import (
     Segment,
     boundary_segments,
     load_network,
-    max_storage,
     save_counts,
 )
 from .observability import analyze, report_to_csv, report_to_json
@@ -427,35 +430,21 @@ class ExperimentConfig:
             raise ValueError("days must be >= 1 and forecast_days >= 0")
         if not 0 < self.interval < 1:
             raise ValueError("interval must lie in (0, 1)")
+        if self.bin_seconds <= 0 or 86400 % self.bin_seconds:
+            raise ValueError(f"bin_seconds {self.bin_seconds} does not divide a day (86400 s)")
 
     def to_dict(self) -> dict:
-        # out_dir identifies the run's placement, not the experiment
-        return {
-            "twin": self.twin,
-            "network_path": self.network_path,
-            "days": self.days,
-            "forecast_days": self.forecast_days,
-            "bin_seconds": self.bin_seconds,
-            "start": self.start,
-            "demand_peak": self.demand_peak,
-            "penetration_base": self.penetration_base,
-            "penetration_hour_amplitude": self.penetration_hour_amplitude,
-            "penetration_day_weekend": self.penetration_day_weekend,
-            "cameras_calibration": list(self.cameras_calibration),
-            "cameras_validation": list(self.cameras_validation),
-            "model": self.model.to_dict(),
-            "train_steps": self.train_steps,
-            "train_batch": self.train_batch,
-            "train_lr": self.train_lr,
-            "train_days": self.train_days,
-            "filter": _filter_to_dict(self.filter),
-            "gamma_pd": self.gamma_pd,
-            "diffusion_s": self.diffusion_s,
-            "confidence_decay": self.confidence_decay,
-            "interval": self.interval,
-            "burn_days": self.burn_days,
-            "seed": self.seed,
-        }
+        out = {}
+        for f in fields(self):
+            if f.name == "out_dir":  # the run's placement, not the experiment
+                continue
+            value = getattr(self, f.name)
+            if is_dataclass(value):
+                value = {k.name: getattr(value, k.name) for k in fields(value)}
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -471,13 +460,7 @@ class ExperimentConfig:
         return cls(**d)
 
 
-def _filter_to_dict(fc: ensrf.FilterConfig) -> dict:
-    return {k: getattr(fc, k) for k in fc.__dataclass_fields__}
-
-
 def load_config(path: str) -> ExperimentConfig:
-    import json
-
     with open(path) as fh:
         return ExperimentConfig.from_dict(json.load(fh))
 
@@ -568,8 +551,6 @@ class Pipeline:
         self.build()
         cfg = self.cfg
         with _stage("simulate"):
-            import datetime as dt
-
             start = dt.datetime.fromisoformat(cfg.start)
             n_bins = (cfg.days + cfg.forecast_days) * self.bins_per_day
             shell = CountMatrix(np.zeros((1, n_bins)), cfg.bin_seconds, start)
@@ -612,7 +593,7 @@ class Pipeline:
         cfg = self.cfg
         with _stage("train"):
             self.a_hat = normalized_adjacency(self.net.adjacency())
-            self.qmax = np.array([max_storage(s, cfg.bin_seconds) for s in self.net.segments])
+            self.qmax = FdArrays.build(self.net.segments, self.fd, cfg.bin_seconds).qmax
             windows = build_windows(
                 self.tensor, self.probe.values, cfg.model,
                 t_last=self.train_bins - cfg.model.horizon - 1,
@@ -795,60 +776,71 @@ class Pipeline:
         return self
 
     # - artifacts -
+    # Each writer runs the stages it needs and writes their files into an
+    # existing out_dir, returning {artifact key: path}; the CLI stage
+    # commands and write_artifacts share them.
 
-    def write_artifacts(self, out_dir: str) -> dict:
-        import os
-
+    def write_metrics(self, out_dir: str) -> dict:
         self.metrics()
-        cfg = self.cfg
-        os.makedirs(out_dir, exist_ok=True)
-
-        def p(name):
-            return os.path.join(out_dir, name)
-
-        paths = {}
         with _stage("write"):
             payload = {
-                "seed": cfg.seed,
-                "config": cfg.to_dict(),
+                "seed": self.cfg.seed,
+                "config": self.cfg.to_dict(),
                 "metrics": self.report.to_dict(),
                 "uncalibrated": self.uncal_report.to_dict(),
                 "diagnostics": self.diagnostics,
             }
-            atomic_write_text(p("metrics.json"), canonical_json(payload))
-            paths["metrics"] = p("metrics.json")
-            save_counts(self.calibrated, p("calibrated_counts.csv"))
-            paths["calibrated_counts"] = p("calibrated_counts.csv")
-            self._write_calibration_field(p("calibration_field.csv"))
-            paths["calibration_field"] = p("calibration_field.csv")
-            export_transition(self.trans, self.net, p("transition.csv"))
-            paths["transition"] = p("transition.csv")
-            export_localization(self.localization, self.net, p("localization.csv"))
-            paths["localization"] = p("localization.csv")
-            obs_report = analyze(self.net, self.fd, self.calibration, bin_seconds=cfg.bin_seconds)
-            report_to_json(obs_report, self.net, p("observability.json"))
-            report_to_csv(obs_report, self.net, p("observability_conf.csv"))
-            paths["observability"] = p("observability.json")
-            self.trained.write_log(p("training_log.csv"))
-            paths["training_log"] = p("training_log.csv")
-            save_checkpoint(p("model"), self.trained.params, cfg.model)
-            paths["checkpoint"] = p("model.npz")
+            path = os.path.join(out_dir, "metrics.json")
+            atomic_write_text(path, canonical_json(payload))
+        return {"metrics": path}
+
+    def write_training(self, out_dir: str) -> dict:
+        self.fit()
+        with _stage("write"):
+            log = os.path.join(out_dir, "training_log.csv")
+            self.trained.write_log(log)
+            save_checkpoint(os.path.join(out_dir, "model"), self.trained.params, self.cfg.model)
+        return {"training_log": log, "checkpoint": os.path.join(out_dir, "model.npz")}
+
+    def write_calibration(self, out_dir: str) -> dict:
+        self.calibrate()
+        paths = {k: os.path.join(out_dir, f"{k}.csv")
+                 for k in ("calibrated_counts", "calibration_field", "transition", "localization")}
+        with _stage("write"):
+            save_counts(self.calibrated, paths["calibrated_counts"])
+            final = self.alpha_path[:, self.t_assim - 1]
+            with open(paths["calibration_field"], "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["segment_id", "alpha", "delta", "localized"])
+                for i in range(self.net.n_segments):
+                    w.writerow([
+                        self.net.external_ids[i],
+                        repr(float(final[i])),
+                        repr(float(self.delta[i])),
+                        int(i not in self.far_segments),
+                    ])
+            export_transition(self.trans, self.net, paths["transition"])
+            export_localization(self.localization, self.net, paths["localization"])
         return paths
 
-    def _write_calibration_field(self, path: str) -> None:
-        import csv
+    def write_observability(self, out_dir: str) -> dict:
+        """Also keeps the report on self.obs_report."""
+        self.build()
+        path = os.path.join(out_dir, "observability.json")
+        with _stage("write"):
+            self.obs_report = analyze(self.net, self.fd, self.calibration, bin_seconds=self.cfg.bin_seconds)
+            report_to_json(self.obs_report, self.net, path)
+            report_to_csv(self.obs_report, self.net, os.path.join(out_dir, "observability_conf.csv"))
+        return {"observability": path}
 
-        final = self.alpha_path[:, self.t_assim - 1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["segment_id", "alpha", "delta", "localized"])
-            for i in range(self.net.n_segments):
-                w.writerow([
-                    self.net.external_ids[i],
-                    repr(float(final[i])),
-                    repr(float(self.delta[i])),
-                    int(i not in self.far_segments),
-                ])
+    def write_artifacts(self, out_dir: str) -> dict:
+        os.makedirs(out_dir, exist_ok=True)
+        return {
+            **self.write_metrics(out_dir),
+            **self.write_calibration(out_dir),
+            **self.write_observability(out_dir),
+            **self.write_training(out_dir),
+        }
 
 
 def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> PipelineResult:

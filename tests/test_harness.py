@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from trafficfuse import ensrf
+from trafficfuse import cli, ensrf
 from trafficfuse.harness import (
     CHAIN_CAMERAS,
     GRID_CAMERAS,
@@ -366,6 +366,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="interval"):
             small_config(interval=1.0)
 
+    @pytest.mark.parametrize("bin_seconds", [700, 0])
+    def test_bin_width_must_divide_a_day(self, bin_seconds):
+        # 700 s would give 123 "bins per day" covering 0.996 days
+        with pytest.raises(ValueError, match="does not divide a day"):
+            small_config(bin_seconds=bin_seconds)
+
 
 # -- pipeline -----------------------------------------------------------------
 
@@ -466,3 +472,22 @@ class TestPipeline:
         other = tmp_path / "other_seed"
         run_pipeline(small_config(seed=12), out_dir=str(other))
         assert (out / "metrics.json").read_bytes() != (other / "metrics.json").read_bytes()
+
+
+def test_cli_stage_files_match_run(tmp_path, capsys):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(small_config().to_dict()))
+    outs = {}
+    for command in ("run", "train", "calibrate", "observability", "evaluate"):
+        outs[command] = tmp_path / command
+        assert cli.main([command, "--config", str(config), "--out", str(outs[command])]) == 0
+    expected = {
+        "train": {"training_log.csv", "model.npz", "model.json"},
+        "calibrate": {"calibrated_counts.csv", "calibration_field.csv", "transition.csv", "localization.csv"},
+        "observability": {"observability.json", "observability_conf.csv"},
+        "evaluate": {"metrics.json"},
+    }
+    for command, names in expected.items():
+        assert {p.name for p in outs[command].iterdir()} == names
+        for name in names - {"model.npz"}:  # zip entries carry a timestamp
+            assert (outs[command] / name).read_bytes() == (outs["run"] / name).read_bytes(), (command, name)
