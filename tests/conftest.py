@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,11 @@ from trafficfuse.autodiff import no_grad
 from trafficfuse.features import FEATURE_NAMES, FEATURE_VERSION, FeatureTensor
 from trafficfuse.model import forward, init_params, loss_components, normalized_adjacency
 from trafficfuse.network import RoadNetwork, Segment
+
+# pyproject's pythonpath puts src/ on this process's path; tests that start
+# the CLI in a child interpreter need it on PYTHONPATH too.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def make_network(
