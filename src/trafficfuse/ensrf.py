@@ -209,9 +209,8 @@ def _serial_update(component: np.ndarray, z_anom: np.ndarray, denom: float, gamm
     k = (anom.T @ z_anom) / (m - 1) / denom * scale
     if gain_mask is not None:
         k = gain_mask * k
-    mean = mean + k * nu
-    anom = anom - gamma * np.outer(z_anom, k)
-    component[:] = mean + anom
+    # updating in place leaves zero-gain columns bitwise unchanged
+    component += k * nu - gamma * np.outer(z_anom, k)
 
 
 def analysis_step(

@@ -331,3 +331,16 @@ def test_matches_exact_kalman_filter_1d():
         worst_mean = max(worst_mean, abs(got_mean - kf_mean) / max(abs(kf_mean), 0.05))
     assert worst_var < 0.05, f"variance off by {worst_var:.3%}"
     assert worst_mean < 0.05, f"mean off by {worst_mean:.3%}"
+
+
+def test_zero_gain_columns_stay_bitwise_unchanged():
+    # splitting a column into mean + anomaly and adding them back can move
+    # it by 1 ulp, so columns outside the localization must not be rebuilt
+    cfg = FilterConfig(n_members=32)
+    ens = init_ensemble(20, cfg, np.random.default_rng(0), alpha_0=1.7)
+    rho = np.zeros(20)
+    rho[:5] = [1.0, 0.8, 0.6, 0.4, 0.2]
+    obs = [CameraObservation(0, 0, 40.0)]
+    out = analysis_step(ens, obs, np.full(20, 20.0), {0: rho}, cfg, 0, 0, np.zeros(20, dtype=int))
+    assert np.array_equal(out.base[:, 5:], ens.base[:, 5:])
+    assert not np.array_equal(out.base[:, :5], ens.base[:, :5])
