@@ -145,6 +145,15 @@ def linearize(
     return LinearSystem(a=a, b=b, c=selection_matrix(cameras, n), regime=regime)
 
 
+def _markov_blocks(sys: LinearSystem, horizon: int):
+    """Yield the observability blocks C, CA, ..., CA^(horizon-1), each (m, N)."""
+    blk = sys.c
+    yield blk
+    for _ in range(horizon - 1):
+        blk = blk @ sys.a
+        yield blk
+
+
 def observability_rank(sys: LinearSystem, max_segments: int = 600):
     """Numerical rank of [C; CA; ...; CA^(N-1)] and the coverage index rank/N."""
     n = sys.n
@@ -152,12 +161,7 @@ def observability_rank(sys: LinearSystem, max_segments: int = 600):
         raise ValueError(
             f"{n} segments exceeds the dense-rank cap {max_segments}; score via the Gramian instead"
         )
-    blocks = []
-    blk = sys.c.copy()
-    for _ in range(n):
-        blocks.append(blk)
-        blk = blk @ sys.a
-    obs = np.vstack(blocks)
+    obs = np.vstack(list(_markov_blocks(sys, n)))
     sv = np.linalg.svd(obs, compute_uv=False)
     tol = max(obs.shape) * sv[0] * np.finfo(float).eps if sv.size else 0.0
     rank = int((sv > tol).sum())
@@ -165,17 +169,14 @@ def observability_rank(sys: LinearSystem, max_segments: int = 600):
 
 
 def gramian(sys: LinearSystem, horizon: int | None = None) -> np.ndarray:
-    """Finite-horizon observability Gramian, default horizon N."""
+    """Finite-horizon observability Gramian sum_k (CA^k)' CA^k, default horizon N."""
     if horizon is None:
         horizon = sys.n
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    q = sys.c.T @ sys.c
-    term = q.copy()
-    total = q.copy()
-    for _ in range(horizon - 1):
-        term = sys.a.T @ term @ sys.a
-        total += term
+    total = np.zeros((sys.n, sys.n))
+    for blk in _markov_blocks(sys, horizon):
+        total += blk.T @ blk
     return 0.5 * (total + total.T)
 
 

@@ -37,14 +37,11 @@ class TransitionMatrix:
 
     p: row-stochastic on segments with outflow, zero rows elsewhere
     w: symmetrized decayed kernel gamma_pd * (P + P^T) / 2
-    w2, w3: multi-hop kernels gamma_pd * W^2 and gamma_pd * W2 @ W
     w_eff: diffusion matrix, every row sums to exactly 1
     """
 
     p: np.ndarray
     w: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
     w_eff: np.ndarray
     gamma_pd: float
     s: float
@@ -105,17 +102,21 @@ def build_transition(
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(totals > 0, q / totals, 0.0)
     w = gamma_pd * 0.5 * (p + p.T)
-    w2 = gamma_pd * (w @ w)
-    w3 = gamma_pd * (w2 @ w)
-    return TransitionMatrix(p=p, w=w, w2=w2, w3=w3, w_eff=_effective_rows(w), gamma_pd=gamma_pd, s=s)
+    return TransitionMatrix(p=p, w=w, w_eff=_effective_rows(w), gamma_pd=gamma_pd, s=s)
 
 
 def localization_vector(t: TransitionMatrix, segment: int) -> np.ndarray:
-    """Geometric hop-decay influence of a camera at `segment`, in [0, 1]."""
+    """Geometric hop-decay influence of a camera at `segment`, in [0, 1].
+
+    rho = c1 + c2/2 + c3/4 over hop columns c1 = W e_i, c(k+1) = gamma_pd W ck.
+    """
     n = t.w.shape[0]
     if not 0 <= segment < n:
         raise ValueError(f"segment {segment} outside the network")
-    rho = t.w[:, segment] + 0.5 * t.w2[:, segment] + 0.25 * t.w3[:, segment]
+    c1 = t.w[:, segment]
+    c2 = t.gamma_pd * (t.w @ c1)
+    c3 = t.gamma_pd * (t.w @ c2)
+    rho = c1 + 0.5 * c2 + 0.25 * c3
     rho = np.clip(rho, 0.0, 1.0)
     rho[segment] = 1.0
     return rho
@@ -128,8 +129,9 @@ def localization_vectors(t: TransitionMatrix, cameras) -> dict:
 def diffuse(beta: np.ndarray, t: TransitionMatrix, s: float | None = None) -> np.ndarray:
     """One diffusion step, (1-s) * beta + s * W_eff beta, per member.
 
-    Written in difference form beta_i + s * sum_j w_ij (beta_j - beta_i)
-    so a spatially constant field passes through bitwise unchanged.
+    Written in difference form beta_i + s * sum_j w_ij (beta_j - beta_i),
+    summed over the nonzero entries of W_eff only, so a spatially constant
+    field passes through bitwise unchanged.
     """
     if s is None:
         s = t.s
@@ -138,9 +140,13 @@ def diffuse(beta: np.ndarray, t: TransitionMatrix, s: float | None = None) -> np
     beta = np.asarray(beta, dtype=float)
     squeeze = beta.ndim == 1
     b = beta[None, :] if squeeze else beta
+    m, n = b.shape
+    rows, cols = np.nonzero(t.w_eff)
     # pairwise differences keep the consensus state an exact fixed point
-    d = b[:, None, :] - b[:, :, None]  # d[m, i, j] = beta_j - beta_i
-    out = b + s * (t.w_eff[None, :, :] * d).sum(axis=2)
+    terms = t.w_eff[rows, cols] * (b[:, cols] - b[:, rows])
+    slots = (np.arange(m)[:, None] * n + rows).ravel()
+    pulled = np.bincount(slots, weights=terms.ravel(), minlength=m * n).reshape(m, n)
+    out = b + s * pulled
     return out[0] if squeeze else out
 
 

@@ -1,6 +1,7 @@
 """Transition kernel, localization, diffusion, confidence, and blending."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,8 +53,12 @@ def test_chain_kernels_match_hand_arithmetic():
     w_hand[0, 1] = w_hand[1, 0] = 0.25
     w_hand[1, 2] = w_hand[2, 1] = 0.25
     assert np.array_equal(t.w, w_hand)
-    assert np.array_equal(t.w2, 0.5 * (w_hand @ w_hand))
-    assert np.array_equal(t.w3, 0.5 * (t.w2 @ w_hand))
+    w2_hand = 0.5 * (w_hand @ w_hand)
+    w3_hand = 0.5 * (w2_hand @ w_hand)
+    for i in range(3):
+        rho = w_hand[:, i] + 0.5 * w2_hand[:, i] + 0.25 * w3_hand[:, i]
+        rho[i] = 1.0
+        assert np.array_equal(localization_vector(t, i), rho)
 
 
 def test_chain_localization_two_hop_value():
@@ -145,6 +150,26 @@ def test_diffuse_matches_direct_form():
     beta = rng.normal(size=(4, 6))
     direct = (1 - 0.25) * beta + 0.25 * beta @ t.w_eff.T
     assert np.allclose(diffuse(beta, t, s=0.25), direct, atol=1e-12)
+
+
+def test_diffuse_memory_scales_with_edges():
+    # chain plus skip edges: ~4 neighbours per row; a dense (M, N, N)
+    # difference tensor at this size would take 88 MB on its own
+    n, m = 300, 128
+    flows = np.zeros((n, n))
+    for i in range(n - 1):
+        flows[i, i + 1] = 1.0
+    for i in range(n - 5):
+        flows[i, i + 5] = 0.5
+    t = build_transition(flows)
+    beta = np.random.default_rng(0).normal(size=(m, n))
+    tracemalloc.start()
+    try:
+        diffuse(beta, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_transition_invariants_random_sweep():
