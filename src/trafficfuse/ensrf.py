@@ -228,7 +228,8 @@ def analysis_step(
     q_hat holds the predictor counts the ratios are taken against, at the
     observation time. localization maps camera segment id to its gain
     mask. Duplicate observations for a segment are dropped after the
-    first; missing-flagged ones are skipped.
+    first; missing-flagged ones are skipped, and a non-finite count must
+    be flagged missing.
     """
     regimes = np.asarray(regimes, dtype=int)
     out = ens.copy()
@@ -240,6 +241,8 @@ def analysis_step(
             continue
         if not 0 <= obs.segment < out.n_segments:
             raise ValueError(f"observation at unknown segment {obs.segment}")
+        if not np.isfinite(obs.count):
+            raise ValueError(f"non-finite camera count at segment {obs.segment} is not flagged missing")
         if obs.count < 0:
             raise ValueError(f"negative camera count at segment {obs.segment}")
         seen.add(obs.segment)

@@ -675,7 +675,8 @@ class Pipeline:
         warm = slice(self.first_bin, min(self.first_bin + self.bins_per_day, t_assim))
         y_warm = self.truth.values[list(self.calibration), warm].ravel()
         q_warm = self.q_hat[list(self.calibration), warm].ravel()
-        self.alpha_star = ensrf.warmup_alpha(y_warm, q_warm, eps=fcfg.eps)
+        finite = np.isfinite(y_warm) & np.isfinite(q_warm)
+        self.alpha_star = ensrf.warmup_alpha(y_warm[finite], q_warm[finite], eps=fcfg.eps)
 
         rng = substream(cfg.seed, "ensrf")
         ens = ensrf.init_ensemble(n, fcfg, rng, alpha_0=self.alpha_star)
@@ -693,9 +694,10 @@ class Pipeline:
             regimes = ensrf.regime_index(ratios[:, t])
             ens = ensrf.forecast_step(ens, fcfg, rng, transition=self.trans)
             if t < t_assim:
+                # a camera bin without a finite count is skipped, not assimilated
                 obs = [
-                    ensrf.CameraObservation(segment=c, t_index=t, count=float(self.truth.values[c, t]))
-                    for c in self.calibration
+                    ensrf.CameraObservation(segment=c, t_index=t, count=float(y), missing=not np.isfinite(y))
+                    for c, y in zip(self.calibration, self.truth.values[list(self.calibration), t])
                 ]
                 leaked = [o.segment for o in obs if o.segment in valid_set]
                 if leaked:

@@ -220,6 +220,8 @@ def test_analysis_rejects_unknown_segment_and_negative_count():
         analysis_step(ens, [CameraObservation(5, 0, 1.0)], q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
     with pytest.raises(ValueError, match="negative"):
         analysis_step(ens, [CameraObservation(0, 0, -1.0)], q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
+    with pytest.raises(ValueError, match="non-finite camera count at segment 0"):
+        analysis_step(ens, [CameraObservation(0, 0, np.nan)], q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
 
 
 def test_global_observation_cap():

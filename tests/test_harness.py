@@ -410,6 +410,15 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="no calibration cameras"):
             pipe.calibrate()
 
+    def test_nan_camera_bins_are_skipped(self, chain_run):
+        pipe = Pipeline(small_config()).forecasts()
+        (cam,) = pipe.calibration
+        pipe.truth.values[cam, pipe.first_bin] = np.nan  # inside the warm-up day
+        pipe.truth.values[cam, pipe.truth.n_bins - pipe.bins_per_day // 2] = np.nan
+        pipe.calibrate()
+        assert pipe.ensemble.n_assimilated == chain_run[0].diagnostics["n_assimilated"] - 2
+        assert np.isfinite(pipe.ensemble.base).all()
+
     def test_chain_run_calibrates_toward_truth(self, chain_run):
         result, _ = chain_run
         # 10% probes make the raw predictor ~10x low; calibration closes most of it
