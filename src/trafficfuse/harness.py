@@ -830,7 +830,9 @@ class Pipeline:
         self.build()
         path = os.path.join(out_dir, "observability.json")
         with _stage("write"):
-            self.obs_report = analyze(self.net, self.fd, self.calibration, bin_seconds=self.cfg.bin_seconds)
+            self.obs_report = analyze(
+                self.net, self.fd, self.calibration, beta=self.beta, bin_seconds=self.cfg.bin_seconds
+            )
             report_to_json(self.obs_report, self.net, path)
             report_to_csv(self.obs_report, self.net, os.path.join(out_dir, "observability_conf.csv"))
         return {"observability": path}

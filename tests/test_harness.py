@@ -28,6 +28,7 @@ from trafficfuse.harness import (
 )
 from trafficfuse.model import ModelConfig
 from trafficfuse.network import CountMatrix, boundary_segments
+from trafficfuse.observability import analyze
 
 MONDAY = dt.datetime(2024, 3, 4)
 
@@ -418,6 +419,12 @@ class TestPipeline:
         pipe.calibrate()
         assert pipe.ensemble.n_assimilated == chain_run[0].diagnostics["n_assimilated"] - 2
         assert np.isfinite(pipe.ensemble.base).all()
+
+    def test_observability_uses_the_simulated_turn_ratios(self, tmp_path):
+        pipe = Pipeline(small_config(twin="grid"))
+        pipe.write_observability(str(tmp_path))
+        expected = analyze(pipe.net, pipe.fd, pipe.calibration, beta=pipe.beta, bin_seconds=pipe.cfg.bin_seconds)
+        assert np.array_equal(pipe.obs_report.obs, expected.obs)
 
     def test_chain_run_calibrates_toward_truth(self, chain_run):
         result, _ = chain_run
