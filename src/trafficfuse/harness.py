@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import json
 import os
 from contextlib import contextmanager
@@ -488,6 +489,27 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
+def _once(name: str):
+    """Make a Pipeline stage method run to completion at most once.
+
+    A stage that raised (as PipelineError naming `name`) runs again on its
+    next call; one that completed returns self at once.
+    """
+
+    def wrap(method):
+        @functools.wraps(method)
+        def run(self):
+            if method.__name__ not in self._done:
+                with _stage(name):
+                    method(self)
+                self._done.add(method.__name__)
+            return self
+
+        return run
+
+    return wrap
+
+
 @dataclass
 class PipelineResult:
     config: ExperimentConfig
@@ -510,154 +532,128 @@ class Pipeline:
 
     def __init__(self, config: ExperimentConfig):
         self.cfg = config
-        self._built = False
+        self._done: set = set()  # names of the stage methods that completed
 
     # - network and ground truth -
 
+    @_once("build")
     def build(self):
-        if self._built:
-            return self
         cfg = self.cfg
-        with _stage("build"):
-            if cfg.twin == "grid":
-                self.net, self.beta, self.sources = grid_network()
-                cameras = GRID_CAMERAS
-            elif cfg.twin == "chain":
-                self.net, self.beta, self.sources = chain_network()
-                cameras = CHAIN_CAMERAS
-            elif cfg.twin is None:
-                self.net = load_network(cfg.network_path)
-                self.beta = TurnRatios.uniform(self.net)
-                self.sources = [i for i in boundary_segments(self.net) if not self.net.upstream[i]]
-                cameras = {"calibration": (), "validation": ()}
-            else:
-                raise ValueError(f"unknown twin {cfg.twin!r}")
-            self.calibration = tuple(cfg.cameras_calibration) or cameras["calibration"]
-            self.validation = tuple(cfg.cameras_validation) or cameras["validation"]
-            overlap = set(self.calibration) & set(self.validation)
-            if overlap:
-                raise ValueError(f"calibration and validation cameras overlap: {sorted(overlap)}")
-            for i in (*self.calibration, *self.validation):
-                if not 0 <= i < self.net.n_segments:
-                    raise ValueError(f"camera segment {i} outside the network")
-            self.fd = default_fd_params(self.net, cfg.bin_seconds)
-            self.bins_per_day = int(round(86400 / cfg.bin_seconds))
-            self._built = True
-        return self
+        if cfg.twin == "grid":
+            self.net, self.beta, self.sources = grid_network()
+            cameras = GRID_CAMERAS
+        elif cfg.twin == "chain":
+            self.net, self.beta, self.sources = chain_network()
+            cameras = CHAIN_CAMERAS
+        elif cfg.twin is None:
+            self.net = load_network(cfg.network_path)
+            self.beta = TurnRatios.uniform(self.net)
+            self.sources = [i for i in boundary_segments(self.net) if not self.net.upstream[i]]
+            cameras = {"calibration": (), "validation": ()}
+        else:
+            raise ValueError(f"unknown twin {cfg.twin!r}")
+        self.calibration = tuple(cfg.cameras_calibration) or cameras["calibration"]
+        self.validation = tuple(cfg.cameras_validation) or cameras["validation"]
+        overlap = set(self.calibration) & set(self.validation)
+        if overlap:
+            raise ValueError(f"calibration and validation cameras overlap: {sorted(overlap)}")
+        for i in (*self.calibration, *self.validation):
+            if not 0 <= i < self.net.n_segments:
+                raise ValueError(f"camera segment {i} outside the network")
+        self.fd = default_fd_params(self.net, cfg.bin_seconds)
+        self.bins_per_day = int(round(86400 / cfg.bin_seconds))
 
+    @_once("simulate")
     def simulate(self):
-        if hasattr(self, "sim"):
-            return self
         self.build()
         cfg = self.cfg
-        with _stage("simulate"):
-            start = dt.datetime.fromisoformat(cfg.start)
-            n_bins = (cfg.days + cfg.forecast_days) * self.bins_per_day
-            shell = CountMatrix(np.zeros((1, n_bins)), cfg.bin_seconds, start)
-            profile = demand_profile(self.net, shell, self.sources, cfg.demand_peak)
-            self.sim = simulate(self.net, self.fd, self.beta, profile, cfg.bin_seconds, start)
-            self.truth = self.sim.counts
-        return self
+        start = dt.datetime.fromisoformat(cfg.start)
+        n_bins = (cfg.days + cfg.forecast_days) * self.bins_per_day
+        shell = CountMatrix(np.zeros((1, n_bins)), cfg.bin_seconds, start)
+        profile = demand_profile(self.net, shell, self.sources, cfg.demand_peak)
+        self.sim = simulate(self.net, self.fd, self.beta, profile, cfg.bin_seconds, start)
+        self.truth = self.sim.counts
 
+    @_once("sample")
     def sample(self):
-        if hasattr(self, "probe"):
-            return self
         self.simulate()
         cfg = self.cfg
-        with _stage("sample"):
-            hours = np.arange(24)
-            hour_mult = 1.0 + cfg.penetration_hour_amplitude * np.sin(2 * np.pi * (hours - 16) / 24.0)
-            day_mult = np.where(np.arange(7) >= 5, cfg.penetration_day_weekend, 1.0)
-            self.penetration = PenetrationModel(
-                base=cfg.penetration_base, hour_mult=hour_mult, day_mult=day_mult,
-                seed=int(substream(cfg.seed, "penetration").integers(2**31)),
-            )
-            self.probe = pool_windows(thin_counts(self.truth, self.penetration))
-        return self
+        hours = np.arange(24)
+        hour_mult = 1.0 + cfg.penetration_hour_amplitude * np.sin(2 * np.pi * (hours - 16) / 24.0)
+        day_mult = np.where(np.arange(7) >= 5, cfg.penetration_day_weekend, 1.0)
+        self.penetration = PenetrationModel(
+            base=cfg.penetration_base, hour_mult=hour_mult, day_mult=day_mult,
+            seed=int(substream(cfg.seed, "penetration").integers(2**31)),
+        )
+        self.probe = pool_windows(thin_counts(self.truth, self.penetration))
 
+    @_once("features")
     def features(self):
-        if hasattr(self, "tensor"):
-            return self
         self.sample()
-        with _stage("features"):
-            self.train_bins = (self.cfg.train_days or max(1, round(0.7 * self.cfg.days))) * self.bins_per_day
-            self.tensor = build_tensor(
-                self.net, self.fd, self.probe, self.sim.speeds, train_cols=self.train_bins
-            )
-        return self
+        self.train_bins = (self.cfg.train_days or max(1, round(0.7 * self.cfg.days))) * self.bins_per_day
+        self.tensor = build_tensor(
+            self.net, self.fd, self.probe, self.sim.speeds, train_cols=self.train_bins
+        )
 
+    @_once("train")
     def fit(self):
-        if hasattr(self, "trained"):
-            return self
         self.features()
         cfg = self.cfg
-        with _stage("train"):
-            self.a_hat = normalized_adjacency(self.net.adjacency())
-            self.qmax = FdArrays.build(self.net.segments, self.fd, cfg.bin_seconds).qmax
-            windows = build_windows(
-                self.tensor, self.probe.values, cfg.model,
-                t_last=self.train_bins - cfg.model.horizon - 1,
-            )
-            self.trained = train(
-                cfg.model, self.a_hat, windows, self.qmax,
-                seed=cfg.seed, steps=cfg.train_steps,
-                batch_size=cfg.train_batch, lr=cfg.train_lr,
-            )
-        return self
+        self.a_hat = normalized_adjacency(self.net.adjacency())
+        self.qmax = FdArrays.build(self.net.segments, self.fd, cfg.bin_seconds).qmax
+        windows = build_windows(
+            self.tensor, self.probe.values, cfg.model,
+            t_last=self.train_bins - cfg.model.horizon - 1,
+        )
+        self.trained = train(
+            cfg.model, self.a_hat, windows, self.qmax,
+            seed=cfg.seed, steps=cfg.train_steps,
+            batch_size=cfg.train_batch, lr=cfg.train_lr,
+        )
 
+    @_once("predict")
     def forecasts(self):
-        if hasattr(self, "q_hat"):
-            return self
         self.fit()
         cfg = self.cfg
-        with _stage("predict"):
-            h = cfg.model.history
-            anchors = np.arange(h - 1, self.truth.n_bins - 1)
-            raw, sigma = predict(
-                self.trained.params, cfg.model, self.a_hat, self.tensor,
-                self.probe.values, anchors,
-            )
-            t = self.truth.n_bins
-            n = self.net.n_segments
-            # q_hat[:, b] is the one-step-ahead probe-scale estimate of bin b
-            self.q_hat = np.full((n, t), np.nan)
-            self.q_hat[:, anchors + 1] = np.maximum(raw[:, :, 0], 0.0).T
-            self.sigma_hat = np.full((n, t), np.nan)
-            self.sigma_hat[:, anchors + 1] = sigma[:, :, 0].T
-            self.first_bin = h  # earliest bin with an estimate
-        return self
+        h = cfg.model.history
+        anchors = np.arange(h - 1, self.truth.n_bins - 1)
+        raw, sigma = predict(
+            self.trained.params, cfg.model, self.a_hat, self.tensor,
+            self.probe.values, anchors,
+        )
+        t = self.truth.n_bins
+        n = self.net.n_segments
+        # q_hat[:, b] is the one-step-ahead probe-scale estimate of bin b
+        self.q_hat = np.full((n, t), np.nan)
+        self.q_hat[:, anchors + 1] = np.maximum(raw[:, :, 0], 0.0).T
+        self.sigma_hat = np.full((n, t), np.nan)
+        self.sigma_hat[:, anchors + 1] = sigma[:, :, 0].T
+        self.first_bin = h  # earliest bin with an estimate
 
+    @_once("transition")
     def transition(self):
-        if hasattr(self, "trans"):
-            return self
         self.simulate()
         cfg = self.cfg
-        with _stage("transition"):
-            totals = self.sim.link_flows.sum(axis=1)
-            rng = substream(cfg.seed, "transitions")
-            records = [
-                (i, j, float(rng.binomial(int(round(tot)), cfg.penetration_base)))
-                for (i, j), tot in zip(self.net.edges, totals)
-            ]
-            flows = link_flow_stats(records, self.net)
-            self.trans = build_transition(flows, net=self.net, gamma_pd=cfg.gamma_pd, s=cfg.diffusion_s)
-            self.localization = localization_vectors(self.trans, self.calibration)
-            far = []
-            for i in range(self.net.n_segments):
-                if all(vec[i] == 0.0 for vec in self.localization.values()):
-                    far.append(i)
-            self.far_segments = far
-        return self
+        totals = self.sim.link_flows.sum(axis=1)
+        rng = substream(cfg.seed, "transitions")
+        records = [
+            (i, j, float(rng.binomial(int(round(tot)), cfg.penetration_base)))
+            for (i, j), tot in zip(self.net.edges, totals)
+        ]
+        flows = link_flow_stats(records, self.net)
+        self.trans = build_transition(flows, net=self.net, gamma_pd=cfg.gamma_pd, s=cfg.diffusion_s)
+        self.localization = localization_vectors(self.trans, self.calibration)
+        far = []
+        for i in range(self.net.n_segments):
+            if all(vec[i] == 0.0 for vec in self.localization.values()):
+                far.append(i)
+        self.far_segments = far
 
+    @_once("calibrate")
     def calibrate(self):
-        if hasattr(self, "calibrated"):
-            return self
         self.forecasts()
         self.transition()
-        cfg = self.cfg
-        with _stage("calibrate"):
-            self._assimilation_loop()
-        return self
+        self._assimilation_loop()
 
     def _assimilation_loop(self):
         cfg = self.cfg
@@ -746,36 +742,33 @@ class Pipeline:
         else:
             self.far_alpha_width_daily = np.zeros(0)
 
+    @_once("evaluate")
     def metrics(self):
-        if hasattr(self, "report"):
-            return self
         self.calibrate()
         cfg = self.cfg
-        with _stage("evaluate"):
-            t0 = max(self.first_bin, cfg.burn_days * self.bins_per_day)
-            window = slice(t0, self.t_assim)
-            locs = list(self.validation) or list(self.calibration)
-            truth = self.truth.values[:, window]
-            lo, hi = self.intervals
-            self.report = evaluate(
-                self.calibrated.values[:, window], truth, locs,
-                lo=lo[:, window], hi=hi[:, window],
-            )
-            self.uncal_report = evaluate(self.q_hat[:, window], truth, locs)
-            mae_cal = float(np.mean([m.mae for m in self.report.per_location.values()]))
-            mae_unc = float(np.mean([m.mae for m in self.uncal_report.per_location.values()]))
-            self.diagnostics = {
-                "alpha_star": self.alpha_star,
-                "alpha_final_median": float(np.median(self.alpha_path[:, self.t_assim - 1])),
-                "far_segments": list(self.far_segments),
-                "far_base_change": self.far_base_change,
-                "far_width_daily": [float(v) for v in self.far_alpha_width_daily],
-                "improvement_mae": 1.0 - mae_cal / mae_unc if mae_unc > 0 else None,
-                "n_assimilated": self.ensemble.n_assimilated,
-                "train_best_val": self.trained.best_val,
-                "eval_window": [t0, self.t_assim],
-            }
-        return self
+        t0 = max(self.first_bin, cfg.burn_days * self.bins_per_day)
+        window = slice(t0, self.t_assim)
+        locs = list(self.validation) or list(self.calibration)
+        truth = self.truth.values[:, window]
+        lo, hi = self.intervals
+        self.report = evaluate(
+            self.calibrated.values[:, window], truth, locs,
+            lo=lo[:, window], hi=hi[:, window],
+        )
+        self.uncal_report = evaluate(self.q_hat[:, window], truth, locs)
+        mae_cal = float(np.mean([m.mae for m in self.report.per_location.values()]))
+        mae_unc = float(np.mean([m.mae for m in self.uncal_report.per_location.values()]))
+        self.diagnostics = {
+            "alpha_star": self.alpha_star,
+            "alpha_final_median": float(np.median(self.alpha_path[:, self.t_assim - 1])),
+            "far_segments": list(self.far_segments),
+            "far_base_change": self.far_base_change,
+            "far_width_daily": [float(v) for v in self.far_alpha_width_daily],
+            "improvement_mae": 1.0 - mae_cal / mae_unc if mae_unc > 0 else None,
+            "n_assimilated": self.ensemble.n_assimilated,
+            "train_best_val": self.trained.best_val,
+            "eval_window": [t0, self.t_assim],
+        }
 
     # - artifacts -
     # Each writer runs the stages it needs and writes their files into an

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from trafficfuse import cli, ensrf
+from trafficfuse import cli, ensrf, harness
+from trafficfuse.ctm import simulate
 from trafficfuse.harness import (
     CHAIN_CAMERAS,
     GRID_CAMERAS,
@@ -410,6 +411,24 @@ class TestPipeline:
         pipe.calibration = ()
         with pytest.raises(PipelineError, match="no calibration cameras"):
             pipe.calibrate()
+
+    def test_failed_stage_runs_again(self, monkeypatch):
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("injected")
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate", fails_once)
+        pipe = Pipeline(small_config())
+        with pytest.raises(PipelineError, match="^simulate: injected"):
+            pipe.simulate()
+        pipe.sample()
+        pipe.simulate()
+        assert len(calls) == 2
+        assert pipe.probe.values.shape == pipe.truth.values.shape
 
     def test_nan_camera_bins_are_skipped(self, chain_run):
         pipe = Pipeline(small_config()).forecasts()
