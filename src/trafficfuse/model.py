@@ -40,7 +40,6 @@ class ModelConfig:
     horizon: int = 4
     ffn_width: int = 64
     ln_eps: float = 1e-5
-    row_normalize_adjacency: bool = True
     lambda_mae: float = 1.0
     lambda_nll: float = 1.0
     lambda_cons: float = 1.0
@@ -105,11 +104,9 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
     return {k: Tensor(v, requires_grad=True) for k, v in p.items()}
 
 
-def normalized_adjacency(a: np.ndarray, row_normalize: bool = True) -> np.ndarray:
+def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     """Row-normalize the adjacency used for message passing; zero rows stay zero."""
     a = np.asarray(a, dtype=float)
-    if not row_normalize:
-        return a
     s = a.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(s > 0, a / s, 0.0)

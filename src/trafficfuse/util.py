@@ -9,7 +9,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["substream", "atomic_write_text", "atomic_write_bytes", "canonical_json"]
+__all__ = ["substream", "atomic_write_text", "canonical_json"]
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -40,16 +40,3 @@ def atomic_write_text(path: str, text: str) -> None:
             os.unlink(tmp)
         raise
 
-
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

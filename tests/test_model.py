@@ -65,6 +65,8 @@ def test_config_rejects_nonpositive_sizes():
 def test_config_dict_round_trip():
     cfg = ModelConfig(embed_dim=16, heads=4, lambda_cap=2.5)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    # a key of a removed option, as older configs and checkpoints carry it
+    assert ModelConfig.from_dict({**cfg.to_dict(), "row_normalize_adjacency": True}) == cfg
 
 
 def test_normalized_adjacency_rows():
@@ -73,7 +75,6 @@ def test_normalized_adjacency_rows():
     assert np.allclose(ah[0], [0, 0.5, 0.5])
     assert np.allclose(ah[1], [1, 0, 0])
     assert np.array_equal(ah[2], [0, 0, 0])  # disconnected row stays zero
-    assert np.array_equal(normalized_adjacency(a, row_normalize=False), a)
 
 
 def test_untrained_model_is_persistence():
@@ -231,7 +232,7 @@ def _training_setup(t_bins=96, seed=0):
         n_features=22, embed_dim=8, spatial_layers=1, temporal_blocks=1,
         heads=2, history=4, horizon=2, ffn_width=16,
     )
-    a_hat = normalized_adjacency(net.adjacency(), cfg.row_normalize_adjacency)
+    a_hat = normalized_adjacency(net.adjacency())
     windows = build_windows(tensor, counts, cfg)
     qmax = np.array([s.capacity_vph / 3600.0 * 900 for s in net.segments])
     return cfg, a_hat, windows, qmax, tensor, counts
