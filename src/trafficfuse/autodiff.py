@@ -6,6 +6,12 @@ exact gradients. Broadcasting follows numpy semantics with gradients
 summed back over broadcast axes. Everything stays in float64, which is
 what lets the gradient checks hold to 1e-4 relative against central
 finite differences.
+
+Affine maps, layer norm and softmax are single fused nodes with analytic
+backward passes. A product with a 2-D right operand runs as one flat GEMM
+over the leading axes, both ways, so a weight gradient never materializes
+a per-row outer-product tensor. Gradients are never mutated in place, so
+a node may store the array it is handed without copying it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import contextlib
 import numpy as np
 from scipy.special import erf
 
-__all__ = ["Tensor", "no_grad", "gelu", "softmax", "stop_gradient"]
+__all__ = ["Tensor", "no_grad", "affine", "gelu", "layer_norm", "softmax", "stop_gradient"]
 
 _GRAD_ENABLED = True
 
@@ -82,7 +88,7 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+            self.grad = np.asarray(g)
         else:
             self.grad = self.grad + g
 
@@ -145,6 +151,8 @@ class Tensor:
 
     def __matmul__(self, other):
         a, b = self, Tensor._lift(other)
+        if b.ndim == 2:
+            return affine(a, b)
 
         def backward(g):
             if a.requires_grad:
@@ -208,12 +216,9 @@ class Tensor:
         def backward(g):
             if not a.requires_grad:
                 return
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
+            a._accumulate(np.broadcast_to(g, a.shape))
 
         return Tensor._node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -335,8 +340,57 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; the max shift is a constant so the
-    gradient is exact."""
-    shift = np.max(x.data, axis=axis, keepdims=True)
-    e = (x - Tensor(shift)).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax; the max shift cancels, so the gradient
+    is exact."""
+    a = x
+    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    return Tensor._node(y, (a,), backward)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) for a 2-D w and a 1-D b, as one GEMM over the flattened
+    leading axes of x; the weight gradient is one GEMM too."""
+    k, n = w.shape
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
+    parents = (x, w) if b is None else (x, w, b)
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    return Tensor._node(out.reshape(x.shape[:-1] + (n,)), parents, backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
+    a = x
+    c = a.data - a.data.sum(axis=-1, keepdims=True) * (1.0 / a.shape[-1])
+    std = np.sqrt((c * c).sum(axis=-1, keepdims=True) * (1.0 / a.shape[-1]) + eps)
+    xhat = c / std
+
+    def backward(g):
+        if a.requires_grad:
+            gh = g * gain.data
+            a._accumulate(
+                (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+            )
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+
+    return Tensor._node(xhat * gain.data + bias.data, (a, gain, bias), backward)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, gelu, softmax
+from .autodiff import Tensor, affine, gelu, layer_norm, softmax
 
 __all__ = ["ModelConfig", "Prediction", "init_params", "normalized_adjacency", "forward", "loss_components"]
 
@@ -112,13 +112,6 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
         return np.where(s > 0, a / s, 0.0)
 
 
-def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
-    m = x.mean(axis=-1, keepdims=True)
-    c = x - m
-    v = (c * c).mean(axis=-1, keepdims=True)
-    return (c / (v + eps).sqrt()) * g + b
-
-
 @dataclass
 class Prediction:
     """Forward outputs, kept on the tape for loss construction."""
@@ -151,30 +144,31 @@ def forward(
     a_t = Tensor(a_hat)
     x = Tensor(hist)
 
-    h = x @ params["w_in"] + params["b_in"]  # (B, H, N, d)
+    h = affine(x, params["w_in"], params["b_in"])  # (B, H, N, d)
     for ell in range(cfg.spatial_layers):
         msg = a_t @ h
         pre = msg @ params[f"sp{ell}_w_n"] + h @ params[f"sp{ell}_w_s"] + h @ params[f"sp{ell}_w_r"]
-        h = gelu(_layer_norm(pre, params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], cfg.ln_eps))
+        h = gelu(layer_norm(pre, params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], cfg.ln_eps))
 
     z = h.swapaxes(1, 2)  # (B, N, H, d)
     nh, dh = cfg.heads, d // cfg.heads
     inv_sqrt = 1.0 / np.sqrt(dh)
     for k in range(cfg.temporal_blocks):
-        y = _layer_norm(z, params[f"tb{k}_ln1_g"], params[f"tb{k}_ln1_b"], cfg.ln_eps)
-        qs = (y @ params[f"tb{k}_w_q"] + params[f"tb{k}_b_q"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
-        ks = (y @ params[f"tb{k}_w_k"] + params[f"tb{k}_b_k"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
-        vs = (y @ params[f"tb{k}_w_v"] + params[f"tb{k}_b_v"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
+        y = layer_norm(z, params[f"tb{k}_ln1_g"], params[f"tb{k}_ln1_b"], cfg.ln_eps)
+        qs = affine(y, params[f"tb{k}_w_q"], params[f"tb{k}_b_q"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
+        ks = affine(y, params[f"tb{k}_w_k"], params[f"tb{k}_b_k"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
+        vs = affine(y, params[f"tb{k}_w_v"], params[f"tb{k}_b_v"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
         att = softmax((qs @ ks.swapaxes(-1, -2)) * inv_sqrt, axis=-1)
         ctx = (att @ vs).swapaxes(2, 3).reshape(bsz, n, hh, d)
-        z = z + (ctx @ params[f"tb{k}_w_o"] + params[f"tb{k}_b_o"])
-        y2 = _layer_norm(z, params[f"tb{k}_ln2_g"], params[f"tb{k}_ln2_b"], cfg.ln_eps)
-        z = z + gelu(y2 @ params[f"tb{k}_w_f1"] + params[f"tb{k}_b_f1"]) @ params[f"tb{k}_w_f2"] + params[f"tb{k}_b_f2"]
+        z = z + affine(ctx, params[f"tb{k}_w_o"], params[f"tb{k}_b_o"])
+        y2 = layer_norm(z, params[f"tb{k}_ln2_g"], params[f"tb{k}_ln2_b"], cfg.ln_eps)
+        ffn = gelu(affine(y2, params[f"tb{k}_w_f1"], params[f"tb{k}_b_f1"]))
+        z = z + affine(ffn, params[f"tb{k}_w_f2"], params[f"tb{k}_b_f2"])
 
     flat = z.reshape(bsz, n, hh * d)
-    hv = gelu(flat @ params["w_out"] + params["b_out"])  # (B, N, d)
-    mu = gelu(hv @ params["mu_w1"] + params["mu_b1"]) @ params["mu_w2"] + params["mu_b2"]
-    log_var = gelu(hv @ params["lv_w1"] + params["lv_b1"]) @ params["lv_w2"] + params["lv_b2"]
+    hv = gelu(affine(flat, params["w_out"], params["b_out"]))  # (B, N, d)
+    mu = affine(gelu(affine(hv, params["mu_w1"], params["mu_b1"])), params["mu_w2"], params["mu_b2"])
+    log_var = affine(gelu(affine(hv, params["lv_w1"], params["lv_b1"])), params["lv_w2"], params["lv_b2"])
     sigma = (log_var * 0.5).exp()
     q_hat = Tensor(anchor[:, :, None]) + mu
     return Prediction(q_hat=q_hat, mu=mu, sigma=sigma, log_var=log_var)

@@ -1,9 +1,11 @@
 """Tape-based gradients verified against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from trafficfuse.autodiff import Tensor, gelu, no_grad, softmax, stop_gradient
+from trafficfuse.autodiff import Tensor, affine, gelu, layer_norm, no_grad, softmax, stop_gradient
 
 
 def rel_err(a, b):
@@ -115,6 +117,7 @@ def test_softmax_gradient():
     a = RNG.normal(size=(2, 3, 5)) * 3.0
     w = RNG.normal(size=(2, 3, 5))
     gradcheck(lambda x: (softmax(x) * w).sum(), a)
+    gradcheck(lambda x: (softmax(x, axis=1) * w).sum(), a)
 
 
 def test_softmax_rows_sum_to_one():
@@ -134,17 +137,73 @@ def test_diamond_reuse_accumulates():
     assert np.allclose(t.grad, 2.0)
 
 
+def _layer_norm_composite(x, gg, bb, eps=1e-5):
+    m = x.mean(axis=-1, keepdims=True)
+    v = ((x - m) * (x - m)).mean(axis=-1, keepdims=True)
+    return ((x - m) / (v + eps).sqrt()) * gg + bb
+
+
 def test_layernorm_composite():
     a = RNG.normal(size=(2, 5, 8))
     g = RNG.normal(size=(8,))
     b = RNG.normal(size=(8,))
+    gradcheck(lambda x, gg, bb: _layer_norm_composite(x, gg, bb).sum(), a, g, b)
 
-    def ln(x, gg, bb):
-        m = x.mean(axis=-1, keepdims=True)
-        v = ((x - m) * (x - m)).mean(axis=-1, keepdims=True)
-        return (((x - m) / (v + 1e-5).sqrt()) * gg + bb).sum()
 
-    gradcheck(ln, a, g, b)
+def test_layer_norm_gradient():
+    a = RNG.normal(size=(2, 5, 8)) * 2.0 + 1.0
+    g = RNG.normal(size=(8,))
+    b = RNG.normal(size=(8,))
+    w = RNG.normal(size=(2, 5, 8))
+    gradcheck(lambda x, gg, bb: (layer_norm(x, gg, bb, 1e-5) * w).sum(), a, g, b)
+
+
+def test_affine_gradient_on_4d_input():
+    x = RNG.normal(size=(2, 3, 4, 5))
+    w = RNG.normal(size=(5, 3))
+    b = RNG.normal(size=(3,))
+    up = RNG.normal(size=(2, 3, 4, 3))
+    gradcheck(lambda xx, ww, bb: (affine(xx, ww, bb) * up).sum(), x, w, b)
+    gradcheck(lambda xx, ww: ((xx @ ww) * up).sum(), x, w)
+
+
+def _value_and_grads(fn, arrays):
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    out.backward()
+    return out.item(), [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize(
+    "fused,composite,shapes",
+    [
+        (lambda x, g, b: layer_norm(x, g, b, 1e-5), _layer_norm_composite, [(3, 4, 6), (6,), (6,)]),
+        (affine, lambda x, w, b: x @ w + b, [(2, 3, 4, 5), (5, 7), (7,)]),
+    ],
+)
+def test_fused_nodes_match_composite_forms(fused, composite, shapes):
+    arrays = [RNG.normal(size=s) for s in shapes]
+    up = RNG.normal(size=fused(*[Tensor(a) for a in arrays]).shape)
+    v_fused, g_fused = _value_and_grads(lambda *t: (fused(*t) * up).sum(), arrays)
+    v_comp, g_comp = _value_and_grads(lambda *t: (composite(*t) * up).sum(), arrays)
+    assert abs(v_fused - v_comp) <= 1e-12 * abs(v_comp)
+    for gf, gc in zip(g_fused, g_comp):
+        assert rel_err(gf, gc) < 1e-12
+
+
+def test_weight_gradient_skips_the_outer_product_tensor():
+    x = Tensor(RNG.normal(size=(8, 200, 6, 24)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(24, 24)), requires_grad=True)
+    loss = (x @ w).sum()
+    outer_bytes = 8 * 200 * 24 * 24 * 8  # the (8, 200, 24, 24) batched x^T g
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == (24, 24) and x.grad.shape == x.shape
+    assert peak < outer_bytes, f"backward peaked at {peak} bytes"
 
 
 def test_mlp_composite():
