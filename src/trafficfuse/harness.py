@@ -667,12 +667,18 @@ class Pipeline:
         ratios = np.clip(self.sim.speed_ratios(self.net), 0.0, 1.0)
         valid_set = set(self.validation)
 
-        # prior scale from the first assimilated day at the calibration cameras
-        warm = slice(self.first_bin, min(self.first_bin + self.bins_per_day, t_assim))
-        y_warm = self.truth.values[list(self.calibration), warm].ravel()
-        q_warm = self.q_hat[list(self.calibration), warm].ravel()
-        finite = np.isfinite(y_warm) & np.isfinite(q_warm)
-        self.alpha_star = ensrf.warmup_alpha(y_warm[finite], q_warm[finite], eps=fcfg.eps)
+        # prior scale from the first day of the assimilation span, starting
+        # at the first bin where a calibration camera has a finite pair
+        cams = list(self.calibration)
+        span = slice(self.first_bin, t_assim)
+        y_span, q_span = self.truth.values[cams, span], self.q_hat[cams, span]
+        finite = np.isfinite(y_span) & np.isfinite(q_span)
+        paired = np.flatnonzero(finite.any(axis=0))
+        if paired.size == 0:
+            raise ValueError("no calibration camera has a finite count and predictor estimate in the assimilation span")
+        warm = slice(paired[0], paired[0] + self.bins_per_day)
+        ok = finite[:, warm]
+        self.alpha_star = ensrf.warmup_alpha(y_span[:, warm][ok], q_span[:, warm][ok], eps=fcfg.eps)
 
         rng = substream(cfg.seed, "ensrf")
         ens = ensrf.init_ensemble(n, fcfg, rng, alpha_0=self.alpha_star)
@@ -690,10 +696,14 @@ class Pipeline:
             regimes = ensrf.regime_index(ratios[:, t])
             ens = ensrf.forecast_step(ens, fcfg, rng, transition=self.trans)
             if t < t_assim:
-                # a camera bin without a finite count is skipped, not assimilated
+                # a camera bin without a finite count or predictor estimate
+                # is skipped, not assimilated
                 obs = [
-                    ensrf.CameraObservation(segment=c, t_index=t, count=float(y), missing=not np.isfinite(y))
-                    for c, y in zip(self.calibration, self.truth.values[list(self.calibration), t])
+                    ensrf.CameraObservation(
+                        segment=c, t_index=t, count=float(y),
+                        missing=not (np.isfinite(y) and np.isfinite(self.q_hat[c, t])),
+                    )
+                    for c, y in zip(self.calibration, self.truth.values[cams, t])
                 ]
                 leaked = [o.segment for o in obs if o.segment in valid_set]
                 if leaked:

@@ -69,8 +69,9 @@ def build_windows(
     anchors are read from. The conserved total is the anchor-bin total
     plus the net boundary flow during the first forecast step, taken from
     the boundary arrays when given and from the observed total change
-    otherwise. Windows whose history or future contains an imputed bin are
-    still emitted; filtering is the caller's choice via t_last.
+    otherwise. Windows whose anchor, target or conserved total is not
+    finite (a missing probe bin) are dropped; windows whose history holds
+    an imputed bin are still emitted, and t_last bounds the span.
     """
     h, f = cfg.history, cfg.horizon
     n, t = counts.shape
@@ -82,7 +83,6 @@ def build_windows(
     starts = np.arange(h - 1, t_last + 1)
     if len(starts) == 0:
         raise ValueError("horizon leaves no complete window")
-    hist = np.stack([feats[:, s - h + 1 : s + 1, :].transpose(1, 0, 2) for s in starts])
     anchor = counts[:, starts].T
     target = np.stack([counts[:, s + 1 : s + 1 + f] for s in starts])
     if boundary_in is not None or boundary_out is not None:
@@ -93,7 +93,12 @@ def build_windows(
     else:
         # observed next-bin total stands in for boundary accounting
         n_tot = counts[:, starts + 1].sum(axis=0)
-    return WindowSet(hist, anchor, target, n_tot, starts)
+    keep = np.isfinite(anchor).all(axis=1) & np.isfinite(target).all(axis=(1, 2)) & np.isfinite(n_tot)
+    if not keep.any():
+        raise ValueError("no window has finite anchor, target and total counts")
+    starts = starts[keep]
+    hist = np.stack([feats[:, s - h + 1 : s + 1, :].transpose(1, 0, 2) for s in starts])
+    return WindowSet(hist, anchor[keep], target[keep], n_tot[keep], starts)
 
 
 @dataclass

@@ -439,6 +439,64 @@ class TestPipeline:
         assert pipe.ensemble.n_assimilated == chain_run[0].diagnostics["n_assimilated"] - 2
         assert np.isfinite(pipe.ensemble.base).all()
 
+    def test_full_day_camera_outage_delays_the_warm_up(self, chain_run):
+        pipe = Pipeline(small_config()).forecasts()
+        (cam,) = pipe.calibration
+        pipe.truth.values[cam, pipe.first_bin : pipe.first_bin + pipe.bins_per_day] = np.nan
+        pipe.calibrate()
+        assert pipe.ensemble.n_assimilated == chain_run[0].diagnostics["n_assimilated"] - pipe.bins_per_day
+        assert np.isfinite(pipe.alpha_star) and pipe.alpha_star > 0
+        assert np.isfinite(pipe.calibrated.values[:, pipe.first_bin :]).all()
+
+    def test_camera_dark_for_the_whole_span_is_named(self):
+        pipe = Pipeline(small_config()).forecasts()
+        pipe.truth.values[list(pipe.calibration), :] = np.nan
+        with pytest.raises(PipelineError, match="calibrate: no calibration camera has a finite count"):
+            pipe.calibrate()
+
+    def test_nan_probe_bins_are_dropped_and_skipped(self, tmp_path):
+        pipe = Pipeline(small_config()).sample()
+        (cam,) = pipe.calibration
+        pipe.probe.values[cam, 60] = np.nan  # in the training span
+        pipe.probe.values[cam, 150] = np.nan  # anchors the estimate of a camera bin
+        pipe.probe.values[2, 60] = np.nan
+        pipe.write_metrics(str(tmp_path))
+        assert not np.isfinite(pipe.q_hat[cam, 151])
+        numbers = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                for v in node:
+                    walk(v)
+            elif isinstance(node, float):
+                numbers.append(node)
+
+        walk(json.loads((tmp_path / "metrics.json").read_text()))
+        assert numbers and np.isfinite(numbers).all()
+        assert pipe.diagnostics["far_base_change"] == 0.0
+
+    # Fault injection: these pin behaviour the filter already has.
+
+    @pytest.mark.parametrize("fault", ["zero", "outlier"])
+    def test_faulty_camera_readings_keep_calibration_finite(self, fault):
+        pipe = Pipeline(small_config()).forecasts()
+        (cam,) = pipe.calibration
+        t = pipe.first_bin + pipe.bins_per_day
+        if fault == "zero":
+            pipe.truth.values[cam, t : t + 12] = 0.0
+        else:
+            pipe.truth.values[cam, t] = 1e6
+        pipe.calibrate()
+        assert np.isfinite(pipe.calibrated.values[:, pipe.first_bin :]).all()
+        assert np.isfinite(pipe.ensemble.base).all()
+
+    def test_duplicate_calibration_ids_assimilate_once(self, chain_run):
+        pipe = Pipeline(small_config(cameras_calibration=(1, 1))).calibrate()
+        assert pipe.ensemble.n_assimilated == chain_run[0].diagnostics["n_assimilated"]
+        assert np.isfinite(pipe.calibrated.values[:, pipe.first_bin :]).all()
+
     def test_observability_uses_the_simulated_turn_ratios(self, tmp_path):
         pipe = Pipeline(small_config(twin="grid"))
         pipe.write_observability(str(tmp_path))
