@@ -7,11 +7,9 @@ summed back over broadcast axes. Everything stays in float64, which is
 what lets the gradient checks hold to 1e-4 relative against central
 finite differences.
 
-Affine maps, layer norm and softmax are single fused nodes with analytic
-backward passes. A product with a 2-D right operand runs as one flat GEMM
-over the leading axes, both ways, so a weight gradient never materializes
-a per-row outer-product tensor. Gradients are never mutated in place, so
-a node may store the array it is handed without copying it.
+Affine maps, layer norm and softmax are fused nodes with analytic
+backward passes. No gradient is ever mutated in place, so a node stores
+the first gradient it is handed without copying it.
 """
 
 from __future__ import annotations
@@ -328,13 +326,25 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit, x * Phi(x)."""
     a = x
-    phi = 0.5 * (1.0 + erf(a.data / _SQRT2))
+    # phi = 0.5 * (1 + erf(x / sqrt 2)), in place: a fresh temporary per
+    # step costs more than the arithmetic at these sizes
+    phi = a.data / _SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     out_data = a.data * phi
 
     def backward(g):
         if a.requires_grad:
-            dens = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-            a._accumulate(g * (phi + a.data * dens))
+            # g * (phi + x * exp(-x^2 / 2) / sqrt(2 pi))
+            d = -0.5 * a.data
+            d *= a.data
+            np.exp(d, out=d)
+            d *= _INV_SQRT_2PI
+            d *= a.data
+            d += phi
+            d *= g
+            a._accumulate(d)
 
     return Tensor._node(out_data, (a,), backward)
 
@@ -343,12 +353,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax; the max shift cancels, so the gradient
     is exact."""
     a = x
-    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - np.max(a.data, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+            # y * (g - sum(g * y))
+            gy = g * y
+            np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
+            gy *= y
+            a._accumulate(gy)
 
     return Tensor._node(y, (a,), backward)
 
@@ -377,20 +392,28 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
-    a = x
-    c = a.data - a.data.sum(axis=-1, keepdims=True) * (1.0 / a.shape[-1])
-    std = np.sqrt((c * c).sum(axis=-1, keepdims=True) * (1.0 / a.shape[-1]) + eps)
-    xhat = c / std
+    inv_d = 1.0 / x.shape[-1]
+    # C order, so a following affine flattens it without a copy
+    xhat = np.subtract(x.data, x.data.sum(axis=-1, keepdims=True) * inv_d, order="C")
+    std = np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) * inv_d + eps)
+    xhat /= std
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
-        if a.requires_grad:
+        if x.requires_grad:
+            # (gh - mean(gh) - xhat * mean(gh * xhat)) / std, gh = g * gain
             gh = g * gain.data
-            a._accumulate(
-                (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
-            )
+            t = gh * xhat
+            m = t.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, m, out=t)
+            gh -= gh.mean(axis=-1, keepdims=True)
+            gh -= t
+            gh /= std
+            x._accumulate(gh)
         if gain.requires_grad:
             gain._accumulate(_unbroadcast(g * xhat, gain.shape))
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
 
-    return Tensor._node(xhat * gain.data + bias.data, (a, gain, bias), backward)
+    return Tensor._node(out, (x, gain, bias), backward)
