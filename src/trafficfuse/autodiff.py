@@ -352,20 +352,19 @@ def gelu(x: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax; the max shift cancels, so the gradient
     is exact."""
-    a = x
-    y = a.data - np.max(a.data, axis=axis, keepdims=True)
+    y = x.data - np.max(x.data, axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
+        if x.requires_grad:
             # y * (g - sum(g * y))
             gy = g * y
             np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
             gy *= y
-            a._accumulate(gy)
+            x._accumulate(gy)
 
-    return Tensor._node(y, (a,), backward)
+    return Tensor._node(y, (x,), backward)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

@@ -178,7 +178,8 @@ def _value_and_grads(fn, arrays):
     "fused,composite,shapes",
     [
         (lambda x, g, b: layer_norm(x, g, b, 1e-5), _layer_norm_composite, [(3, 4, 6), (6,), (6,)]),
-        (affine, lambda x, w, b: x @ w + b, [(2, 3, 4, 5), (5, 7), (7,)]),
+        # a (1, k, n) right operand takes the general broadcast matmul path
+        (affine, lambda x, w, b: x @ w.reshape(1, *w.shape) + b, [(2, 3, 4, 5), (5, 7), (7,)]),
     ],
 )
 def test_fused_nodes_match_composite_forms(fused, composite, shapes):
