@@ -34,7 +34,7 @@ __all__ = [
     "init_ensemble",
     "forecast_step",
     "analysis_step",
-    "alpha_statistics",
+    "member_moments",
 ]
 
 REGIME_FREE = 0
@@ -85,40 +85,78 @@ class FilterConfig:
             raise ValueError("max_global_obs must be nonnegative")
 
 
-@dataclass
+N_GLOBAL = 24 + 7 + N_REGIMES  # hour, day and regime columns after the base
+
+
 class CalibrationEnsemble:
-    """Factorized log-calibration members plus per-segment confidence."""
+    """Factorized log-calibration members plus per-segment confidence.
 
-    base: np.ndarray  # (M, N)
-    hour: np.ndarray  # (M, 24)
-    day: np.ndarray  # (M, 7)
-    regime: np.ndarray  # (M, N_REGIMES)
-    confidence: np.ndarray  # (N,)
-    n_assimilated: int = 0
+    The members live in one (M, N + 24 + 7 + N_REGIMES) state array; base,
+    hour, day and regime are column views of it, so an in-place write to a
+    component is a write to the state.
+    """
 
-    def __post_init__(self):
-        for name in ("base", "hour", "day", "regime", "confidence"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"ensemble component {name} is not finite")
+    def __init__(self, base, hour, day, regime, confidence, n_assimilated: int = 0):
+        parts = {"base": base, "hour": hour, "day": day, "regime": regime}
+        parts = {name: np.asarray(v, dtype=float) for name, v in parts.items()}
+        widths = {"hour": 24, "day": 7, "regime": N_REGIMES}
+        if parts["base"].ndim != 2:
+            raise ValueError("ensemble component base must be (members, segments)")
+        m, n = parts["base"].shape
+        for name, v in parts.items():
+            if v.ndim != 2 or v.shape[0] != m:
+                raise ValueError(f"ensemble component {name} has shape {v.shape}, not {m} members")
+            if name in widths and v.shape[1] != widths[name]:
+                raise ValueError(f"ensemble component {name} has {v.shape[1]} columns, not {widths[name]}")
+        self._adopt(np.concatenate(list(parts.values()), axis=1), confidence, n_assimilated)
+        self._check()
+
+    @classmethod
+    def from_state(cls, state: np.ndarray, confidence, n_assimilated: int = 0) -> "CalibrationEnsemble":
+        """Wrap an (M, N + N_GLOBAL) state array without copying it."""
+        ens = cls.__new__(cls)
+        ens._adopt(state, confidence, n_assimilated)
+        ens._check()
+        return ens
+
+    def _adopt(self, state, confidence, n_assimilated):
+        n = state.shape[1] - N_GLOBAL
+        self.confidence = np.asarray(confidence, dtype=float)
+        if self.confidence.shape != (n,):
+            raise ValueError(f"ensemble component confidence has shape {self.confidence.shape}, not ({n},)")
+        self.state = state
+        self.base = state[:, :n]
+        self.hour = state[:, n:n + 24]
+        self.day = state[:, n + 24:n + 31]
+        self.regime = state[:, n + 31:]
+        self.n_assimilated = n_assimilated
+
+    def _check(self):
+        """One finiteness pass over the state; a failure names the component."""
+        if not np.isfinite(self.state).all():
+            bad = next(name for name in ("base", "hour", "day", "regime")
+                       if not np.isfinite(getattr(self, name)).all())
+            raise ValueError(f"ensemble component {bad} is not finite")
+        if not np.isfinite(self.confidence).all():
+            raise ValueError("ensemble component confidence is not finite")
 
     @property
     def n_members(self) -> int:
-        return self.base.shape[0]
+        return self.state.shape[0]
 
     @property
     def n_segments(self) -> int:
-        return self.base.shape[1]
+        return self.state.shape[1] - N_GLOBAL
 
     def effective_beta(self, hour: int, day: int, regimes: np.ndarray) -> np.ndarray:
         """Member-wise log-calibration per segment, (M, N)."""
         regimes = np.asarray(regimes, dtype=int)
-        return self.base + self.hour[:, [hour]] + self.day[:, [day]] + self.regime[:, regimes]
+        return self.base + self.hour[:, hour, None] + self.day[:, day, None] + self.regime[:, regimes]
 
     def copy(self) -> "CalibrationEnsemble":
-        return CalibrationEnsemble(
-            self.base.copy(), self.hour.copy(), self.day.copy(), self.regime.copy(),
-            self.confidence.copy(), self.n_assimilated,
-        )
+        ens = CalibrationEnsemble.__new__(CalibrationEnsemble)
+        ens._adopt(self.state.copy(), self.confidence.copy(), self.n_assimilated)
+        return ens
 
 
 @dataclass(frozen=True)
@@ -171,6 +209,13 @@ def init_ensemble(n_segments: int, config: FilterConfig, rng: np.random.Generato
     )
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a finite 1-D array, bit for bit, without its dispatch."""
+    v = sorted(values.tolist())
+    h = len(v) // 2
+    return v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2.0
+
+
 def forecast_step(
     ens: CalibrationEnsemble,
     config: FilterConfig,
@@ -186,31 +231,36 @@ def forecast_step(
     order (base, hour, day, regime) is fixed for reproducibility.
     """
     if beta_star is None:
-        beta_star = float(np.median(ens.base.mean(axis=0)))
+        beta_star = _median(ens.base.sum(axis=0) / ens.n_members)  # bits of base.mean(axis=0)
     base = ens.base
     if transition is not None:
         base = diffuse(base, transition)
+    m, n = ens.n_members, ens.n_segments
     lb, lg = config.lambda_base, config.lambda_glob
-    base = (1.0 - lb) * base + lb * beta_star + rng.normal(0.0, np.sqrt(config.q_base), size=ens.base.shape)
-    hour = (1.0 - lg) * ens.hour + rng.normal(0.0, np.sqrt(config.q_hour), size=ens.hour.shape)
-    day = (1.0 - lg) * ens.day + rng.normal(0.0, np.sqrt(config.q_day), size=ens.day.shape)
-    regime = (1.0 - lg) * ens.regime + rng.normal(0.0, np.sqrt(config.q_regime), size=ens.regime.shape)
-    return CalibrationEnsemble(
-        base=base, hour=hour, day=day, regime=regime,
-        confidence=ens.confidence.copy(), n_assimilated=ens.n_assimilated,
-    )
+    noise = np.concatenate([
+        rng.normal(0.0, np.sqrt(q), size=(m, width))
+        for q, width in ((config.q_base, n), (config.q_hour, 24), (config.q_day, 7), (config.q_regime, N_REGIMES))
+    ], axis=1)
+    # (1 - lg) * component + noise for the globals and (1 - lb) * base +
+    # lb * beta_star + noise for the base, in that operation order
+    state = np.multiply(ens.state, 1.0 - lg)
+    state[:, :n] = (1.0 - lb) * base + lb * beta_star
+    state += noise
+    return CalibrationEnsemble.from_state(state, ens.confidence.copy(), ens.n_assimilated)
 
 
-def _serial_update(component: np.ndarray, z_anom: np.ndarray, denom: float, gamma: float,
-                   nu: float, gain_mask: np.ndarray | None, scale: float, m: int):
-    """One square-root update of a (M, k) component, in place."""
-    mean = component.mean(axis=0)
-    anom = component - mean
-    k = (anom.T @ z_anom) / (m - 1) / denom * scale
-    if gain_mask is not None:
-        k = gain_mask * k
-    # updating in place leaves zero-gain columns bitwise unchanged
-    component += k * nu - gamma * np.outer(z_anom, k)
+def _serial_update(state: np.ndarray, z_anom: np.ndarray, denom: float, gamma: float,
+                   nu: float, gain: np.ndarray, m: int):
+    """One square-root update of the (M, K) state, in place, column j's gain scaled by gain[j]."""
+    anom = state - state.sum(axis=0) / m  # the bits of state.mean(axis=0), without its overhead
+    k = (anom.T @ z_anom) / (m - 1) / denom
+    k *= gain
+    # k * nu - gamma * outer(z_anom, k), reusing the anomaly buffer; adding
+    # in place leaves zero-gain columns bitwise unchanged
+    upd = np.multiply(z_anom[:, None], k, out=anom)
+    upd *= gamma
+    np.subtract(k * nu, upd, out=upd)
+    state += upd
 
 
 def analysis_step(
@@ -229,17 +279,19 @@ def analysis_step(
     observation time. localization maps camera segment id to its gain
     mask. Duplicate observations for a segment are dropped after the
     first; missing-flagged ones are skipped, and a non-finite count must
-    be flagged missing.
+    be flagged missing. Each observation is one update of the whole state,
+    with gain row [rho | global_gain_scale] for the first max_global_obs
+    observations and [rho | 0] after them.
     """
     regimes = np.asarray(regimes, dtype=int)
     out = ens.copy()
-    m = out.n_members
+    m, n = out.n_members, out.n_segments
     seen = set()
     todo = []
     for obs in observations:
         if obs.missing or obs.segment in seen:
             continue
-        if not 0 <= obs.segment < out.n_segments:
+        if not 0 <= obs.segment < n:
             raise ValueError(f"observation at unknown segment {obs.segment}")
         if not np.isfinite(obs.count):
             raise ValueError(f"non-finite camera count at segment {obs.segment} is not flagged missing")
@@ -248,10 +300,11 @@ def analysis_step(
         seen.add(obs.segment)
         todo.append(obs)
     todo.sort(key=lambda o: o.segment)
-
-    n_global = 0
-    for obs in todo:
+    state = out.state
+    gain = np.full(state.shape[1], config.global_gain_scale)  # the row [rho | gs * 1]
+    for j, obs in enumerate(todo):
         i = obs.segment
+        # per observation: obs_variance's array form rounds (y + eps)**2 differently
         z_obs = log_ratio(obs.count, q_hat[i], config.eps)
         r_z = obs_variance(obs.count, config)
         z = out.base[:, i] + out.hour[:, hour] + out.day[:, day] + out.regime[:, regimes[i]]
@@ -264,18 +317,25 @@ def analysis_step(
         rho = localization.get(i)
         if rho is None:
             raise ValueError(f"no localization vector for camera segment {i}")
-        _serial_update(out.base, z_anom, denom, gamma, nu, rho, 1.0, m)
-        if n_global < config.max_global_obs:
-            gs = config.global_gain_scale
-            _serial_update(out.hour, z_anom, denom, gamma, nu, None, gs, m)
-            _serial_update(out.day, z_anom, denom, gamma, nu, None, gs, m)
-            _serial_update(out.regime, z_anom, denom, gamma, nu, None, gs, m)
-            n_global += 1
+        if j == config.max_global_obs:
+            gain[n:] = 0.0
+        gain[:n] = rho
+        _serial_update(state, z_anom, denom, gamma, nu, gain, m)
         out.n_assimilated += 1
     return out
 
 
-def alpha_statistics(ens: CalibrationEnsemble, hour: int, day: int, regimes: np.ndarray):
-    """Physical-space calibration mean and unbiased variance per segment."""
-    alpha = np.exp(ens.effective_beta(hour, day, regimes))
-    return alpha.mean(axis=0), alpha.var(axis=0, ddof=1)
+def member_moments(beta: np.ndarray):
+    """Per-segment mean and ddof-1 variance of exp(beta) and of beta.
+
+    beta is (M, N) member log-calibrations. Returns (alpha_mean, alpha_var,
+    beta_mean, beta_var), bit for bit numpy's mean and var(ddof=1) over the
+    members, from one pass over both fields.
+    """
+    m, n = beta.shape
+    x = np.concatenate((np.exp(beta), beta), axis=1)
+    mean = x.sum(axis=0) / m
+    dev = x - mean
+    dev *= dev
+    var = dev.sum(axis=0) / (m - 1)
+    return mean[:n], var[:n], mean[n:], var[n:]

@@ -663,7 +663,6 @@ class Pipeline:
         n = self.net.n_segments
         t_total = self.truth.n_bins
         t_assim = cfg.days * self.bins_per_day
-        hours, days = self.truth.hours(), self.truth.days()
         ratios = np.clip(self.sim.speed_ratios(self.net), 0.0, 1.0)
         valid_set = set(self.validation)
 
@@ -680,61 +679,70 @@ class Pipeline:
         ok = finite[:, warm]
         self.alpha_star = ensrf.warmup_alpha(y_span[:, warm][ok], q_span[:, warm][ok], eps=fcfg.eps)
 
+        leaked = [c for c in cams if c in valid_set]
+        if leaked:
+            raise RuntimeError(f"validation cameras {leaked} entered assimilation")
+
+        # everything that does not depend on the filter state, for all bins
+        first = self.first_bin
+        run = slice(first, t_total)
+        regimes = ensrf.regime_index(ratios[:, run].T)  # (bins, N)
+        hour_of, day_of = self.truth.hours().tolist(), self.truth.days().tolist()
+        y_cams = self.truth.values[cams]
+        # a camera bin without a finite count or predictor estimate is
+        # skipped, not assimilated
+        missing = ~(np.isfinite(y_cams) & np.isfinite(self.q_hat[cams]))
+
         rng = substream(cfg.seed, "ensrf")
         ens = ensrf.init_ensemble(n, fcfg, rng, alpha_0=self.alpha_star)
         delta = np.ones(n)
+        # per bin: member_moments, then the confidence after it
+        moments = np.empty((t_total - first, 4, n))
+        deltas = np.empty((t_total - first, n))
+        far = self.far_segments
+        far_change = 0.0
+
+        for k, t in enumerate(range(first, t_total)):
+            ens = ensrf.forecast_step(ens, fcfg, rng, transition=self.trans)
+            if t < t_assim:
+                obs = [
+                    ensrf.CameraObservation(segment=c, t_index=t, count=y, missing=miss)
+                    for c, y, miss in zip(cams, y_cams[:, t].tolist(), missing[:, t].tolist())
+                ]
+                before = ens.base[:, far] if far else None
+                ens = ensrf.analysis_step(
+                    ens, obs, self.q_hat[:, t], self.localization, fcfg,
+                    hour_of[t], day_of[t], regimes[k],
+                )
+                if far:
+                    far_change = max(far_change, float(np.abs(ens.base[:, far] - before).max()))
+            moments[k] = ensrf.member_moments(ens.effective_beta(hour_of[t], day_of[t], regimes[k]))
+            delta = update_confidence(delta, *moments[k, :2], cameras=self.calibration, decay=cfg.confidence_decay)
+            deltas[k] = delta
+
+        # the blend, the counts and the bands over the whole run at once,
+        # on (N, bins) arrays
+        mean, _, z_mean, z_var = moments.transpose(1, 2, 0)
+        q_run = self.q_hat[:, run]
         calibrated = np.full((n, t_total), np.nan)
         lo = np.full((n, t_total), np.nan)
         hi = np.full((n, t_total), np.nan)
         alpha_path = np.full((n, t_total), np.nan)
         alpha_width = np.full((n, t_total), np.nan)
-        far = self.far_segments
-        far_change = 0.0
+        alpha_c = shrink_blend(mean, deltas.T, self.alpha_star)
+        alpha_path[:, run] = alpha_c
+        calibrated[:, run] = calibrate_counts(q_run, alpha_c)
+        # Predictive band: posterior log-ratio spread convolved with the
+        # filter's own count-noise model, moment-matched in log space.
         crit = float(ndtri(0.5 + cfg.interval / 2.0))
-
-        for t in range(self.first_bin, t_total):
-            regimes = ensrf.regime_index(ratios[:, t])
-            ens = ensrf.forecast_step(ens, fcfg, rng, transition=self.trans)
-            if t < t_assim:
-                # a camera bin without a finite count or predictor estimate
-                # is skipped, not assimilated
-                obs = [
-                    ensrf.CameraObservation(
-                        segment=c, t_index=t, count=float(y),
-                        missing=not (np.isfinite(y) and np.isfinite(self.q_hat[c, t])),
-                    )
-                    for c, y in zip(self.calibration, self.truth.values[cams, t])
-                ]
-                leaked = [o.segment for o in obs if o.segment in valid_set]
-                if leaked:
-                    raise RuntimeError(f"validation cameras {leaked} entered assimilation")
-                before = ens.base[:, far].copy() if far else None
-                ens = ensrf.analysis_step(
-                    ens, obs, self.q_hat[:, t], self.localization, fcfg,
-                    int(hours[t]), int(days[t]), regimes,
-                )
-                if far:
-                    far_change = max(far_change, float(np.abs(ens.base[:, far] - before).max()))
-            beta_eff = ens.effective_beta(int(hours[t]), int(days[t]), regimes)
-            alpha_members = np.exp(beta_eff)
-            mean = alpha_members.mean(axis=0)
-            var = alpha_members.var(axis=0, ddof=1)
-            delta = update_confidence(delta, mean, var, cameras=self.calibration, decay=cfg.confidence_decay)
-            alpha_c = shrink_blend(mean, delta, self.alpha_star)
-            alpha_path[:, t] = alpha_c
-            calibrated[:, t] = calibrate_counts(self.q_hat[:, t], alpha_c)
-            # Predictive band: posterior log-ratio spread convolved with the
-            # filter's own count-noise model, moment-matched in log space.
-            z_mean = beta_eff.mean(axis=0)
-            z_var = beta_eff.var(axis=0, ddof=1)
-            r_z = ensrf.obs_variance(self.q_hat[:, t] * mean, fcfg)
-            half = crit * np.sqrt(z_var + r_z)
-            lo[:, t] = self.q_hat[:, t] * np.exp(z_mean - half)
-            hi[:, t] = self.q_hat[:, t] * np.exp(z_mean + half)
-            # calibration-band width on the log-multiplier scale: pure
-            # parameter spread, immune to level shifts from the learned
-            # weekday/hour pattern and free of the count-noise floor
-            alpha_width[:, t] = 2.0 * crit * np.sqrt(z_var)
+        r_z = ensrf.obs_variance(q_run * mean, fcfg)
+        half = crit * np.sqrt(z_var + r_z)
+        lo[:, run] = q_run * np.exp(z_mean - half)
+        hi[:, run] = q_run * np.exp(z_mean + half)
+        # calibration-band width on the log-multiplier scale: pure
+        # parameter spread, immune to level shifts from the learned
+        # weekday/hour pattern and free of the count-noise floor
+        alpha_width[:, run] = 2.0 * crit * np.sqrt(z_var)
 
         self.ensemble = ens
         self.delta = delta

@@ -11,7 +11,7 @@ all three and revert to the network prior.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ class TransitionMatrix:
     p: row-stochastic on segments with outflow, zero rows elsewhere
     w: symmetrized decayed kernel gamma_pd * (P + P^T) / 2
     w_eff: diffusion matrix, every row sums to exactly 1
+    edges: W_eff's nonzeros as (rows, cols, weights), row-major, built once
     """
 
     p: np.ndarray
@@ -45,6 +46,20 @@ class TransitionMatrix:
     w_eff: np.ndarray
     gamma_pd: float
     s: float
+    edges: tuple = field(init=False, repr=False, compare=False)
+    _slots: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows, cols = np.nonzero(self.w_eff)
+        object.__setattr__(self, "edges", (rows, cols, self.w_eff[rows, cols]))
+        object.__setattr__(self, "_slots", {})
+
+    def member_slots(self, m: int) -> np.ndarray:
+        """Flat index into an (m, N) field of each (edge, member) pair's row, cached per m."""
+        if m not in self._slots:
+            n = self.w_eff.shape[0]
+            self._slots[m] = (self.edges[0][:, None] + n * np.arange(m)).ravel()
+        return self._slots[m]
 
 
 def _effective_rows(w: np.ndarray) -> np.ndarray:
@@ -130,8 +145,8 @@ def diffuse(beta: np.ndarray, t: TransitionMatrix, s: float | None = None) -> np
     """One diffusion step, (1-s) * beta + s * W_eff beta, per member.
 
     Written in difference form beta_i + s * sum_j w_ij (beta_j - beta_i),
-    summed over the nonzero entries of W_eff only, so a spatially constant
-    field passes through bitwise unchanged.
+    summed over the nonzero entries of W_eff only (the edge list kept on
+    t), so a spatially constant field passes through bitwise unchanged.
     """
     if s is None:
         s = t.s
@@ -141,11 +156,13 @@ def diffuse(beta: np.ndarray, t: TransitionMatrix, s: float | None = None) -> np
     squeeze = beta.ndim == 1
     b = beta[None, :] if squeeze else beta
     m, n = b.shape
-    rows, cols = np.nonzero(t.w_eff)
-    # pairwise differences keep the consensus state an exact fixed point
-    terms = t.w_eff[rows, cols] * (b[:, cols] - b[:, rows])
-    slots = (np.arange(m)[:, None] * n + rows).ravel()
-    pulled = np.bincount(slots, weights=terms.ravel(), minlength=m * n).reshape(m, n)
+    rows, cols, weights = t.edges
+    # pairwise differences keep the consensus state an exact fixed point;
+    # edge-major (E, m) terms flatten without a copy, and each (member, row)
+    # slot still sums its edges in ascending order
+    terms = b.T[cols] - b.T[rows]
+    terms *= weights[:, None]
+    pulled = np.bincount(t.member_slots(m), weights=terms.ravel(), minlength=m * n).reshape(m, n)
     out = b + s * pulled
     return out[0] if squeeze else out
 
@@ -168,7 +185,8 @@ def update_confidence(
         raise ValueError("alpha mean must be positive")
     cv = np.sqrt(np.maximum(alpha_var, 0.0)) / alpha_mean
     delta = np.maximum(decay * np.asarray(delta_prev, dtype=float), 1.0 / (1.0 + cv))
-    delta = np.clip(delta, 0.0, 1.0)
+    # clip to [0, 1] in place
+    np.minimum(np.maximum(delta, 0.0, out=delta), 1.0, out=delta)
     cams = list(cameras)
     if cams:
         delta[cams] = 1.0
@@ -182,14 +200,18 @@ def shrink_blend(alpha_mean: np.ndarray, delta: np.ndarray, alpha_star: float) -
 
 
 def calibrate_counts(q_hat: np.ndarray, alpha_c: np.ndarray) -> np.ndarray:
-    """Scale predictor counts by the blended calibration field."""
+    """Scale predictor counts by the blended calibration field.
+
+    alpha_c is one factor per segment, or per segment and bin when it has
+    q_hat's shape.
+    """
     alpha_c = np.asarray(alpha_c, dtype=float)
     if (alpha_c <= 0).any():
         raise ValueError("calibration factors must be positive")
     q_hat = np.asarray(q_hat, dtype=float)
-    if q_hat.ndim == 1:
-        return alpha_c * q_hat
-    return alpha_c[:, None] * q_hat
+    if alpha_c.ndim < q_hat.ndim:
+        alpha_c = alpha_c[:, None]
+    return alpha_c * q_hat
 
 
 def export_transition(t: TransitionMatrix, net: RoadNetwork, path: str) -> None:

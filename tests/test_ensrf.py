@@ -13,16 +13,16 @@ from trafficfuse.ensrf import (
     CalibrationEnsemble,
     CameraObservation,
     FilterConfig,
-    alpha_statistics,
     analysis_step,
     forecast_step,
     init_ensemble,
     log_ratio,
+    member_moments,
     obs_variance,
     regime_index,
     warmup_alpha,
 )
-from trafficfuse.propagation import build_transition
+from trafficfuse.propagation import build_transition, diffuse
 from trafficfuse.util import substream
 
 
@@ -243,12 +243,15 @@ def test_global_observation_cap():
 
 def test_alpha_statistics_frozen_pair():
     ens = _bare_ensemble(np.array([0.0, math.log(4.0)]))
-    mean, var = alpha_statistics(ens, 0, 0, np.zeros(1, dtype=int))
+    mean, var, beta_mean, beta_var = member_moments(ens.effective_beta(0, 0, np.zeros(1, dtype=int)))
     assert mean[0] == pytest.approx(2.5, rel=1e-12)
     assert var[0] == pytest.approx(4.5, rel=1e-12)
+    assert beta_mean[0] == pytest.approx(math.log(2.0), rel=1e-12)
+    assert beta_var[0] == pytest.approx(0.5 * math.log(4.0) ** 2, rel=1e-12)
     neutral = _bare_ensemble(np.zeros(5))
-    mean, var = alpha_statistics(neutral, 3, 2, np.zeros(1, dtype=int))
+    mean, var, beta_mean, beta_var = member_moments(neutral.effective_beta(3, 2, np.zeros(1, dtype=int)))
     assert mean[0] == 1.0 and var[0] == 0.0
+    assert beta_mean[0] == 0.0 and beta_var[0] == 0.0
 
 
 def test_warmup_alpha_median_ratio():
@@ -346,3 +349,150 @@ def test_zero_gain_columns_stay_bitwise_unchanged():
     out = analysis_step(ens, obs, np.full(20, 20.0), {0: rho}, cfg, 0, 0, np.zeros(20, dtype=int))
     assert np.array_equal(out.base[:, 5:], ens.base[:, 5:])
     assert not np.array_equal(out.base[:, :5], ens.base[:, :5])
+
+
+# -- the four-array filter, kept as the oracle of the single-state form -------
+
+
+def _four_array_analysis(parts, observations, q_hat, localization, config, hour, day, regimes):
+    """Per-component serial updates of separate base/hour/day/regime arrays."""
+    base, hour_c, day_c, regime = (np.array(a, dtype=float) for a in parts)
+    m = base.shape[0]
+    n_global = 0
+    for obs in sorted(observations, key=lambda o: o.segment):
+        i = obs.segment
+        z_obs = log_ratio(obs.count, q_hat[i], config.eps)
+        r_z = obs_variance(obs.count, config)
+        z = base[:, i] + hour_c[:, hour] + day_c[:, day] + regime[:, regimes[i]]
+        z_anom = z - z.mean()
+        denom = float(z_anom @ z_anom) / (m - 1) + r_z
+        gamma = 1.0 / (1.0 + np.sqrt(r_z / denom))
+        nu = z_obs - z.mean()
+        targets = [(base, localization[i], 1.0)]
+        if n_global < config.max_global_obs:
+            targets += [(c, None, config.global_gain_scale) for c in (hour_c, day_c, regime)]
+            n_global += 1
+        for comp, mask, scale in targets:
+            anom = comp - comp.mean(axis=0)
+            k = (anom.T @ z_anom) / (m - 1) / denom * scale
+            if mask is not None:
+                k = mask * k
+            comp += k * nu - gamma * np.outer(z_anom, k)
+    return base, hour_c, day_c, regime
+
+
+def _four_draw_forecast(parts, config, rng, transition=None):
+    """OU forecast of separate arrays: one normal draw per component."""
+    base, hour_c, day_c, regime = parts
+    beta_star = float(np.median(base.mean(axis=0)))
+    if transition is not None:
+        base = diffuse(base, transition)
+    lb, lg = config.lambda_base, config.lambda_glob
+    base = (1.0 - lb) * base + lb * beta_star + rng.normal(0.0, np.sqrt(config.q_base), size=base.shape)
+    hour_c = (1.0 - lg) * hour_c + rng.normal(0.0, np.sqrt(config.q_hour), size=hour_c.shape)
+    day_c = (1.0 - lg) * day_c + rng.normal(0.0, np.sqrt(config.q_day), size=day_c.shape)
+    regime = (1.0 - lg) * regime + rng.normal(0.0, np.sqrt(config.q_regime), size=regime.shape)
+    return base, hour_c, day_c, regime
+
+
+def _components(ens):
+    return ens.base, ens.hour, ens.day, ens.regime
+
+
+def _two_camera_case(max_global_obs):
+    cfg = FilterConfig(n_members=24, sigma_0=0.1, sigma_y=2.0, max_global_obs=max_global_obs,
+                       global_gain_scale=0.3)
+    ens = init_ensemble(6, cfg, substream(4, "two-cams"), alpha_0=1.4)
+    q_hat = np.array([30.0, 40.0, 25.0, 60.0, 35.0, 20.0])
+    obs = [CameraObservation(4, 0, 52.0), CameraObservation(1, 0, 61.0)]
+    loc = {1: np.array([0.5, 1.0, 0.5, 0.25, 0.0, 0.0]), 4: np.array([0.0, 0.0, 0.25, 0.5, 1.0, 0.5])}
+    regimes = np.array([0, 1, 2, 0, 1, 2])
+    return ens, obs, q_hat, loc, cfg, regimes
+
+
+def test_single_state_analysis_matches_four_array_oracle():
+    ens, obs, q_hat, loc, cfg, regimes = _two_camera_case(max_global_obs=1)
+    out = analysis_step(ens, obs, q_hat, loc, cfg, 7, 3, regimes)
+    want = _four_array_analysis(_components(ens), obs, q_hat, loc, cfg, 7, 3, regimes)
+    for name, got, ref in zip(("base", "hour", "day", "regime"), _components(out), want):
+        err = np.abs(got - ref).max() / np.abs(ref).max()
+        assert err <= 1e-14, f"{name} off by {err:.2e} relative"
+    # the oracle itself moved every component, so the match is not vacuous
+    assert all(not np.array_equal(a, b) for a, b in zip(want, _components(ens)))
+    assert out.n_assimilated == 2
+
+
+def test_global_columns_bitwise_unchanged_past_the_cap():
+    ens, obs, q_hat, loc, cfg, regimes = _two_camera_case(max_global_obs=1)
+    n = ens.n_segments
+    first_only = analysis_step(ens, obs[1:], q_hat, loc, cfg, 7, 3, regimes)
+    both = analysis_step(ens, obs, q_hat, loc, cfg, 7, 3, regimes)
+    # the second observation's gain row is [rho | 0]: its update adds an
+    # exact zero to every global column
+    assert np.array_equal(both.state[:, n:], first_only.state[:, n:])
+    assert not np.array_equal(both.base, first_only.base)
+    ens0, obs, q_hat, loc, cfg0, regimes = _two_camera_case(max_global_obs=0)
+    none = analysis_step(ens0, obs, q_hat, loc, cfg0, 7, 3, regimes)
+    assert np.array_equal(none.state[:, n:], ens0.state[:, n:])
+
+
+@pytest.mark.parametrize("n_segments", [5, 6])
+def test_single_state_forecast_matches_four_draw_form(n_segments):
+    # odd and even segment counts take both branches of the median; distinct
+    # noise levels tell the four draws apart
+    cfg = FilterConfig(n_members=16, q_base=2e-4, q_hour=3e-5, q_day=1e-5, q_regime=5e-6)
+    ens = init_ensemble(n_segments, cfg, substream(8, "fc-init"), alpha_0=0.8)
+    flows = np.zeros((n_segments, n_segments))
+    for i in range(n_segments - 1):
+        flows[i, i + 1] = 1.0 + i
+    t = build_transition(flows, gamma_pd=0.8, s=0.2)
+    for transition in (None, t):
+        out = forecast_step(ens, cfg, substream(9, "fc"), transition=transition)
+        want = _four_draw_forecast(_components(ens), cfg, substream(9, "fc"), transition=transition)
+        for got, ref in zip(_components(out), want):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(out.confidence, ens.confidence)
+        assert out.confidence is not ens.confidence
+
+
+def test_components_are_views_of_one_state():
+    ens = init_ensemble(3, FilterConfig(n_members=4), substream(1, "views"))
+    assert ens.state.shape == (4, 3 + 24 + 7 + N_REGIMES)
+    ens.hour[:, 5] = 0.5
+    assert np.array_equal(ens.state[:, 3 + 5], np.full(4, 0.5))
+    regimes = np.zeros(3, dtype=int)
+    want = ens.base + 0.5 + ens.day[:, [1]] + ens.regime[:, [0]]
+    assert np.array_equal(ens.effective_beta(5, 1, regimes), want)
+    dup = ens.copy()
+    assert not np.shares_memory(dup.state, ens.state)
+    assert np.shares_memory(dup.hour, dup.state)
+    dup.hour[:] = 9.0
+    dup.confidence[:] = 1.0
+    assert np.array_equal(ens.hour[:, 5], np.full(4, 0.5))
+    assert not ens.confidence.any()
+
+
+def test_ensemble_shape_mismatch_names_the_component():
+    m, n = 4, 3
+
+    def build(**over):
+        parts = dict(base=np.zeros((m, n)), hour=np.zeros((m, 24)), day=np.zeros((m, 7)),
+                     regime=np.zeros((m, N_REGIMES)), confidence=np.zeros(n))
+        parts.update(over)
+        return CalibrationEnsemble(**parts)
+
+    build()
+    with pytest.raises(ValueError, match="component hour .* not 4 members"):
+        build(hour=np.zeros((m + 1, 24)))
+    with pytest.raises(ValueError, match="component day has 6 columns, not 7"):
+        build(day=np.zeros((m, 6)))
+    with pytest.raises(ValueError, match="component regime has 4 columns"):
+        build(regime=np.zeros((m, 4)))
+    with pytest.raises(ValueError, match="component hour has 7 columns, not 24"):
+        build(hour=np.zeros((m, 7)))
+    with pytest.raises(ValueError, match="component base"):
+        build(base=np.zeros(n))
+    with pytest.raises(ValueError, match="component confidence"):
+        build(confidence=np.zeros(n + 1))
+    with pytest.raises(ValueError, match="component regime is not finite"):
+        build(regime=np.full((m, N_REGIMES), np.inf))

@@ -172,6 +172,25 @@ def test_diffuse_memory_scales_with_edges():
     assert peak < 16 * 2**20
 
 
+def test_diffuse_edge_list_is_built_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    flows = rng.uniform(0, 5, size=(7, 7)) * (rng.random((7, 7)) < 0.4)
+    np.fill_diagonal(flows, 0)
+    t = build_transition(flows, gamma_pd=0.8)
+    rows, cols, weights = t.edges
+    want_rows, want_cols = np.nonzero(t.w_eff)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert np.array_equal(weights, t.w_eff[want_rows, want_cols])
+    beta = rng.normal(size=(3, 7))
+    want = diffuse(beta, t)
+
+    def rescan(*args, **kwargs):
+        raise AssertionError("diffuse rescanned W_eff")
+
+    monkeypatch.setattr(np, "nonzero", rescan)
+    assert np.array_equal(diffuse(beta, t), want)
+
+
 def test_transition_invariants_random_sweep():
     assert check_transition_invariants(n_networks=150, seed=11) == 150
 
@@ -205,6 +224,14 @@ def test_calibrate_counts():
     assert np.array_equal(calibrate_counts(np.zeros(2), np.array([7.0, 9.0])), np.zeros(2))
     with pytest.raises(ValueError, match="positive"):
         calibrate_counts(q, np.array([1.0, 0.0]))
+
+
+def test_calibrate_counts_per_bin_factors():
+    q = np.array([[1.0, 2.0, 4.0], [3.0, 4.0, 5.0]])
+    alpha = np.array([[2.0, 0.5, 1.0], [1.0, 3.0, 0.25]])
+    assert np.array_equal(calibrate_counts(q, alpha), alpha * q)
+    with pytest.raises(ValueError, match="positive"):
+        calibrate_counts(q, -alpha)
 
 
 def test_exports_round_trip(tmp_path):

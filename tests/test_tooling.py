@@ -1,9 +1,15 @@
 """Source-tree rules that no single module test covers."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
+from collections import Counter
 
 import trafficfuse
+from trafficfuse.ensrf import FilterConfig
+from trafficfuse.harness import ExperimentConfig, Pipeline
+from trafficfuse.model import ModelConfig
 
 PACKAGE = pathlib.Path(trafficfuse.__file__).parent
 
@@ -17,3 +23,34 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _load_benchmark_spans():
+    # loaded by path and only read: the benchmark's files are not part of
+    # the package, and the test must not change them
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch):
+    # the spans rebind public names; a refactor that renames one, or stops
+    # calling it through the rebound name, would silently zero its metrics
+    spans = _load_benchmark_spans()
+    targets = [(spans._resolve(path), attr) for path, attr, _, _ in spans.TARGETS]
+    targets.append((importlib.import_module("trafficfuse.ensrf"), "diffuse"))
+    for owner, attr in targets:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} does not resolve"
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))  # restored after the test
+    rec = spans.Recorder()
+    spans.install(rec)
+    model = ModelConfig(n_features=22, embed_dim=8, spatial_layers=1, temporal_blocks=1,
+                        heads=2, history=4, horizon=1, ffn_width=16)
+    cfg = ExperimentConfig(twin="chain", days=2, forecast_days=1, model=model,
+                           filter=FilterConfig(n_members=8), train_steps=2, train_batch=4, seed=3)
+    Pipeline(cfg).calibrate()
+    calls = Counter(span["name"] for span in rec.spans)
+    for name in ("ensrf.forecast_step", "ensrf.analysis_step", "propagation.diffuse", "propagation.blend"):
+        assert calls[name] >= 1, f"no {name} span recorded in calibrate"
