@@ -19,7 +19,7 @@ import contextlib
 import numpy as np
 from scipy.special import erf
 
-__all__ = ["Tensor", "no_grad", "affine", "gelu", "layer_norm", "softmax", "stop_gradient"]
+__all__ = ["Tensor", "no_grad", "affine", "gelu", "layer_norm", "softmax"]
 
 _GRAD_ENABLED = True
 
@@ -47,6 +47,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _selects_once(idx) -> bool:
+    """True when idx cannot pick an element twice, so the gradient of a
+    selection can be scattered instead of accumulated with np.add.at."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    arrays = [p for p in parts if not isinstance(p, (int, np.integer, slice, type(None), type(Ellipsis)))]
+    if not arrays:
+        return True
+    if len(arrays) > 1:
+        return False
+    arr = np.asarray(arrays[0])
+    return arr.dtype == bool or np.unique(arr).size == arr.size
 
 
 class Tensor:
@@ -201,7 +214,10 @@ class Tensor:
         def backward(g):
             if a.requires_grad:
                 full = np.zeros_like(a.data)
-                np.add.at(full, idx, g)
+                if _selects_once(idx):
+                    full[idx] = g
+                else:
+                    np.add.at(full, idx, g)
                 a._accumulate(full)
 
         return Tensor._node(a.data[idx], (a,), backward)
@@ -312,11 +328,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-
-def stop_gradient(x: Tensor) -> Tensor:
-    """Constant copy of x: same values, no tape connection."""
-    return Tensor(x.data.copy())
 
 
 _SQRT2 = np.sqrt(2.0)
