@@ -126,30 +126,36 @@ def forward(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     a_hat: np.ndarray,
-    hist: np.ndarray,
+    bins: np.ndarray,
+    windows: np.ndarray,
     anchor: np.ndarray,
 ) -> Prediction:
     """Run the predictor.
 
-    hist is (B, history, n_segments, n_features) of normalized features,
-    anchor the raw last-observed counts (B, n_segments), a_hat the
-    (already normalized) message-passing matrix.
+    bins is (U, n_segments, n_features), the normalized features of the
+    distinct bins the batch reads; windows is (B, history) int, each
+    window's bins oldest first as indices into bins; anchor holds the raw
+    last-observed counts (B, n_segments); a_hat is the (already
+    normalized) message-passing matrix. The input projection and the
+    spatial layers run once per bin, however many windows share it.
     """
-    bsz, hh, n, fin = hist.shape
-    if hh != cfg.history or fin != cfg.n_features:
+    windows = np.asarray(windows)
+    if windows.ndim != 2 or windows.shape[1] != cfg.history or bins.ndim != 3 or bins.shape[2] != cfg.n_features:
         raise ValueError("history window does not match the model config")
+    bsz, hh = windows.shape
+    n = bins.shape[1]
     if anchor.shape != (bsz, n):
         raise ValueError("anchor must be (batch, n_segments)")
     d = cfg.embed_dim
     a_t = Tensor(a_hat)
-    x = Tensor(hist)
 
-    h = affine(x, params["w_in"], params["b_in"])  # (B, H, N, d)
+    h = affine(Tensor(bins), params["w_in"], params["b_in"])  # (U, N, d)
     for ell in range(cfg.spatial_layers):
         msg = a_t @ h
         pre = msg @ params[f"sp{ell}_w_n"] + h @ params[f"sp{ell}_w_s"] + h @ params[f"sp{ell}_w_r"]
         h = gelu(layer_norm(pre, params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], cfg.ln_eps))
 
+    h = h[windows]  # (B, H, N, d)
     z = h.swapaxes(1, 2)  # (B, N, H, d)
     nh, dh = cfg.heads, d // cfg.heads
     inv_sqrt = 1.0 / np.sqrt(dh)

@@ -140,13 +140,15 @@ def check_transition_invariants(n_networks=100, seed=0, n_max=12):
     return n_networks
 
 
-def model_grad_fd_err(cfg, n_segments=3, batch=2, seed=7, h_rel=1e-5):
+def model_grad_fd_err(cfg, n_segments=3, batch=2, seed=7, h_rel=1e-5, shared=False):
     """Max relative gap between backprop and central finite differences.
 
     Perturbs every parameter away from its (partly zero) init so all of
     them carry gradient, then sweeps each entry. The per-parameter error
     is the largest entrywise difference scaled by that parameter's
-    gradient magnitude.
+    gradient magnitude. Windows read disjoint bins, as in training, or
+    with shared=True consecutive windows that share all but one bin, as
+    in prediction.
     """
     rng = np.random.default_rng(seed)
     params = init_params(cfg, rng)
@@ -155,14 +157,18 @@ def model_grad_fd_err(cfg, n_segments=3, batch=2, seed=7, h_rel=1e-5):
     a = rng.random((n_segments, n_segments)) * (rng.random((n_segments, n_segments)) < 0.6)
     np.fill_diagonal(a, 0.0)
     a_hat = normalized_adjacency(a)
-    hist = rng.normal(size=(batch, cfg.history, n_segments, cfg.n_features))
+    if shared:
+        windows = np.arange(batch)[:, None] + np.arange(cfg.history)
+    else:
+        windows = np.arange(batch * cfg.history).reshape(batch, cfg.history)
+    bins = rng.normal(size=(windows.max() + 1, n_segments, cfg.n_features))
     anchor = rng.uniform(5.0, 20.0, size=(batch, n_segments))
     target = anchor[:, :, None] + rng.normal(scale=2.0, size=(batch, n_segments, cfg.horizon))
     qmax = rng.uniform(8.0, 25.0, size=n_segments)
     n_tot = target[:, :, 0].sum(axis=1) + rng.normal(scale=1.0, size=batch)
 
     def loss_value():
-        pred = forward(params, cfg, a_hat, hist, anchor)
+        pred = forward(params, cfg, a_hat, bins, windows, anchor)
         return loss_components(pred, target, cfg, qmax, n_tot)["total"]
 
     loss = loss_value()

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ def _tiny_inputs(cfg, n=3, b=2, seed=0):
     return a_hat, hist, anchor
 
 
+def _stacked(hist):
+    """(bins, windows) forward inputs for windows that read disjoint bins."""
+    b, h = hist.shape[:2]
+    return hist.reshape(b * h, *hist.shape[2:]), np.arange(b * h).reshape(b, h)
+
+
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ValueError, match="divisible"):
         ModelConfig(embed_dim=5, heads=2)
@@ -82,7 +89,7 @@ def test_untrained_model_is_persistence():
     cfg = TINY
     params = init_params(cfg, np.random.default_rng(3))
     a_hat, hist, anchor = _tiny_inputs(cfg)
-    pred = forward(params, cfg, a_hat, hist, anchor)
+    pred = forward(params, cfg, a_hat, *_stacked(hist), anchor)
     assert np.array_equal(pred.mu.data, np.zeros((2, 3, cfg.horizon)))
     assert np.array_equal(pred.sigma.data, np.ones((2, 3, cfg.horizon)))
     assert np.array_equal(pred.q_hat.data, np.broadcast_to(anchor[:, :, None], (2, 3, cfg.horizon)))
@@ -92,10 +99,13 @@ def test_forward_shape_validation():
     cfg = TINY
     params = init_params(cfg, np.random.default_rng(0))
     a_hat, hist, anchor = _tiny_inputs(cfg)
+    bins, windows = _stacked(hist)
     with pytest.raises(ValueError, match="history window"):
-        forward(params, cfg, a_hat, hist[:, :2], anchor)
+        forward(params, cfg, a_hat, bins, windows[:, :2], anchor)
+    with pytest.raises(ValueError, match="history window"):
+        forward(params, cfg, a_hat, bins[:, :, :4], windows, anchor)
     with pytest.raises(ValueError, match="anchor"):
-        forward(params, cfg, a_hat, hist, anchor[:, :2])
+        forward(params, cfg, a_hat, bins, windows, anchor[:, :2])
 
 
 def test_forward_permutation_equivariance():
@@ -110,12 +120,14 @@ def test_forward_permutation_equivariance():
     hist = rng.normal(size=(2, cfg.history, n, cfg.n_features))
     anchor = rng.uniform(5, 20, size=(2, n))
     perm = np.array([2, 0, 3, 1])
-    base = forward(params, cfg, normalized_adjacency(a), hist, anchor)
+    bins, windows = _stacked(hist)
+    base = forward(params, cfg, normalized_adjacency(a), bins, windows, anchor)
     shuf = forward(
         params,
         cfg,
         normalized_adjacency(a[perm][:, perm]),
-        hist[:, :, perm, :],
+        bins[:, perm, :],
+        windows,
         anchor[:, perm],
     )
     assert np.allclose(shuf.q_hat.data, base.q_hat.data[:, perm, :], atol=1e-10)
@@ -188,7 +200,7 @@ def test_loss_weight_doubling_is_exact():
     for cfg in (cfg1, cfg2):
         for p in params.values():
             p.zero_grad()
-        comps = loss_components(forward(params, cfg, a_hat, hist, anchor), target, cfg, qmax, n_tot)
+        comps = loss_components(forward(params, cfg, a_hat, *_stacked(hist), anchor), target, cfg, qmax, n_tot)
         comps["total"].backward()
         grads.append({k: p.grad.copy() for k, p in params.items()})
     for k in grads[0]:
@@ -220,6 +232,16 @@ def test_gradients_match_finite_differences():
     assert model_grad_fd_err(cfg, n_segments=3, batch=2, seed=7) < 1e-4
 
 
+def test_gradients_through_shared_bins_match_finite_differences():
+    # consecutive windows read each bin up to `history` times, so the
+    # gradients of the gathered spatial embeddings must accumulate
+    cfg = ModelConfig(
+        n_features=22, embed_dim=4, spatial_layers=2, temporal_blocks=1,
+        heads=2, history=3, horizon=2, ffn_width=8,
+    )
+    assert model_grad_fd_err(cfg, n_segments=3, batch=3, seed=8, shared=True) < 1e-4
+
+
 def _training_setup(t_bins=96, seed=0):
     net = make_chain(3, boundary=(0, 2))
     fd = default_fd_params(net)
@@ -247,7 +269,8 @@ def test_build_windows_alignment():
     w = build_windows(tensor, counts, cfg)
     assert len(w) == 8  # t = 2 .. 9
     assert np.array_equal(w.t_index, np.arange(2, 10))
-    assert np.array_equal(w.hist[0], values[:, 0:3, :].transpose(1, 0, 2))
+    assert np.array_equal(w.feats, values.transpose(1, 0, 2))
+    assert w.feats.flags.c_contiguous
     assert np.array_equal(w.anchor[0], counts[:, 2])
     assert np.array_equal(w.target[0], counts[:, 3:5])
     # without boundary data the conserved total is the observed next total
@@ -310,10 +333,60 @@ def test_predict_matches_forward():
     q_hat, sigma = predict(params, cfg, a_hat, tensor, counts, t_idx)
     assert q_hat.shape == (3, 3, cfg.horizon) and sigma.shape == q_hat.shape
     sel = np.searchsorted(windows.t_index, t_idx)
+    slots = t_idx[:, None] + np.arange(1 - cfg.history, 1)
     with no_grad():
-        pred = forward(params, cfg, a_hat, windows.hist[sel], windows.anchor[sel])
+        pred = forward(params, cfg, a_hat, windows.feats, slots, windows.anchor[sel])
     assert np.array_equal(q_hat, pred.q_hat.data)
     assert np.array_equal(sigma, pred.sigma.data)
+
+
+def _perturbed_params(cfg, seed):
+    # random heads too, so the forecasts depend on every layer
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(scale=0.1, size=p.data.shape)
+    return params
+
+
+def test_predict_over_shared_bins_equals_per_window_forward():
+    # consecutive anchors share all but one bin, and all of them fall in
+    # one batch, so each bin's spatial embedding is computed once and read
+    # by up to `history` windows
+    cfg, a_hat, _, _, tensor, counts = _training_setup()
+    params = _perturbed_params(cfg, 6)
+    t_idx = np.arange(cfg.history - 1, 60)
+    q_hat, sigma = predict(params, cfg, a_hat, tensor, counts, t_idx)
+    feats = tensor.normalized()
+    with no_grad():
+        for j, t in enumerate(t_idx):
+            hist = feats[:, t - cfg.history + 1 : t + 1].transpose(1, 0, 2)
+            pred = forward(params, cfg, a_hat, hist, np.arange(cfg.history)[None], counts[None, :, t])
+            assert np.array_equal(q_hat[j], pred.q_hat.data[0]), t
+            assert np.array_equal(sigma[j], pred.sigma.data[0]), t
+
+
+def test_predict_peak_memory_does_not_grow_with_anchors():
+    # batches are sized by rows, so beyond one batch the working set is
+    # fixed; only the (anchors, N, horizon) outputs grow
+    rng = np.random.default_rng(4)
+    n, t_bins = 64, 140
+    cfg = ModelConfig(n_features=5, embed_dim=16, spatial_layers=1, temporal_blocks=1,
+                      heads=2, history=4, horizon=1, ffn_width=32)
+    tensor = make_feature_tensor(rng.normal(size=(n, t_bins, cfg.n_features)))
+    counts = rng.uniform(5.0, 20.0, size=(n, t_bins))
+    a_hat = normalized_adjacency(np.eye(n, k=1))
+    params = _perturbed_params(cfg, 1)
+    peaks = []
+    for n_anchors in (32, 128):
+        t_idx = np.arange(cfg.history - 1, cfg.history - 1 + n_anchors)
+        tracemalloc.start()
+        try:
+            predict(params, cfg, a_hat, tensor, counts, t_idx)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_predict_rejects_short_history():
@@ -334,8 +407,8 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded[k].data, params[k].data)
     a_hat, hist, anchor = _tiny_inputs(cfg)
     with no_grad():
-        a = forward(params, cfg, a_hat, hist, anchor)
-        b = forward(loaded, cfg2, a_hat, hist, anchor)
+        a = forward(params, cfg, a_hat, *_stacked(hist), anchor)
+        b = forward(loaded, cfg2, a_hat, *_stacked(hist), anchor)
     assert np.array_equal(a.q_hat.data, b.q_hat.data)
 
 
