@@ -156,13 +156,18 @@ class CountMatrix:
     def bin_start(self, t: int) -> _dt.datetime:
         return self.start_time + _dt.timedelta(seconds=t * self.bin_seconds)
 
+    def _seconds(self) -> np.ndarray:
+        """Whole seconds from the midnight before start_time to each bin start."""
+        s = self.start_time
+        return s.hour * 3600 + s.minute * 60 + s.second + np.arange(self.n_bins) * self.bin_seconds
+
     def hours(self) -> np.ndarray:
         """Hour of day of each bin start, shape (n_bins,)."""
-        return np.array([self.bin_start(t).hour for t in range(self.n_bins)])
+        return self._seconds() // 3600 % 24
 
     def days(self) -> np.ndarray:
         """Day of week of each bin start, Monday = 0."""
-        return np.array([self.bin_start(t).weekday() for t in range(self.n_bins)])
+        return (self.start_time.weekday() + self._seconds() // 86400) % 7
 
 
 def _parse_bool(raw: str, where: str) -> bool:

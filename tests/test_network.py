@@ -158,6 +158,17 @@ def test_count_matrix_time_derivation():
     assert list(cm.days()[:2]) == [0, 0] and list(cm.days()[2:4]) == [1, 1]
 
 
+def test_count_matrix_time_matches_datetime_arithmetic():
+    # a Saturday 21:47:13 start and 700 s bins that do not divide an hour,
+    # over 8.1 days, so the span crosses a week boundary
+    cm = CountMatrix(np.zeros((1, 1000)), 700, dt.datetime(2024, 3, 9, 21, 47, 13))
+    starts = [cm.bin_start(t) for t in range(cm.n_bins)]
+    assert np.array_equal(cm.hours(), np.array([s.hour for s in starts]))
+    assert np.array_equal(cm.days(), np.array([s.weekday() for s in starts]))
+    assert cm.hours().dtype == cm.days().dtype == np.array([1]).dtype
+    assert starts[-1] - starts[0] > dt.timedelta(days=7)
+
+
 def test_counts_roundtrip_with_missing(tmp_path):
     vals = np.array([[1.0, np.nan, 3.5], [0.0, 2.0, np.nan]])
     cm = CountMatrix(vals, 900, T0)
