@@ -180,9 +180,13 @@ def log_ratio(y, q_hat, eps: float = 1.0):
 
 
 def obs_variance(y, config: FilterConfig):
-    """Delta-method log-space variance with floor: sigma_0^2 + sigma_y^2/(y+eps)^2."""
-    y = np.asarray(y, dtype=float)
-    out = config.sigma_0**2 + config.sigma_y**2 / (y + config.eps) ** 2
+    """Delta-method log-space variance with floor: sigma_0^2 + sigma_y^2/(y+eps)^2.
+
+    The square is one multiply, so a scalar count and the same count in an
+    array round alike (a scalar ** 2 goes through libm pow).
+    """
+    d = np.asarray(y, dtype=float) + config.eps
+    out = config.sigma_0**2 + config.sigma_y**2 / (d * d)
     return out if out.ndim else float(out)
 
 
@@ -304,7 +308,6 @@ def analysis_step(
     gain = np.full(state.shape[1], config.global_gain_scale)  # the row [rho | gs * 1]
     for j, obs in enumerate(todo):
         i = obs.segment
-        # per observation: obs_variance's array form rounds (y + eps)**2 differently
         z_obs = log_ratio(obs.count, q_hat[i], config.eps)
         r_z = obs_variance(obs.count, config)
         z = out.base[:, i] + out.hour[:, hour] + out.day[:, day] + out.regime[:, regimes[i]]

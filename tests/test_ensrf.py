@@ -70,6 +70,14 @@ def test_obs_variance_frozen_and_limits():
     assert obs_variance(123.0, cfg0) == cfg0.sigma_0**2
 
 
+def test_obs_variance_scalar_and_array_forms_agree_bitwise():
+    # the filter calls it per camera count, the predictive band per array
+    cfg = FilterConfig()
+    y = np.random.default_rng(12).uniform(0.0, 200.0, size=10_000)
+    scalar = np.array([obs_variance(float(v), cfg) for v in y])
+    assert np.array_equal(scalar, obs_variance(y, cfg))
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="at least 2"):
         FilterConfig(n_members=1)
