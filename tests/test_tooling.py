@@ -54,3 +54,16 @@ def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch):
     calls = Counter(span["name"] for span in rec.spans)
     for name in ("ensrf.forecast_step", "ensrf.analysis_step", "propagation.diffuse", "propagation.blend"):
         assert calls[name] >= 1, f"no {name} span recorded in calibrate"
+
+    def stage(span):  # the innermost pipeline stage around a span
+        while not span["name"].startswith("harness."):
+            span = rec.spans[span["parent"]]
+        return span["name"]
+
+    # training and inference share train.forward; its spans must still
+    # tell the taped training steps from the no-tape passes
+    forwards = Counter((stage(span), span["name"]) for span in rec.spans if span["name"].startswith("model.forward"))
+    assert forwards[("harness.fit", "model.forward_tape")] == 2, forwards
+    assert forwards[("harness.fit", "model.forward_notape")] >= 1, forwards
+    assert forwards[("harness.forecasts", "model.forward_notape")] >= 1, forwards
+    assert forwards[("harness.forecasts", "model.forward_tape")] == 0, forwards
