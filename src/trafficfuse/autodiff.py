@@ -53,13 +53,8 @@ def _selects_once(idx) -> bool:
     """True when idx cannot pick an element twice, so the gradient of a
     selection can be scattered instead of accumulated with np.add.at."""
     parts = idx if isinstance(idx, tuple) else (idx,)
-    arrays = [p for p in parts if not isinstance(p, (int, np.integer, slice, type(None), type(Ellipsis)))]
-    if not arrays:
-        return True
-    if len(arrays) > 1:
-        return False
-    arr = np.asarray(arrays[0])
-    return arr.dtype == bool or np.unique(arr).size == arr.size
+    arrays = [np.asarray(p) for p in parts if not isinstance(p, (int, np.integer, slice, type(None), type(Ellipsis)))]
+    return not arrays or (len(arrays) == 1 and np.unique(arrays[0]).size == arrays[0].size)
 
 
 class Tensor:
