@@ -5,9 +5,8 @@ counts; histories and futures are contiguous and never overlap within a
 window. The features are kept once per bin, and a window is the index of
 its last observed bin; no-tape passes (validation and prediction) run the
 spatial layers once per bin, in batches of about INFER_ROWS rows. The
-optimizer is first-order adaptive-moment gradient descent
-with global gradient-norm clipping; runs are bitwise reproducible for a
-fixed seed.
+optimizer is first-order adaptive-moment gradient descent with global
+gradient-norm clipping; runs are bitwise reproducible for a fixed seed.
 """
 
 from __future__ import annotations
