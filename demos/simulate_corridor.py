@@ -38,7 +38,6 @@ def main():
     ratios = sim.speed_ratios(net)
     print(f"speed ratio at the feeder: min {ratios[24].min():.2f}, "
           f"median {np.median(ratios[24]):.2f}")
-    print(f"boundary demand clipped {sim.n_boundary_clipped} times")
 
 
 if __name__ == "__main__":

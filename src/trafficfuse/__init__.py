@@ -25,15 +25,10 @@ from .ctm import (  # noqa: F401
     SimulationResult,
     TrafficState,
     TurnRatios,
-    ctm_step,
     default_fd_params,
     demand,
     density_from_speed,
-    fd_discontinuity,
-    link_flow,
     simulate,
-    speed_from_density,
-    speed_ratio,
     supply,
 )
 from .features import FeatureTensor, build_tensor, load_tensor  # noqa: F401

@@ -6,8 +6,7 @@ per-segment aggregate pseudo-density rho with units count / speed, so
 that rho * v_free carries vehicle units; the jam value for segment i is
 jam_density * length_m * lanes / free_flow_mps. The speed-to-density map
 is piecewise in the speed ratio b = v / v_free and is discontinuous at
-the branch threshold b = v_crit / v_free for general parameters; the
-jump magnitude is exposed as a diagnostic rather than hidden.
+the branch threshold b = v_crit / v_free for general parameters.
 
 All functions are pure; the simulator threads an explicit state.
 """
@@ -27,14 +26,9 @@ __all__ = [
     "TrafficState",
     "SimulationResult",
     "default_fd_params",
-    "speed_ratio",
     "density_from_speed",
-    "speed_from_density",
     "demand",
     "supply",
-    "link_flow",
-    "fd_discontinuity",
-    "ctm_step",
     "simulate",
 ]
 
@@ -134,58 +128,21 @@ class TurnRatios:
 class TrafficState:
     """Counts and speeds at one time index.
 
-    Speeds outside [0, free flow] are clipped at construction and the
-    number of clipped entries recorded. Instances are never mutated by
-    the stepping functions.
+    Speeds outside [0, free flow] are clipped at construction.
     """
 
     counts: np.ndarray
     speeds: np.ndarray
-    t: int = 0
-    n_speed_clipped: int = 0
-    n_boundary_clipped: int = 0
 
     @classmethod
-    def create(cls, counts, speeds, net: RoadNetwork, t: int = 0) -> "TrafficState":
+    def create(cls, counts, speeds, net: RoadNetwork) -> "TrafficState":
         counts = np.asarray(counts, dtype=float)
         speeds = np.asarray(speeds, dtype=float)
         if counts.shape != (net.n_segments,) or speeds.shape != (net.n_segments,):
             raise ValueError("state arrays must have one entry per segment")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        vf = net.free_flow()
-        clipped = np.clip(speeds, 0.0, vf)
-        n_clip = int((clipped != speeds).sum())
-        return cls(counts=counts, speeds=clipped, t=t, n_speed_clipped=n_clip)
-
-    @classmethod
-    def empty(cls, net: RoadNetwork, t: int = 0) -> "TrafficState":
-        n = net.n_segments
-        return cls(np.zeros(n), net.free_flow().copy(), t=t)
-
-
-class _Clip:
-    """Mutable clamp counter shared by callers that want the diagnostic."""
-
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-ClipCounter = _Clip
-
-
-def speed_ratio(v: float, v_free: float, diag: _Clip | None = None) -> float:
-    """b = v / v_free clamped into [0, 1]; clamping increments diag."""
-    if v_free <= 0:
-        raise ValueError("v_free must be > 0")
-    b = v / v_free
-    if b < 0.0 or b > 1.0:
-        if diag is not None:
-            diag.n += 1
-        b = min(max(b, 0.0), 1.0)
-    return b
+        return cls(counts=counts, speeds=np.clip(speeds, 0.0, net.free_flow()))
 
 
 @dataclass(frozen=True)
@@ -249,18 +206,6 @@ def density_from_speed(b: float, seg: Segment, fd: FdParams, bin_seconds: float)
     return float(FdArrays.build((seg,), fd, bin_seconds).density(b)[0])
 
 
-def speed_from_density(rho: float, seg: Segment, fd: FdParams, bin_seconds: float) -> float:
-    """Branch-wise inverse of density_from_speed, returning the ratio b.
-
-    The free-branch inverse is used whenever it lands at or above the
-    branch threshold, the congested inverse otherwise. Round-trips with
-    density_from_speed on either branch away from the threshold.
-    """
-    if rho < 0:
-        raise ValueError("density must be nonnegative")
-    return float(FdArrays.build((seg,), fd, bin_seconds).ratio(rho)[0])
-
-
 def demand(rho: float, seg: Segment, fd: FdParams, bin_seconds: float) -> float:
     """Vehicles segment i offers downstream this bin: min(rho v_free, Q_max)."""
     return float(FdArrays.build((seg,), fd, bin_seconds).demand(rho)[0])
@@ -271,27 +216,20 @@ def supply(rho: float, seg: Segment, fd: FdParams, bin_seconds: float) -> float:
     return float(FdArrays.build((seg,), fd, bin_seconds).supply(rho)[0])
 
 
-def link_flow(d_i: float, s_j: float, beta_ij: float) -> float:
-    """Flow over one edge, min(D_i beta, S_j beta)."""
-    if beta_ij < 0:
-        raise ValueError("turn ratio must be nonnegative")
-    return min(d_i * beta_ij, s_j * beta_ij)
-
-
-def fd_discontinuity(seg: Segment, fd: FdParams, bin_seconds: float) -> float:
-    """Jump magnitude of density_from_speed at the branch threshold."""
-    k = FdArrays.build((seg,), fd, bin_seconds)
-    free_side, cong_side = k.branch_densities(k.b_crit)
-    return float(abs(free_side - cong_side)[0])
-
-
 def _sink_mask(net: RoadNetwork) -> np.ndarray:
     """Segments with no downstream edges, which discharge out of the network."""
     return np.array([not net.downstream[i] for i in range(net.n_segments)])
 
 
-def _step_kernel(q, fdk: FdArrays, sink, beta, bc_in, bc_out_req):
-    """One stepping kernel pass; returns (q_next, speeds, link_flows, bc_out_realized, n_clipped)."""
+def _step_kernel(q, fdk: FdArrays, sink, beta, bc_in):
+    """Advance counts by one bin; returns (q_next, speeds, link_flows, exits).
+
+    Per-edge flow is min(D_i beta_ij, S_j beta_ij); total link outflow of a
+    segment is additionally capped at its current count. Segments with no
+    downstream edges discharge their demand out of the network. Emitted
+    speeds invert the density map on the residual (unserved) vehicles, so
+    unimpeded flow reports free flow exactly.
+    """
     n = len(q)
     vf = fdk.v_free
     rho = q / vf
@@ -313,68 +251,13 @@ def _step_kernel(q, fdk: FdArrays, sink, beta, bc_in, bc_out_req):
         out_sum = np.zeros(n)
         in_sum = np.zeros(n)
 
-    # implicit discharge at sink segments, then requested boundary outflow
+    # implicit discharge at sink segments
     exit_out = np.minimum(np.where(sink, dem, 0.0), np.maximum(q - out_sum, 0.0))
-    room = np.maximum(q - out_sum - exit_out, 0.0)
-    bc_out = np.minimum(bc_out_req, room)
-    n_clipped = int((bc_out < bc_out_req).sum())
-    bc_out_total = exit_out + bc_out
 
-    q_next = np.maximum(q + in_sum - out_sum + bc_in - bc_out_total, 0.0)
-    residual = np.maximum(q - out_sum - bc_out_total, 0.0)
+    q_next = np.maximum(q + in_sum - out_sum + bc_in - exit_out, 0.0)
+    residual = np.maximum(q - out_sum - exit_out, 0.0)
     speeds = fdk.ratio(residual / vf) * vf
-    return q_next, speeds, flows, bc_out_total, n_clipped
-
-
-def _check_boundary_vectors(net, bc_in, bc_out_req):
-    n = net.n_segments
-    bset = set(boundary_segments(net))
-    for name, vec in (("boundary_in", bc_in), ("boundary_out", bc_out_req)):
-        if vec.shape != (n,):
-            raise ValueError(f"{name} must have one entry per segment")
-        if (vec < 0).any():
-            raise ValueError(f"{name} must be nonnegative")
-        bad = [int(i) for i in np.nonzero(vec)[0] if int(i) not in bset]
-        if bad:
-            raise ValueError(f"{name} supported off the boundary set at segments {bad}")
-
-
-def ctm_step(
-    state: TrafficState,
-    net: RoadNetwork,
-    fd: FdParams,
-    beta: TurnRatios,
-    bin_seconds: float,
-    boundary_in: np.ndarray | None = None,
-    boundary_out: np.ndarray | None = None,
-) -> TrafficState:
-    """Advance counts by one bin.
-
-    Per-edge flow is min(D_i beta_ij, S_j beta_ij); total link outflow of a
-    segment is additionally capped at its current count, and requested
-    boundary outflow is clipped to what remains (clips are counted on the
-    returned state). Segments with no downstream edges discharge their
-    demand out of the network. Boundary vectors must be nonnegative and
-    supported on the boundary set. Emitted speeds invert the density map
-    on the residual (unserved) vehicles, so unimpeded flow reports free
-    flow exactly.
-    """
-    n = net.n_segments
-    bc_in = np.zeros(n) if boundary_in is None else np.asarray(boundary_in, dtype=float)
-    bc_out_req = np.zeros(n) if boundary_out is None else np.asarray(boundary_out, dtype=float)
-    _check_boundary_vectors(net, bc_in, bc_out_req)
-    fd.validate(net)
-    q_next, speeds, _, _, n_clipped = _step_kernel(
-        state.counts, FdArrays.build(net.segments, fd, bin_seconds), _sink_mask(net),
-        beta, bc_in, bc_out_req,
-    )
-    return TrafficState(
-        counts=q_next,
-        speeds=speeds,
-        t=state.t + 1,
-        n_speed_clipped=state.n_speed_clipped,
-        n_boundary_clipped=state.n_boundary_clipped + n_clipped,
-    )
+    return q_next, speeds, flows, exit_out
 
 
 @dataclass
@@ -392,7 +275,6 @@ class SimulationResult:
     boundary_in: np.ndarray
     boundary_out: np.ndarray
     link_flows: np.ndarray
-    n_boundary_clipped: int = 0
 
     def speed_ratios(self, net: RoadNetwork) -> np.ndarray:
         return self.speeds / net.free_flow()[:, None]
@@ -407,12 +289,12 @@ def simulate(
     start_time,
     initial: TrafficState | None = None,
 ) -> SimulationResult:
-    """Roll ctm_step over a boundary demand profile.
+    """Step the network over a boundary demand profile.
 
-    demand_profile has shape (n_segments, n_bins) and must be supported on
-    boundary segments. Mass balance is checked every step: the change in
-    total count equals net boundary exchange to within 1e-9 of scale, or
-    RuntimeError names the bin and the drift.
+    demand_profile has shape (n_segments, n_bins), is nonnegative and must
+    be supported on boundary segments. Mass balance is checked every step:
+    the change in total count equals net boundary exchange to within 1e-9
+    of scale, or RuntimeError names the bin and the drift.
     """
     n = net.n_segments
     profile = np.asarray(demand_profile, dtype=float)
@@ -421,25 +303,22 @@ def simulate(
     if (profile < 0).any():
         raise ValueError("demand profile must be nonnegative")
     fd.validate(net)
+    bset = set(boundary_segments(net))
+    bad = [int(i) for i in np.nonzero(profile.max(axis=1))[0] if int(i) not in bset]
+    if bad:
+        raise ValueError(f"demand profile supported off the boundary set at segments {bad}")
     horizon = profile.shape[1]
-    state = TrafficState.empty(net) if initial is None else initial
-    zero_out = np.zeros(n)
-    _check_boundary_vectors(net, profile.max(axis=1), zero_out)
     counts = np.zeros((n, horizon))
     speeds = np.zeros((n, horizon))
     bc_out_hist = np.zeros((n, horizon))
     flow_hist = np.zeros((len(net.edges), horizon))
     fdk = FdArrays.build(net.segments, fd, bin_seconds)
     sink = _sink_mask(net)
-    q = state.counts.copy()
-    clipped = state.n_boundary_clipped
+    q = np.zeros(n) if initial is None else initial.counts.copy()
     for t in range(horizon):
         counts[:, t] = q
         before = q.sum()
-        q_next, spd, flows, bc_out, n_clip = _step_kernel(
-            q, fdk, sink, beta, profile[:, t], zero_out
-        )
-        clipped += n_clip
+        q_next, spd, flows, bc_out = _step_kernel(q, fdk, sink, beta, profile[:, t])
         drift = float(abs(q_next.sum() - before - profile[:, t].sum() + bc_out.sum()))
         if drift > 1e-9 * max(1.0, before + profile[:, t].sum()):
             raise RuntimeError(f"mass balance violated in bin {t}: drift {drift!r} vehicles")
@@ -454,5 +333,4 @@ def simulate(
         boundary_in=profile.copy(),
         boundary_out=bc_out_hist,
         link_flows=flow_hist,
-        n_boundary_clipped=clipped,
     )

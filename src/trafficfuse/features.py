@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctm import FdArrays, FdParams, demand, density_from_speed, supply
-from .network import CountMatrix, RoadNetwork, boundary_segments, max_storage
+from .ctm import FdArrays, FdParams
+from .network import CountMatrix, RoadNetwork, boundary_segments
 
 __all__ = [
     "FEATURE_NAMES",
@@ -29,10 +29,6 @@ __all__ = [
     "INDICATOR_FEATURES",
     "FeatureTensor",
     "temporal_features",
-    "los_band",
-    "sd_features",
-    "sp_features",
-    "boundary_flow_feature",
     "build_tensor",
     "load_tensor",
 ]
@@ -101,65 +97,6 @@ def temporal_features(hour: int, day: int) -> np.ndarray:
             float(hour in NIGHT_HOURS),
         ]
     )
-
-
-def los_band(ratio: float) -> float:
-    """Ordinal level-of-service value for a volume/capacity ratio."""
-    if ratio < 0:
-        raise ValueError("volume ratio must be nonnegative")
-    idx = int(np.searchsorted(_LOS_THRESHOLDS, ratio, side="right"))
-    return float(_LOS_VALUES[idx])
-
-
-def boundary_flow_feature(entries: float, exits: float, seg, bin_seconds: float) -> float:
-    """Net boundary exchange scaled by segment capacity for one bin."""
-    return (entries - exits) / max_storage(seg, bin_seconds)
-
-
-def sd_features(b, q, seg, fd: FdParams, bin_seconds: float, n_max: float) -> np.ndarray:
-    """Speed-density block for one segment/bin.
-
-    [b, 1-b, D/C, S/C, q/C, LOS, congested flag (b < 0.5), near-capacity
-    flag (0.7 < q/C < 0.9), q/n_max] with C the per-bin capacity and D, S
-    evaluated at the density recovered from b.
-    """
-    c = max_storage(seg, bin_seconds)
-    rho = density_from_speed(b, seg, fd, bin_seconds)
-    vc = q / c
-    return np.array(
-        [
-            b,
-            1.0 - b,
-            demand(rho, seg, fd, bin_seconds) / c,
-            supply(rho, seg, fd, bin_seconds) / c,
-            vc,
-            los_band(vc),
-            float(b < 0.5),
-            float(0.7 < vc < 0.9),
-            q / max(n_max, 1.0),
-        ]
-    )
-
-
-def sp_features(b: np.ndarray, net: RoadNetwork) -> np.ndarray:
-    """Spatial block, shape (n_segments, 4).
-
-    [mean downstream b, own b minus that, mean upstream b, own b minus
-    that]; segments with no neighbours on a side use their own b there so
-    the gradient reads zero.
-    """
-    b = np.asarray(b, dtype=float)
-    n = net.n_segments
-    if b.shape != (n,):
-        raise ValueError("b must have one entry per segment")
-    out = np.empty((n, 4))
-    for i in range(n):
-        ds = net.downstream[i]
-        us = net.upstream[i]
-        mean_ds = b[list(ds)].mean() if ds else b[i]
-        mean_us = b[list(us)].mean() if us else b[i]
-        out[i] = (mean_ds, b[i] - mean_ds, mean_us, b[i] - mean_us)
-    return out
 
 
 @dataclass

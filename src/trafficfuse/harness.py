@@ -48,7 +48,7 @@ from .propagation import (
     update_confidence,
 )
 from .train import build_windows, predict, save_checkpoint, train
-from .util import atomic_write_text, canonical_json, substream
+from .util import atomic_write_text, canonical_json, config_kwargs, substream
 
 __all__ = [
     "RATE_FLOOR",
@@ -123,11 +123,9 @@ def thin_counts(truth: CountMatrix, pen: PenetrationModel) -> CountMatrix:
     return CountMatrix(probe, truth.bin_seconds, truth.start_time)
 
 
-def _week_keys(cm: CountMatrix) -> list:
-    return [
-        (cm.bin_start(t).weekday(), cm.bin_start(t).hour, cm.bin_start(t).minute)
-        for t in range(cm.n_bins)
-    ]
+def _week_keys(cm: CountMatrix) -> np.ndarray:
+    """(day of week, hour, minute) of each bin start, shape (n_bins, 3)."""
+    return np.stack([cm.days(), cm.hours(), cm.minutes()], axis=1)
 
 
 def pool_windows(probe: CountMatrix, others=()) -> CountMatrix:
@@ -145,7 +143,7 @@ def pool_windows(probe: CountMatrix, others=()) -> CountMatrix:
     for k, cm in enumerate(matrices[1:], start=1):
         if cm.values.shape != probe.values.shape or cm.bin_seconds != probe.bin_seconds:
             raise ValueError(f"pooled dataset {k} does not match the reference shape")
-        if _week_keys(cm) != ref_keys:
+        if not np.array_equal(_week_keys(cm), ref_keys):
             raise ValueError(f"pooled dataset {k} is misaligned in time-of-week bins")
     stack = np.stack([cm.values for cm in matrices])
     pooled = np.nansum(stack, axis=0)
@@ -359,8 +357,7 @@ def demand_profile(
 ) -> np.ndarray:
     """Daily two-peak demand at the source segments, damped on weekends."""
     t = counts_like.n_bins
-    starts = [counts_like.bin_start(k) for k in range(t)]
-    hour_frac = np.array([s.hour + s.minute / 60.0 for s in starts])
+    hour_frac = counts_like.hours() + counts_like.minutes() / 60.0
     days = counts_like.days()
     shape = floor_fraction + (1.0 - floor_fraction) * _daily_weight(hour_frac)
     profile = np.zeros((net.n_segments, t))
@@ -449,12 +446,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
+        d = config_kwargs(d, cls, "experiment")
         d.pop("out_dir", None)
         if "model" in d:
             d["model"] = ModelConfig.from_dict(d["model"])
         if "filter" in d:
-            d["filter"] = ensrf.FilterConfig(**d["filter"])
+            d["filter"] = ensrf.FilterConfig(**config_kwargs(d["filter"], ensrf.FilterConfig, "filter"))
         for key in ("cameras_calibration", "cameras_validation"):
             if key in d:
                 d[key] = tuple(int(i) for i in d[key])

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, affine, gelu, layer_norm, softmax
+from .util import config_kwargs
 
 __all__ = ["ModelConfig", "Prediction", "init_params", "normalized_adjacency", "forward", "loss_components"]
 
@@ -58,7 +59,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+        return cls(**config_kwargs(d, cls, "model", retired=("row_normalize_adjacency",)))
 
 
 def _glorot(rng, fan_in, fan_out):

@@ -165,6 +165,10 @@ class CountMatrix:
         """Hour of day of each bin start, shape (n_bins,)."""
         return self._seconds() // 3600 % 24
 
+    def minutes(self) -> np.ndarray:
+        """Minute of hour of each bin start, shape (n_bins,)."""
+        return self._seconds() // 60 % 60
+
     def days(self) -> np.ndarray:
         """Day of week of each bin start, Monday = 0."""
         return (self.start_time.weekday() + self._seconds() // 86400) % 7

@@ -31,7 +31,6 @@ __all__ = [
     "gramian",
     "spectral_radius",
     "lyapunov_gramian",
-    "time_varying_gramian",
     "segment_scores",
     "analyze",
     "report_to_json",
@@ -100,7 +99,6 @@ def linearize(
     beta: TurnRatios | None = None,
     bin_seconds: int = 900,
     cameras=(),
-    state=None,
 ) -> LinearSystem:
     """Regime-dependent propagation matrix from segment kinematics.
 
@@ -108,22 +106,13 @@ def linearize(
     perturbation advances along its outgoing edges (split by turn ratios),
     the rest is retained; exits at segments without downstream neighbours.
     Congestion: the same construction on the reversed influence graph at
-    the backward wave speed, split by inflow shares. A nominal state, when
-    supplied, must not contradict the regime (mean speed ratio below 0.4
-    is not free flow; at or above 0.7 is not congestion).
+    the backward wave speed, split by inflow shares.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
     if beta is None:
         beta = TurnRatios.uniform(net)
     fd.validate(net)
-    if state is not None:
-        ratios = np.array([s / seg.free_flow_mps for s, seg in zip(state.speeds, net.segments)])
-        mean_b = float(ratios.mean())
-        if regime == "free" and mean_b < 0.4:
-            raise ValueError(f"nominal state (mean speed ratio {mean_b:.2f}) is congested, not free")
-        if regime == "congested" and mean_b >= 0.7:
-            raise ValueError(f"nominal state (mean speed ratio {mean_b:.2f}) is free, not congested")
     n = len(net.segments)
     a = np.zeros((n, n))
     lengths = net.lengths()
@@ -214,23 +203,6 @@ def lyapunov_gramian(sys: LinearSystem, tol: float = 1e-10, max_iterations: int 
     if residual >= 10 * tol:
         raise RuntimeError(f"Lyapunov residual {residual:.3e} exceeds 10 * tol")
     return 0.5 * (w + w.T)
-
-
-def time_varying_gramian(a_sequence, c: np.ndarray, horizon: int) -> np.ndarray:
-    """Gramian under a time-varying linearization, via transition products."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    a_sequence = [np.asarray(a, dtype=float) for a in a_sequence]
-    if len(a_sequence) < horizon - 1:
-        raise ValueError(f"need at least {horizon - 1} transition matrices, got {len(a_sequence)}")
-    q = c.T @ c
-    n = q.shape[0]
-    phi = np.eye(n)
-    total = q.copy()
-    for t in range(1, horizon):
-        phi = a_sequence[t - 1] @ phi
-        total += phi.T @ q @ phi
-    return 0.5 * (total + total.T)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Seeding and artifact-writing helpers shared across the pipeline."""
+"""Seeding, config-reading and artifact-writing helpers shared across the pipeline."""
 
 from __future__ import annotations
 
@@ -6,10 +6,11 @@ import json
 import os
 import tempfile
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
-__all__ = ["substream", "atomic_write_text", "canonical_json"]
+__all__ = ["substream", "config_kwargs", "atomic_write_text", "canonical_json"]
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -19,6 +20,19 @@ def substream(seed: int, label: str) -> np.random.Generator:
     and platforms and adding a stage never shifts the others.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), zlib.crc32(label.encode())]))
+
+
+def config_kwargs(d: dict, cls, where: str, retired=()) -> dict:
+    """The entries of d that name fields of dataclass cls.
+
+    Any other key is a typo or a stale option, so it raises ValueError,
+    except the retired keys, which older documents may still carry.
+    """
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(d) - names - set(retired))
+    if unknown:
+        raise ValueError(f"unknown {where} config keys: {', '.join(unknown)}")
+    return {k: v for k, v in d.items() if k in names}
 
 
 def canonical_json(obj) -> str:

@@ -13,19 +13,14 @@ import pytest
 
 from trafficfuse import ctm
 from trafficfuse.ctm import (
-    ClipCounter,
+    FdArrays,
     FdParams,
     TrafficState,
     TurnRatios,
-    ctm_step,
     default_fd_params,
     demand,
     density_from_speed,
-    fd_discontinuity,
-    link_flow,
     simulate,
-    speed_from_density,
-    speed_ratio,
     supply,
 )
 from trafficfuse.network import Segment, max_storage
@@ -39,18 +34,7 @@ BIN = 900.0
 # 1.0 * 500 * 2 / 10 = 100; fd threshold ratio 7 / 10 = 0.7.
 SEG = Segment(id=0, length_m=500.0, lanes=2, capacity_vph=1800.0, free_flow_mps=10.0)
 FD = FdParams(wave_speed=4.0, jam_density=1.0, crit_speed=7.0)
-
-
-def test_speed_ratio_clamps_and_counts():
-    diag = ClipCounter()
-    assert speed_ratio(5.0, 10.0, diag) == 0.5
-    assert diag.n == 0
-    assert speed_ratio(12.0, 10.0, diag) == 1.0  # 1.2 * v_free clamps to 1
-    assert diag.n == 1
-    assert speed_ratio(-2.0, 10.0, diag) == 0.0
-    assert diag.n == 2
-    with pytest.raises(ValueError):
-        speed_ratio(1.0, 0.0)
+FDK = FdArrays.build((SEG,), FD, BIN)
 
 
 def test_density_from_speed_free_branch_value():
@@ -87,28 +71,41 @@ def test_supply_value_and_floor():
 
 
 def test_link_flow_value():
-    # min(150 * 0.75, 340 * 0.75) = 112.5
-    assert link_flow(150.0, 340.0, 0.75) == pytest.approx(112.5, rel=1e-12)
-    assert link_flow(150.0, 340.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        link_flow(1.0, 1.0, -0.1)
+    # segment 0 splits 3:1 onto two sinks; the per-edge flow is min(D beta, S beta)
+    net = make_network([(0, 1), (0, 2)])
+    b = np.zeros((3, 3))
+    b[0, 1], b[0, 2] = 0.75, 0.25
+    tr = TurnRatios(b, net)
+    e01 = net.edges.index((0, 1))
+
+    def first_flow(counts):
+        st = TrafficState.create(counts, np.full(3, 10.0), net)
+        return simulate(net, FD, tr, np.zeros((3, 1)), BIN, T0, initial=st).link_flows[e01, 0]
+
+    # D_0 = 150 and S_1 = 4 * (100 - 15) = 340: min(150 * 0.75, 340 * 0.75) = 112.5
+    assert first_flow([150.0, 150.0, 0.0]) == pytest.approx(112.5, rel=1e-12)
+    # S_1 = 4 * (100 - 90) = 40 binds: min(150 * 0.75, 40 * 0.75) = 30
+    assert first_flow([150.0, 900.0, 0.0]) == pytest.approx(30.0, rel=1e-12)
 
 
 def test_fd_discontinuity_magnitude():
     # free side at threshold: 450 * 0.3 / 6 = 22.5; congested side: 100 * 0.3 = 30
-    assert fd_discontinuity(SEG, FD, BIN) == pytest.approx(7.5, rel=1e-12)
+    free_side, cong_side = FDK.branch_densities(FDK.b_crit)
+    assert free_side[0] == pytest.approx(22.5, rel=1e-12)
+    assert cong_side[0] == pytest.approx(30.0, rel=1e-12)
+    assert abs(free_side - cong_side)[0] == pytest.approx(7.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("b", [0.72, 0.8, 0.95, 1.0])
 def test_speed_density_roundtrip_free_branch(b):
-    rho = density_from_speed(b, SEG, FD, BIN)
-    assert speed_from_density(rho, SEG, FD, BIN) == pytest.approx(b, abs=1e-9)
+    rho = FDK.density(b)
+    assert FDK.ratio(rho)[0] == pytest.approx(b, abs=1e-9)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.2, 0.45, 0.65])
 def test_speed_density_roundtrip_congested_branch(b):
-    rho = density_from_speed(b, SEG, FD, BIN)
-    assert speed_from_density(rho, SEG, FD, BIN) == pytest.approx(b, abs=1e-9)
+    rho = FDK.density(b)
+    assert FDK.ratio(rho)[0] == pytest.approx(b, abs=1e-9)
 
 
 def test_fd_validation_against_network():
@@ -160,54 +157,47 @@ def test_state_speed_clipping_diagnostic():
     net = make_chain(3, vfree=10.0)
     st = TrafficState.create([1.0, 2.0, 3.0], [12.0, -1.0, 5.0], net)
     assert np.array_equal(st.speeds, [10.0, 0.0, 5.0])
-    assert st.n_speed_clipped == 2
     with pytest.raises(ValueError):
         TrafficState.create([-1.0, 0.0, 0.0], [1.0, 1.0, 1.0], net)
+
+
+def _one_step_profile(injection):
+    # inject during bin 0; bin 1 opens on the resulting occupancy
+    profile = np.zeros((len(injection), 2))
+    profile[:, 0] = injection
+    return profile
 
 
 def test_step_injects_into_empty_network():
     net = make_chain(3)
     fd = default_fd_params(net, BIN)
-    st = TrafficState.empty(net)
-    nxt = ctm_step(st, net, fd, TurnRatios.uniform(net), BIN, boundary_in=np.array([5.0, 0, 0]))
-    assert nxt.counts.sum() == 5.0
-    assert np.array_equal(nxt.counts, [5.0, 0.0, 0.0])
+    res = simulate(net, fd, TurnRatios.uniform(net), _one_step_profile([5.0, 0, 0]), BIN, T0)
+    assert res.counts.values[:, 0].sum() == 0.0
+    assert res.counts.values[:, 1].sum() == 5.0
+    assert np.array_equal(res.counts.values[:, 1], [5.0, 0.0, 0.0])
 
 
 def test_step_rejects_off_boundary_injection():
     net = make_chain(3)  # boundary is {0, 2} by the degree rule
     fd = default_fd_params(net, BIN)
-    st = TrafficState.empty(net)
+    tr = TurnRatios.uniform(net)
     with pytest.raises(ValueError, match="boundary"):
-        ctm_step(st, net, fd, TurnRatios.uniform(net), BIN, boundary_in=np.array([0, 5.0, 0]))
+        simulate(net, fd, tr, _one_step_profile([0, 5.0, 0]), BIN, T0)
     with pytest.raises(ValueError, match="nonneg"):
-        ctm_step(st, net, fd, TurnRatios.uniform(net), BIN, boundary_in=np.array([-1.0, 0, 0]))
-
-
-def test_boundary_outflow_clipped_with_diagnostic():
-    net = make_chain(3)
-    fd = default_fd_params(net, BIN)
-    st = TrafficState.create([3.0, 0.0, 0.0], [10.0, 10.0, 10.0], net)
-    nxt = ctm_step(
-        st, net, fd, TurnRatios.uniform(net), BIN,
-        boundary_out=np.array([10.0, 0.0, 0.0]),
-    )
-    # all 3 vehicles already left over the link; nothing remains to exit
-    assert nxt.n_boundary_clipped == 1
-    assert nxt.counts.sum() == 3.0
+        simulate(net, fd, tr, _one_step_profile([-1.0, 0, 0]), BIN, T0)
 
 
 def test_ring_conserves_mass():
     net = make_ring(10)
     fd = default_fd_params(net, BIN)
-    tr = TurnRatios.uniform(net)
     rng = np.random.default_rng(7)
     st = TrafficState.create(rng.uniform(0, 1600, 10), np.full(10, 10.0), net)
     total = st.counts.sum()
-    for _ in range(100):
-        st = ctm_step(st, net, fd, tr, BIN)
-        assert abs(st.counts.sum() - total) <= 1e-9 * total
-        assert (st.counts >= 0).all()
+    res = simulate(net, fd, TurnRatios.uniform(net), np.zeros((10, 101)), BIN, T0, initial=st)
+    counts = res.counts.values  # bin 100 opens on the state after 100 steps
+    assert np.all(np.abs(counts.sum(axis=0) - total) <= 1e-9 * total)
+    assert (counts >= 0).all()
+    assert not res.boundary_out.any()  # a ring has no sink to discharge through
 
 
 def vehicle_oracle(qmax, horizon, inflow0):

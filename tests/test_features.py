@@ -5,27 +5,74 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from trafficfuse.ctm import FdParams
+from trafficfuse.ctm import FdParams, demand, density_from_speed, supply
 from trafficfuse.features import (
     FEATURE_NAMES,
     INDICATOR_FEATURES,
-    boundary_flow_feature,
     build_tensor,
-    los_band,
     load_tensor,
     manifest_hash,
-    sd_features,
-    sp_features,
     temporal_features,
 )
-from trafficfuse.network import CountMatrix, Segment
+from trafficfuse.network import CountMatrix, SchemaError, Segment, max_storage
 
-from conftest import make_chain
+from conftest import make_chain, make_network
 
 T0 = dt.datetime(2024, 1, 1)  # Monday
 BIN = 900.0
 SEG = Segment(id=0, length_m=500.0, lanes=2, capacity_vph=1800.0, free_flow_mps=10.0)
 FD = FdParams(wave_speed=4.0, jam_density=1.0, crit_speed=7.0)
+
+
+# -- scalar oracles that build_tensor's vectorized blocks are checked against --
+
+
+def los_band(ratio):
+    """Ordinal level-of-service value for a volume/capacity ratio."""
+    idx = int(np.searchsorted([0.35, 0.55, 0.75, 0.9, 1.0], ratio, side="right"))
+    return (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)[idx]
+
+
+def sd_features(b, q, seg, fd, bin_seconds, n_max):
+    """Speed-density block for one segment/bin.
+
+    [b, 1-b, D/C, S/C, q/C, LOS, congested flag (b < 0.5), near-capacity
+    flag (0.7 < q/C < 0.9), q/n_max] with C the per-bin capacity and D, S
+    evaluated at the density recovered from b.
+    """
+    c = max_storage(seg, bin_seconds)
+    rho = density_from_speed(b, seg, fd, bin_seconds)
+    vc = q / c
+    return np.array(
+        [
+            b,
+            1.0 - b,
+            demand(rho, seg, fd, bin_seconds) / c,
+            supply(rho, seg, fd, bin_seconds) / c,
+            vc,
+            los_band(vc),
+            float(b < 0.5),
+            float(0.7 < vc < 0.9),
+            q / max(n_max, 1.0),
+        ]
+    )
+
+
+def sp_features(b, net):
+    """Spatial block, shape (n_segments, 4).
+
+    [mean downstream b, own b minus that, mean upstream b, own b minus
+    that]; segments with no neighbours on a side use their own b there so
+    the gradient reads zero.
+    """
+    out = np.empty((net.n_segments, 4))
+    for i in range(net.n_segments):
+        ds = net.downstream[i]
+        us = net.upstream[i]
+        mean_ds = b[list(ds)].mean() if ds else b[i]
+        mean_us = b[list(us)].mean() if us else b[i]
+        out[i] = (mean_ds, b[i] - mean_ds, mean_us, b[i] - mean_us)
+    return out
 
 
 def test_feature_layout_is_22_wide():
@@ -83,12 +130,19 @@ def test_temporal_rejects_bad_input():
     ],
 )
 def test_los_bands(ratio, value):
+    # capacity 4 veh/h over a 900 s bin is Q_max = 1, so q/C is the count exactly
+    net = make_network([], n=1, capacity=4.0)
+    ft = build_tensor(net, FD, CountMatrix([[ratio]], 900, T0), None)
+    assert ft.values[0, 0, 13] == ratio
+    assert ft.values[0, 0, 14] == value
     assert los_band(ratio) == value
 
 
 def test_los_rejects_negative():
-    with pytest.raises(ValueError):
-        los_band(-0.1)
+    # a negative volume ratio never reaches the LOS column: counts refuse it
+    net = make_network([], n=1, capacity=4.0)
+    with pytest.raises(SchemaError):
+        build_tensor(net, FD, CountMatrix([[-0.1]], 900, T0), None)
 
 
 def test_sd_free_flow_empty_segment():
@@ -125,10 +179,6 @@ def test_sp_chain_values():
     # no upstream at the head, no downstream at the tail: gradients read 0
     assert np.allclose(f[0], [0.5, 0.5, 1.0, 0.0], atol=1e-12)
     assert np.allclose(f[2], [0.25, 0.0, 0.5, -0.25], atol=1e-12)
-
-
-def test_boundary_flow_feature_value():
-    assert boundary_flow_feature(5.0, 2.0, SEG, BIN) == pytest.approx(3.0 / 450.0)
 
 
 def _toy_inputs(t=16, missing_speed=False, missing_count=False):

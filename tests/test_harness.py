@@ -34,6 +34,15 @@ from trafficfuse.observability import analyze
 MONDAY = dt.datetime(2024, 3, 4)
 
 
+def odd_bins_over_a_week():
+    # a Saturday 21:47:13 start and 700 s bins that do not divide an hour,
+    # over 8.1 days, so the span crosses a week boundary
+    cm = CountMatrix(np.zeros((1, 1000)), 700, dt.datetime(2024, 3, 9, 21, 47, 13))
+    starts = [cm.bin_start(t) for t in range(cm.n_bins)]
+    assert starts[-1] - starts[0] > dt.timedelta(days=7)
+    return cm, starts
+
+
 def make_counts(values, start=MONDAY, bin_seconds=900):
     return CountMatrix(np.asarray(values, dtype=float), bin_seconds, start)
 
@@ -154,6 +163,11 @@ class TestPoolWindows:
         shifted = flat_counts(1, 4, 1, start=MONDAY + dt.timedelta(seconds=900))
         with pytest.raises(ValueError, match="misaligned in time-of-week"):
             pool_windows(a, [shifted])
+
+    def test_week_keys_match_datetime_arithmetic(self):
+        cm, starts = odd_bins_over_a_week()
+        keys = harness._week_keys(cm)
+        assert np.array_equal(keys, [(s.weekday(), s.hour, s.minute) for s in starts])
 
     def test_alignment_uses_time_of_week_not_date(self):
         a = flat_counts(1, 4, 1)
@@ -309,6 +323,16 @@ class TestDemandProfile:
         # morning bump around 08:30, evening around 17:45
         assert profile[34] > profile[48] < profile[71]
 
+    def test_hour_fraction_matches_datetime_arithmetic(self, monkeypatch):
+        cm, starts = odd_bins_over_a_week()
+        seen = []
+        weight = harness._daily_weight
+        monkeypatch.setattr(harness, "_daily_weight", lambda hf: seen.append(hf) or weight(hf))
+        net, _, sources = chain_network()
+        demand_profile(net, cm, sources, 500.0)
+        expect = np.array([s.hour + s.minute / 60.0 for s in starts])
+        assert seen[0].tobytes() == expect.tobytes()
+
     def test_weekend_damping(self):
         net, _, sources = chain_network()
         shell = flat_counts(1, 7 * 96, 0)
@@ -348,6 +372,20 @@ class TestExperimentConfig:
         path = tmp_path / "experiment.json"
         path.write_text(json.dumps(cfg.to_dict()))
         assert load_config(str(path)) == cfg
+
+    @pytest.mark.parametrize(
+        "doc,where,key",
+        [
+            ({"twin": "chain", "dayz": 3}, "experiment", "dayz"),
+            ({"twin": "chain", "model": {"embed_dimm": 8}}, "model", "embed_dimm"),
+            ({"twin": "chain", "filter": {"n_member": 8}}, "filter", "n_member"),
+        ],
+    )
+    def test_load_config_rejects_unknown_keys(self, tmp_path, doc, where, key):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"unknown {where} config keys: {key}"):
+            load_config(str(path))
 
     def test_out_dir_is_not_part_of_the_experiment(self, tmp_path):
         with_dir = small_config(out_dir=str(tmp_path))

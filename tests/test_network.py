@@ -165,7 +165,8 @@ def test_count_matrix_time_matches_datetime_arithmetic():
     starts = [cm.bin_start(t) for t in range(cm.n_bins)]
     assert np.array_equal(cm.hours(), np.array([s.hour for s in starts]))
     assert np.array_equal(cm.days(), np.array([s.weekday() for s in starts]))
-    assert cm.hours().dtype == cm.days().dtype == np.array([1]).dtype
+    assert np.array_equal(cm.minutes(), np.array([s.minute for s in starts]))
+    assert cm.hours().dtype == cm.days().dtype == cm.minutes().dtype == np.array([1]).dtype
     assert starts[-1] - starts[0] > dt.timedelta(days=7)
 
 

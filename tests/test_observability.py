@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_chain, make_network, make_ring
-from trafficfuse.ctm import TrafficState, default_fd_params
+from trafficfuse.ctm import default_fd_params
 from trafficfuse.observability import (
     LinearSystem,
     analyze,
@@ -25,7 +25,6 @@ from trafficfuse.observability import (
     segment_scores,
     selection_matrix,
     spectral_radius,
-    time_varying_gramian,
 )
 
 SHIFT3 = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
@@ -95,17 +94,6 @@ def test_linearize_rejects_bad_inputs(chain3):
         linearize(chain3, fd, "gridlock")
     with pytest.raises(ValueError, match="outside the network"):
         linearize(chain3, fd, "free", cameras=(7,))
-
-
-def test_nominal_state_must_match_regime(chain3):
-    fd = default_fd_params(chain3)
-    crawl = TrafficState.create(np.zeros(3), np.full(3, 2.0), chain3)
-    cruise = TrafficState.create(np.zeros(3), np.full(3, 9.0), chain3)
-    with pytest.raises(ValueError, match="congested, not free"):
-        linearize(chain3, fd, "free", state=crawl)
-    with pytest.raises(ValueError, match="free, not congested"):
-        linearize(chain3, fd, "congested", state=cruise)
-    linearize(chain3, fd, "free", state=cruise)  # consistent: no error
 
 
 def test_linear_system_validation():
@@ -246,36 +234,6 @@ def test_observable_stable_system_has_positive_definite_gramian():
         c=selection_matrix([0, 1, 2, 3], 4), regime="free",
     )
     assert np.linalg.eigvalsh(lyapunov_gramian(sys, tol=1e-13)).min() > 0
-
-
-# -- time-varying --
-
-
-def test_time_varying_horizon_one_is_ctc():
-    c = selection_matrix([2], 3)
-    assert np.array_equal(time_varying_gramian([], c, 1), c.T @ c)
-
-
-def test_constant_sequence_reduces_to_lti():
-    rng = np.random.default_rng(6)
-    sys = random_system(rng, n=5, m=2)
-    w = time_varying_gramian([sys.a] * 7, sys.c, 8)
-    assert np.allclose(w, gramian(sys, 8), atol=1e-12)
-
-
-def test_alternating_regimes_stay_psd():
-    free = chain_system(cameras=(1,), regime="free")
-    cong = chain_system(cameras=(1,), regime="congested")
-    seq = [free.a, cong.a] * 3
-    w = time_varying_gramian(seq, free.c, 7)
-    assert np.array_equal(w, w.T)
-    assert np.linalg.eigvalsh(w).min() > -1e-12
-
-
-def test_time_varying_needs_enough_matrices():
-    c = selection_matrix([0], 2)
-    with pytest.raises(ValueError, match="transition matrices"):
-        time_varying_gramian([np.eye(2)], c, 4)
 
 
 # -- scoring and reports --

@@ -4,7 +4,11 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import subprocess
+import sys
 from collections import Counter
+
+import pytest
 
 import trafficfuse
 from trafficfuse.ensrf import FilterConfig
@@ -12,6 +16,7 @@ from trafficfuse.harness import ExperimentConfig, Pipeline
 from trafficfuse.model import ModelConfig
 
 PACKAGE = pathlib.Path(trafficfuse.__file__).parent
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 def test_package_has_no_assert_statements():
@@ -67,3 +72,27 @@ def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch):
     assert forwards[("harness.fit", "model.forward_notape")] >= 1, forwards
     assert forwards[("harness.forecasts", "model.forward_notape")] >= 1, forwards
     assert forwards[("harness.forecasts", "model.forward_tape")] == 0, forwards
+
+
+def test_demo_imports_resolve():
+    # covers full_experiment.py too, which is too slow to run here
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos, "demos not found"
+    missing = []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trafficfuse"):
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert not missing, f"demo imports that do not resolve: {missing}"
+
+
+@pytest.mark.parametrize(
+    "demo", ["simulate_corridor", "kernel_and_observability", "probe_features_training", "calibrate_with_cameras"]
+)
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / f"{demo}.py")], cwd=tmp_path, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip(), f"{demo} printed nothing"
