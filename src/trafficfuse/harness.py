@@ -124,12 +124,12 @@ def thin_counts(truth: CountMatrix, pen: PenetrationModel) -> CountMatrix:
 
 
 def _week_keys(cm: CountMatrix) -> np.ndarray:
-    """(day of week, hour, minute) of each bin start, shape (n_bins, 3)."""
-    return np.stack([cm.days(), cm.hours(), cm.minutes()], axis=1)
+    """Second of the week of each bin start (Monday 00:00:00 is 0), shape (n_bins,)."""
+    return (cm.start_time.weekday() * 86400 + cm._seconds()) % (7 * 86400)
 
 
 def pool_windows(probe: CountMatrix, others=()) -> CountMatrix:
-    """Sum count matrices aligned by (day-of-week, hour, minute) bins.
+    """Sum count matrices whose bins start at the same second of the week.
 
     Pooling independent samples of the same underlying traffic raises the
     effective penetration additively: k datasets at rate p behave like

@@ -5,9 +5,11 @@ x(t+1) = A x(t) + B u(t), y = C x with C selecting camera segments. In
 free flow a perturbation advects forward along turn-ratio-weighted edges
 and dissipates at downstream exits; in congestion the influence pattern
 is transposed (spillback moves upstream) and dissipates at entries. Rank
-of the stacked observability matrix, finite- and infinite-horizon
-Gramians, and their diagonals then score how well each segment is seen
-by a set of cameras.
+of the stacked observability matrix and the Gramian diagonal then score
+how well each segment is seen by a set of cameras. Both come from the
+blocks C A^k, built over the nonzeros of A, so scoring forms neither
+the N x N Gramian nor the stacked Nm x N matrix; the dense finite- and
+infinite-horizon Gramians are kept as references.
 """
 
 from __future__ import annotations
@@ -82,14 +84,15 @@ def selection_matrix(cameras, n: int) -> np.ndarray:
 
 
 def _inflow_shares(net: RoadNetwork, beta: TurnRatios) -> np.ndarray:
-    """share[i, j]: fraction of segment j's inflow arriving from i."""
-    n = len(net.segments)
-    share = np.zeros((n, n))
-    for i, j in net.edges:
-        share[i, j] = beta.matrix[i, j]
-    cols = share.sum(axis=0, keepdims=True)
+    """Per edge (i, j) of net.edges: fraction of segment j's inflow arriving from i."""
+    src, dst = np.array(net.edges, dtype=int).reshape(-1, 2).T
+    ratio = beta.matrix[src, dst]
+    # each inflow adds its terms in row order, as a dense column sum would
+    by_row = np.argsort(src, kind="stable")
+    inflow = np.bincount(dst[by_row], weights=ratio[by_row], minlength=len(net.segments))
+    into = inflow[dst]
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(cols > 0, share / cols, 0.0)
+        return np.where(into > 0, ratio / into, 0.0)
 
 
 def linearize(
@@ -127,46 +130,84 @@ def linearize(
         share = _inflow_shares(net, beta)
         for j in range(n):
             a[j, j] = 1.0 - frac[j]
-        for i, j in net.edges:
-            a[i, j] += share[i, j] * frac[j]
+        for (i, j), s in zip(net.edges, share):
+            a[i, j] += s * frac[j]
     boundary = sorted(boundary_segments(net))
     b = selection_matrix(boundary, n).T if boundary else np.zeros((n, 0))
     return LinearSystem(a=a, b=b, c=selection_matrix(cameras, n), regime=regime)
 
 
 def _markov_blocks(sys: LinearSystem, horizon: int):
-    """Yield the observability blocks C, CA, ..., CA^(horizon-1), each (m, N)."""
+    """Yield the observability blocks C, CA, ..., CA^(horizon-1), each (m, N).
+
+    Each product sums over the nonzeros of A only. The sweep ends at the
+    first all-zero block, since every later block is then zero too.
+    """
+    n, m = sys.n, sys.c.shape[0]
+    rows, cols = np.nonzero(sys.a)
+    weights = sys.a[rows, cols]
+    # (blk @ A)[r, j] = sum over nonzeros (i, j) of blk[r, i] * A[i, j]
+    slots = (np.arange(m)[:, None] * n + cols).ravel()
     blk = sys.c
-    yield blk
-    for _ in range(horizon - 1):
-        blk = blk @ sys.a
+    for _ in range(horizon):
+        if not blk.any():
+            return
         yield blk
+        blk = np.bincount(slots, weights=(blk[:, rows] * weights).ravel(), minlength=m * n).reshape(m, n)
 
 
-def observability_rank(sys: LinearSystem, max_segments: int = 600):
-    """Numerical rank of [C; CA; ...; CA^(N-1)] and the coverage index rank/N."""
+def observability_rank(sys: LinearSystem):
+    """Numerical rank of [C; CA; ...; CA^(N-1)] and the coverage index rank/N.
+
+    Deflated block Krylov: an orthonormal basis of the row space grows one
+    block at a time. Each block is projected off the basis twice, and the
+    right singular vectors of the m x N residual above
+    max(N*m, N) * eps * max(1, ||block||_2) join it. Once a block adds no
+    direction, the row space is A-invariant and no later block can add one.
+    """
     n = sys.n
-    if n > max_segments:
-        raise ValueError(
-            f"{n} segments exceeds the dense-rank cap {max_segments}; score via the Gramian instead"
-        )
-    obs = np.vstack(list(_markov_blocks(sys, n)))
-    sv = np.linalg.svd(obs, compute_uv=False)
-    tol = max(obs.shape) * sv[0] * np.finfo(float).eps if sv.size else 0.0
-    rank = int((sv > tol).sum())
+    basis = np.empty((n, n))
+    rank = 0
+    for blk in _markov_blocks(sys, n):
+        q = basis[:rank]
+        resid = blk - (blk @ q.T) @ q
+        resid -= (resid @ q.T) @ q
+        _, sv, vt = np.linalg.svd(resid, full_matrices=False)
+        tol = max(n * blk.shape[0], n) * np.finfo(float).eps * max(1.0, np.linalg.norm(blk, 2))
+        new = vt[sv > tol]
+        if not len(new):
+            break
+        basis[rank:rank + len(new)] = new
+        rank += len(new)
     return rank, rank / n
 
 
 def gramian(sys: LinearSystem, horizon: int | None = None) -> np.ndarray:
-    """Finite-horizon observability Gramian sum_k (CA^k)' CA^k, default horizon N."""
+    """Finite-horizon observability Gramian sum_k (CA^k)' CA^k, default horizon N.
+
+    Dense, O(N^2) memory: the reference that the scores of ``analyze``
+    are checked against.
+    """
     if horizon is None:
         horizon = sys.n
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    total = np.zeros((sys.n, sys.n))
-    for blk in _markov_blocks(sys, horizon):
+    blk = sys.c
+    total = blk.T @ blk
+    for _ in range(horizon - 1):
+        blk = blk @ sys.a
         total += blk.T @ blk
     return 0.5 * (total + total.T)
+
+
+def _gramian_diagonal(sys: LinearSystem, horizon: int) -> np.ndarray:
+    """diag(gramian(sys, horizon)) as sum_k colsum((CA^k)^2), with no N x N array."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    diag = np.zeros(sys.n)
+    for blk in _markov_blocks(sys, horizon):
+        diag += (blk * blk).sum(axis=0)
+    return diag
 
 
 def spectral_radius(a: np.ndarray, iterations: int = 500) -> float:
@@ -217,11 +258,16 @@ class ObservabilityReport:
     cameras: tuple
 
 
-def segment_scores(gramians: dict) -> tuple:
-    """Max-over-regimes diagonal and its normalized confidence."""
-    if not gramians:
-        raise ValueError("need at least one regime Gramian")
-    diags = np.stack([np.diag(w) for w in gramians.values()])
+def segment_scores(diagonals: dict) -> tuple:
+    """Max-over-regimes Gramian diagonal and its normalized confidence.
+
+    diagonals maps each regime to its (N,) Gramian diagonal.
+    """
+    if not diagonals:
+        raise ValueError("need at least one regime's Gramian diagonal")
+    diags = np.stack(list(diagonals.values()))
+    if diags.ndim != 2:
+        raise ValueError("Gramian diagonals must be 1-D (N,) vectors; pass np.diag(w) for a Gramian w")
     obs = diags.max(axis=0)
     top = obs.max()
     if top <= 0.0:
@@ -242,15 +288,15 @@ def analyze(
     """Rank index, Gramian scores, and stability estimates for a placement."""
     n = len(net.segments)
     horizon = n if horizon is None else horizon
-    gramians: dict = {}
+    diagonals: dict = {}
     gamma: dict = {}
     radius: dict = {}
     for regime in regimes:
         sys = linearize(net, fd, regime, beta=beta, bin_seconds=bin_seconds, cameras=cameras)
         _, gamma[regime] = observability_rank(sys)
         radius[regime] = spectral_radius(sys.a)
-        gramians[regime] = gramian(sys, horizon)
-    obs, conf = segment_scores(gramians)
+        diagonals[regime] = _gramian_diagonal(sys, horizon)
+    obs, conf = segment_scores(diagonals)
     return ObservabilityReport(
         obs=obs, conf=conf, gamma_rank=gamma, spectral_radius=radius,
         horizon=horizon, cameras=tuple(int(i) for i in cameras),

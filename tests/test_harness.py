@@ -164,10 +164,16 @@ class TestPoolWindows:
         with pytest.raises(ValueError, match="misaligned in time-of-week"):
             pool_windows(a, [shifted])
 
+    def test_sub_minute_misalignment_rejected(self):
+        a = flat_counts(1, 4, 1)
+        late = flat_counts(1, 4, 1, start=MONDAY + dt.timedelta(seconds=45))
+        with pytest.raises(ValueError, match="misaligned in time-of-week"):
+            pool_windows(a, [late])
+
     def test_week_keys_match_datetime_arithmetic(self):
         cm, starts = odd_bins_over_a_week()
         keys = harness._week_keys(cm)
-        assert np.array_equal(keys, [(s.weekday(), s.hour, s.minute) for s in starts])
+        assert np.array_equal(keys, [s.weekday() * 86400 + s.hour * 3600 + s.minute * 60 + s.second for s in starts])
 
     def test_alignment_uses_time_of_week_not_date(self):
         a = flat_counts(1, 4, 1)

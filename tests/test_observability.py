@@ -7,14 +7,18 @@ down by hand and asserted without tolerance.
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_chain, make_network, make_ring
-from trafficfuse.ctm import default_fd_params
+from trafficfuse.ctm import TurnRatios, default_fd_params
+from trafficfuse.harness import CHAIN_CAMERAS, GRID_CAMERAS, chain_network, grid_network
 from trafficfuse.observability import (
+    REGIMES,
     LinearSystem,
+    _gramian_diagonal,
     analyze,
     gramian,
     linearize,
@@ -47,6 +51,46 @@ def stacked_observability(sys, horizon):
         blocks.append(blk)
         blk = blk @ sys.a
     return np.vstack(blocks)
+
+
+def stacked_rank(sys):
+    """Rank oracle: the SVD of the whole N*m x N observability matrix."""
+    obs = stacked_observability(sys, sys.n)
+    sv = np.linalg.svd(obs, compute_uv=False)
+    tol = max(obs.shape) * sv[0] * np.finfo(float).eps if sv.size else 0.0
+    return int((sv > tol).sum())
+
+
+def mesh_edges(rows, cols):
+    """Eastbound rows linked southward every third column: a DAG."""
+    east = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    south = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(2, cols - 1, 3)]
+    return east + south
+
+
+def twin_systems():
+    """Both regimes of the grid and chain twins with their turn ratios and cameras."""
+    for (net, beta, _), cams in ((grid_network(), GRID_CAMERAS), (chain_network(), CHAIN_CAMERAS)):
+        for regime in REGIMES:
+            yield linearize(net, default_fd_params(net), regime, beta=beta, cameras=cams["calibration"])
+
+
+def matvec_score(net, cameras, segment):
+    """max over regimes of sum_k ||C A^k e_i||^2, one mat-vec at a time."""
+    best = 0.0
+    for regime in REGIMES:
+        sys = linearize(net, default_fd_params(net), regime, cameras=cameras)
+        v = np.zeros(sys.n)
+        v[segment] = 1.0
+        total = 0.0
+        for _ in range(sys.n):
+            if not v.any():
+                break  # A^k e_i = 0, so every later term is zero
+            y = sys.c @ v
+            total += float(y @ y)
+            v = sys.a @ v
+        best = max(best, total)
+    return best
 
 
 # -- linearize --
@@ -153,9 +197,63 @@ def test_rank_index_bounds_hold_on_random_networks():
         assert rank >= m
 
 
-def test_rank_cap_points_at_gramian():
-    with pytest.raises(ValueError, match="Gramian"):
-        observability_rank(chain_system(), max_segments=2)
+def test_krylov_rank_matches_stacked_svd_on_random_systems():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 21))
+        sys = random_system(rng, n=n, m=int(rng.integers(1, n + 1)))
+        rank, gamma = observability_rank(sys)
+        assert rank == stacked_rank(sys)
+        assert gamma == rank / n
+
+
+def test_krylov_rank_matches_stacked_svd_on_twins():
+    for sys in twin_systems():
+        assert observability_rank(sys)[0] == stacked_rank(sys), sys.regime
+
+
+def test_krylov_rank_matches_stacked_svd_on_a_mesh():
+    net = make_network(mesh_edges(10, 25))
+    cams = np.random.default_rng(2).choice(net.n_segments, 22, replace=False)
+    for regime in REGIMES:
+        sys = linearize(net, default_fd_params(net), regime, cameras=cams)
+        assert observability_rank(sys)[0] == stacked_rank(sys), regime
+
+
+def test_two_way_ring_is_cyclic_not_nilpotent():
+    # every block is nonzero, so the rank must stop on the basis, not on a zero block
+    net = make_network([(i, (i + 1) % 6) for i in range(6)] + [((i + 1) % 6, i) for i in range(6)])
+    sys = linearize(net, default_fd_params(net), "free", cameras=(0,))
+    assert np.linalg.matrix_power(sys.a, 12).any()
+    assert observability_rank(sys)[0] == stacked_rank(sys)
+
+
+def test_equal_weight_diamond_has_rank_below_its_structure():
+    # both branches carry half of 0's outflow into 3, so the camera at 3
+    # sees only their sum: O = [e3; e1 + e2; e0], rank 3 of 4 reachable
+    net = make_network([(0, 1), (0, 2), (1, 3), (2, 3)])
+    sys = linearize(net, default_fd_params(net), "free", cameras=(3,))
+    assert stacked_rank(sys) == 3
+    assert observability_rank(sys) == (3, 0.75)
+
+
+def test_rank_stays_in_bounds_on_slowly_decaying_systems():
+    # near-cyclic and low-rank systems have no spectral gap for the stacked
+    # SVD to match, so only the bounds m <= rank <= N are checked
+    rng = np.random.default_rng(17)
+    for k in range(30):
+        n = int(rng.integers(10, 81))
+        m = int(rng.integers(1, 4))
+        if k % 2:
+            a = 0.99 * np.roll(np.eye(n), 1, axis=1) + 1e-3 * rng.normal(size=(n, n)) / n
+        else:
+            u, v = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+            a = u @ v.T
+            a *= 0.99 / np.abs(np.linalg.eigvals(a)).max()
+        sys = LinearSystem(a=a, b=np.zeros((n, 0)),
+                           c=selection_matrix(rng.choice(n, m, replace=False), n), regime="free")
+        rank, _ = observability_rank(sys)
+        assert m <= rank <= n
 
 
 # -- finite-horizon Gramian --
@@ -194,6 +292,17 @@ def test_gramian_is_symmetric_psd_and_monotone():
 def test_gramian_rejects_bad_horizon():
     with pytest.raises(ValueError, match="horizon"):
         gramian(chain_system(), 0)
+    with pytest.raises(ValueError, match="horizon"):
+        _gramian_diagonal(chain_system(), 0)
+
+
+def test_gramian_diagonal_matches_dense_gramian():
+    rng = np.random.default_rng(12)
+    systems = [random_system(rng, n=int(rng.integers(2, 16)), m=2 if k % 3 else 1) for k in range(20)]
+    for sys in [*systems, *twin_systems()]:
+        for horizon in (1, 5, sys.n, 2 * sys.n):
+            w = gramian(sys, horizon)
+            assert np.abs(_gramian_diagonal(sys, horizon) - np.diag(w)).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 # -- Lyapunov Gramian --
@@ -240,7 +349,7 @@ def test_observable_stable_system_has_positive_definite_gramian():
 
 
 def test_segment_scores_take_regime_maximum():
-    g = {"free": np.diag([1.0, 0.0, 0.2]), "congested": np.diag([0.5, 4.0, 0.1])}
+    g = {"free": np.array([1.0, 0.0, 0.2]), "congested": np.array([0.5, 4.0, 0.1])}
     obs, conf = segment_scores(g)
     assert np.array_equal(obs, [1.0, 4.0, 0.2])
     assert np.array_equal(conf, [0.25, 1.0, 0.05])
@@ -248,8 +357,35 @@ def test_segment_scores_take_regime_maximum():
 
 def test_all_zero_scores_warn_instead_of_dividing():
     with pytest.warns(UserWarning, match="no segment is observed"):
-        obs, conf = segment_scores({"free": np.zeros((3, 3))})
+        obs, conf = segment_scores({"free": np.zeros(3)})
     assert np.array_equal(conf, np.zeros(3))
+
+
+def test_segment_scores_reject_a_gramian_matrix():
+    # np.diag of a diagonal would silently build a matrix instead
+    with pytest.raises(ValueError, match="1-D"):
+        segment_scores({"free": np.eye(3)})
+
+
+def test_analyze_scales_past_the_dense_limit():
+    # at 22 cameras the stacked 17,600 x 800 observability matrix alone is 112 MB
+    net = make_network(mesh_edges(20, 40))
+    rng = np.random.default_rng(8)
+    cams = sorted(int(i) for i in rng.choice(net.n_segments, 22, replace=False))
+    fd = default_fd_params(net)
+    beta = TurnRatios.uniform(net)
+    tracemalloc.start()
+    try:
+        report = analyze(net, fd, cams, beta=beta)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert net.n_segments == 800
+    assert peak_mb < 32, f"analyze peaked at {peak_mb:.1f} MB"
+    assert all(22 / 800 <= g <= 1.0 for g in report.gamma_rank.values())
+    for i in rng.choice(net.n_segments, 8, replace=False):
+        want = matvec_score(net, cams, int(i))
+        assert report.obs[i] == pytest.approx(want, rel=1e-12, abs=0.0), int(i)
 
 
 def test_confidence_decays_with_hop_distance():

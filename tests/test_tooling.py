@@ -40,7 +40,7 @@ def _load_benchmark_spans():
     return module
 
 
-def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch):
+def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch, tmp_path):
     # the spans rebind public names; a refactor that renames one, or stops
     # calling it through the rebound name, would silently zero its metrics
     spans = _load_benchmark_spans()
@@ -55,7 +55,9 @@ def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch):
                         heads=2, history=4, horizon=1, ffn_width=16)
     cfg = ExperimentConfig(twin="chain", days=2, forecast_days=1, model=model,
                            filter=FilterConfig(n_members=8), train_steps=2, train_batch=4, seed=3)
-    Pipeline(cfg).calibrate()
+    pipe = Pipeline(cfg)
+    pipe.calibrate()
+    pipe.write_observability(str(tmp_path))
     calls = Counter(span["name"] for span in rec.spans)
     for name in ("ensrf.forecast_step", "ensrf.analysis_step", "propagation.diffuse", "propagation.blend"):
         assert calls[name] >= 1, f"no {name} span recorded in calibrate"
@@ -72,6 +74,13 @@ def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch):
     assert forwards[("harness.fit", "model.forward_notape")] >= 1, forwards
     assert forwards[("harness.forecasts", "model.forward_notape")] >= 1, forwards
     assert forwards[("harness.forecasts", "model.forward_tape")] == 0, forwards
+
+    # the observability layers are timed inside the one analyze call
+    analyses = [k for k, span in enumerate(rec.spans) if span["name"] == "observability.analyze"]
+    assert len(analyses) == 1, analyses
+    inside = Counter(span["name"] for span in rec.spans if span["parent"] == analyses[0])
+    for name in ("observability.rank", "observability.linearize", "observability.spectral_radius"):
+        assert inside[name] == 2, inside  # one per regime
 
 
 def test_demo_imports_resolve():
