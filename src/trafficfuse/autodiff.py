@@ -184,16 +184,6 @@ class Tensor:
 
         return Tensor._node(a.data.reshape(shape), (a,), backward)
 
-    def transpose(self, axes):
-        a = self
-        inv = np.argsort(axes)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.transpose(inv))
-
-        return Tensor._node(a.data.transpose(axes), (a,), backward)
-
     def swapaxes(self, i, j):
         a = self
 
@@ -249,15 +239,6 @@ class Tensor:
                 a._accumulate(g * out_data)
 
         return Tensor._node(out_data, (a,), backward)
-
-    def log(self):
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g / a.data)
-
-        return Tensor._node(np.log(a.data), (a,), backward)
 
     def sqrt(self):
         a = self

@@ -18,25 +18,13 @@ import numpy as np
 from .harness import ExperimentConfig, Pipeline, load_config
 from .network import save_counts
 
-STAGES = (
-    "simulate",
-    "sample",
-    "features",
-    "train",
-    "calibrate",
-    "observability",
-    "evaluate",
-    "run",
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trafficfuse",
         description="Camera-calibrated traffic volume estimation from probe counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGES:
+    for name in _COMMANDS:
         blurb = ("full chain, complete artifact set" if name == "run"
                  else f"run the chain through the {name} stage")
         p = sub.add_parser(name, help=blurb)

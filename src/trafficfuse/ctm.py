@@ -83,45 +83,33 @@ def default_fd_params(net: RoadNetwork, bin_seconds: float = 900.0) -> FdParams:
 
 
 class TurnRatios:
-    """Edge split fractions beta[i, j]: share of segment i's outflow sent to j.
+    """Edge split fractions: edge_beta[k] is the share of segment i's outflow
+    sent to j over edge k = (i, j) of net.edges.
 
-    Rows over segments with a nonempty downstream set must sum to 1 within
-    1e-9; all other entries are zero and support is restricted to network
-    edges.
+    Shares are finite and nonnegative, and each segment's outgoing shares
+    sum to 1 within ROW_SUM_TOL.
     """
 
-    def __init__(self, matrix: np.ndarray, net: RoadNetwork):
-        b = np.asarray(matrix, dtype=float)
-        n = net.n_segments
-        if b.shape != (n, n):
-            raise ValueError(f"turn ratio matrix must be {n}x{n}")
+    def __init__(self, edge_beta, net: RoadNetwork):
+        b = np.array(edge_beta, dtype=float)
+        if b.shape != (len(net.edges),):
+            raise ValueError(f"turn ratios must be one share per edge, shape ({len(net.edges)},)")
+        if not np.isfinite(b).all():
+            raise ValueError("turn ratios must be finite")
         if (b < 0).any():
             raise ValueError("turn ratios must be nonnegative")
-        support = net.adjacency() == 0
-        if (b[support] != 0).any():
-            raise ValueError("turn ratios supported off the edge set")
-        sums = b.sum(axis=1)
-        for i in range(n):
-            if net.downstream[i]:
-                if abs(sums[i] - 1.0) > ROW_SUM_TOL:
-                    raise ValueError(f"turn ratio row {i} sums to {sums[i]!r}, not 1")
-            elif sums[i] != 0:
-                raise ValueError(f"segment {i} has no downstream but nonzero ratios")
-        self.matrix = b
-        # flat edge view used by the stepping kernel
         self.edge_from = np.array([i for i, _ in net.edges], dtype=int)
         self.edge_to = np.array([j for _, j in net.edges], dtype=int)
-        self.edge_beta = b[self.edge_from, self.edge_to]
+        self.edge_beta = b
+        sums = np.bincount(self.edge_from, weights=b, minlength=net.n_segments)
+        for i, down in enumerate(net.downstream):
+            if down and abs(sums[i] - 1.0) > ROW_SUM_TOL:
+                raise ValueError(f"turn ratios out of segment {i} sum to {sums[i]!r}, not 1")
 
     @classmethod
     def uniform(cls, net: RoadNetwork) -> "TurnRatios":
         """Equal split over each segment's downstream neighbours."""
-        b = np.zeros((net.n_segments, net.n_segments))
-        for i in range(net.n_segments):
-            down = net.downstream[i]
-            for j in down:
-                b[i, j] = 1.0 / len(down)
-        return cls(b, net)
+        return cls([1.0 / len(net.downstream[i]) for i, _ in net.edges], net)
 
 
 @dataclass(frozen=True)

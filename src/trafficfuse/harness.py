@@ -311,15 +311,11 @@ def grid_network(
                 edges.append((sid(r, c), sid(r + 1, c)))
     net = RoadNetwork(tuple(segs), tuple(edges), tuple(f"g{r}_{c}" for r in range(rows) for c in range(cols)))
 
-    b = np.zeros((net.n_segments, net.n_segments))
-    for i in range(net.n_segments):
-        down = net.downstream[i]
-        if len(down) == 1:
-            b[i, down[0]] = 1.0
-        elif len(down) == 2:
-            east, south = min(down), max(down)  # east neighbour has the smaller id
-            b[i, east] = EAST_SHARE
-            b[i, south] = 1.0 - EAST_SHARE
+    # a segment splits only east and south, and the east neighbour has the smaller id
+    b = [
+        1.0 if len(net.downstream[i]) == 1 else EAST_SHARE if j == net.downstream[i][0] else 1.0 - EAST_SHARE
+        for i, j in net.edges
+    ]
     return net, TurnRatios(b, net), source_ids
 
 

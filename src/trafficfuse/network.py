@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -59,14 +60,12 @@ class Segment:
     is_boundary: bool = False
 
     def __post_init__(self):
-        if self.length_m <= 0:
-            raise SchemaError(f"segment {self.id}: length_m must be > 0")
+        for name in ("length_m", "capacity_vph", "free_flow_mps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SchemaError(f"segment {self.id}: {name} must be finite and > 0, got {value!r}")
         if self.lanes < 1:
             raise SchemaError(f"segment {self.id}: lanes must be >= 1")
-        if self.capacity_vph <= 0:
-            raise SchemaError(f"segment {self.id}: capacity_vph must be > 0")
-        if self.free_flow_mps <= 0:
-            raise SchemaError(f"segment {self.id}: free_flow_mps must be > 0")
         if not (LENGTH_RANGE_M[0] <= self.length_m <= LENGTH_RANGE_M[1]):
             warnings.warn(
                 f"segment {self.id}: length {self.length_m} m outside advisory "
@@ -228,6 +227,8 @@ def load_network(path) -> RoadNetwork:
             index[ext] = seg.id
             segments.append(seg)
             externals.append(ext)
+    if not segments:
+        raise SchemaError(f"{seg_path}: no segments")
     edges: list[tuple[int, int]] = []
     with open(edge_path, newline="") as fh:
         reader = csv.DictReader(fh)

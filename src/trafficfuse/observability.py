@@ -85,9 +85,8 @@ def selection_matrix(cameras, n: int) -> np.ndarray:
 
 def _inflow_shares(net: RoadNetwork, beta: TurnRatios) -> np.ndarray:
     """Per edge (i, j) of net.edges: fraction of segment j's inflow arriving from i."""
-    src, dst = np.array(net.edges, dtype=int).reshape(-1, 2).T
-    ratio = beta.matrix[src, dst]
-    # each inflow adds its terms in row order, as a dense column sum would
+    src, dst, ratio = beta.edge_from, beta.edge_to, beta.edge_beta
+    # each inflow adds its terms in upstream-id order, whatever the order of net.edges
     by_row = np.argsort(src, kind="stable")
     inflow = np.bincount(dst[by_row], weights=ratio[by_row], minlength=len(net.segments))
     into = inflow[dst]
@@ -119,19 +118,16 @@ def linearize(
     n = len(net.segments)
     a = np.zeros((n, n))
     lengths = net.lengths()
+    src, dst = beta.edge_from, beta.edge_to
+    # edges are distinct and never self-loops, so each scatter writes a
+    # fresh off-diagonal entry once
     if regime == "free":
         frac = np.minimum(1.0, net.free_flow() * bin_seconds / lengths)
-        for i in range(n):
-            a[i, i] = 1.0 - frac[i]
-        for i, j in net.edges:
-            a[j, i] += beta.matrix[i, j] * frac[i]
+        a[dst, src] = beta.edge_beta * frac[src]
     else:
         frac = np.minimum(1.0, fd.wave_speed * bin_seconds / lengths)
-        share = _inflow_shares(net, beta)
-        for j in range(n):
-            a[j, j] = 1.0 - frac[j]
-        for (i, j), s in zip(net.edges, share):
-            a[i, j] += s * frac[j]
+        a[src, dst] = _inflow_shares(net, beta) * frac[dst]
+    np.fill_diagonal(a, 1.0 - frac)
     boundary = sorted(boundary_segments(net))
     b = selection_matrix(boundary, n).T if boundary else np.zeros((n, 0))
     return LinearSystem(a=a, b=b, c=selection_matrix(cameras, n), regime=regime)

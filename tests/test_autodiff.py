@@ -104,8 +104,6 @@ def test_getitem_integer_arrays():
 
 def test_transpose_reshape():
     a = RNG.normal(size=(2, 3, 4))
-    w = RNG.normal(size=(4, 3, 2))
-    gradcheck(lambda x: (x.transpose((2, 1, 0)) * w).sum(), a)
     gradcheck(lambda x: (x.swapaxes(-1, -2) @ x).sum(), a)
     gradcheck(lambda x: (x.reshape(6, 4) @ x.reshape(4, 6)).sum(), a)
 
@@ -113,7 +111,6 @@ def test_transpose_reshape():
 def test_elementwise_nonlinear():
     a = RNG.normal(size=(3, 4))
     gradcheck(lambda x: (x.exp() / (1.0 + x.exp())).sum(), a)
-    gradcheck(lambda x: (x * x + 4.0).log().sum(), a)
     gradcheck(lambda x: (x * x + 1.0).sqrt().sum(), a)
     # keep |x| and relu away from their kinks
     b = np.where(np.abs(a) < 0.2, a + 0.5, a)

@@ -73,9 +73,7 @@ def test_supply_value_and_floor():
 def test_link_flow_value():
     # segment 0 splits 3:1 onto two sinks; the per-edge flow is min(D beta, S beta)
     net = make_network([(0, 1), (0, 2)])
-    b = np.zeros((3, 3))
-    b[0, 1], b[0, 2] = 0.75, 0.25
-    tr = TurnRatios(b, net)
+    tr = TurnRatios([0.75, 0.25], net)
     e01 = net.edges.index((0, 1))
 
     def first_flow(counts):
@@ -129,28 +127,24 @@ def test_default_fd_params_supply_reaches_capacity():
 
 def test_turn_ratios_validation():
     net = make_network([(0, 1), (0, 2)])
-    b = np.zeros((3, 3))
-    b[0, 1], b[0, 2] = 0.5, 0.5
-    TurnRatios(b, net)  # valid
-    b[0, 2] = 0.4
-    with pytest.raises(ValueError, match="sums to"):
-        TurnRatios(b, net)
-    b[0, 2] = 0.5
-    b[1, 0] = 0.1  # not an edge
-    with pytest.raises(ValueError, match="support"):
-        TurnRatios(b, net)
-    b[1, 0] = 0.0
-    b[0, 1] = -0.5
+    TurnRatios([0.5, 0.5], net)  # valid
+    with pytest.raises(ValueError, match="sum to"):
+        TurnRatios([0.5, 0.4], net)
+    with pytest.raises(ValueError, match="one share per edge"):
+        TurnRatios([0.5, 0.5, 0.0], net)
     with pytest.raises(ValueError, match="nonneg"):
-        TurnRatios(b, net)
+        TurnRatios([1.5, -0.5], net)
+    # nan < 0 and abs(nan - 1) > tol are both False, so NaN needs its own check
+    with pytest.raises(ValueError, match="finite"):
+        TurnRatios([np.nan, 0.5], net)
 
 
 def test_uniform_turn_ratios():
     net = make_network([(0, 1), (0, 2), (2, 1)])
     tr = TurnRatios.uniform(net)
-    assert tr.matrix[0, 1] == 0.5 and tr.matrix[0, 2] == 0.5
-    assert tr.matrix[2, 1] == 1.0
-    assert tr.matrix[1].sum() == 0.0
+    assert tr.edge_from.tolist() == [0, 0, 2]
+    assert tr.edge_to.tolist() == [1, 2, 1]
+    assert tr.edge_beta.tolist() == [0.5, 0.5, 1.0]
 
 
 def test_state_speed_clipping_diagnostic():

@@ -123,6 +123,21 @@ def test_load_network_reports_line_locus(tmp_path):
         load_network(tmp_path)
 
 
+@pytest.mark.parametrize("row,field", [("a,nan,2,1800,10,0", "length_m"), ("a,500,2,inf,10,0", "capacity_vph")])
+def test_load_network_rejects_non_finite_fields(tmp_path, row, field):
+    (tmp_path / "segments.csv").write_text(f"id,length_m,lanes,capacity_vph,free_flow_mps,is_boundary\n{row}\n")
+    (tmp_path / "edges.csv").write_text("from_id,to_id\n")
+    with pytest.raises(SchemaError, match=f"segment 0: {field} must be finite"):
+        load_network(tmp_path)
+
+
+def test_load_network_rejects_no_segments(tmp_path):
+    (tmp_path / "segments.csv").write_text("id,length_m,lanes,capacity_vph,free_flow_mps,is_boundary\n")
+    (tmp_path / "edges.csv").write_text("from_id,to_id\n")
+    with pytest.raises(SchemaError, match="segments.csv: no segments"):
+        load_network(tmp_path)
+
+
 def test_load_network_bad_header(tmp_path):
     (tmp_path / "segments.csv").write_text("id,length_m\n")
     (tmp_path / "edges.csv").write_text("from_id,to_id\n")

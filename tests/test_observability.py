@@ -125,6 +125,25 @@ def test_congested_merge_splits_by_inflow_share():
     assert np.array_equal(sys.a, expect)
 
 
+def test_free_flow_diverge_splits_by_unequal_ratios():
+    # 1800 m at 1 m/s: f = 0.5 leaves segment 0, split 3:1 onto 1 and 2
+    net = make_network([(0, 1), (0, 2)], vfree=1.0, length=1800.0)
+    sys = linearize(net, default_fd_params(net), "free", beta=TurnRatios([0.75, 0.25], net))
+    expect = np.diag([0.5, 0.5, 0.5])
+    expect[1, 0], expect[2, 0] = 0.75 * 0.5, 0.25 * 0.5
+    assert np.array_equal(sys.a, expect)
+
+
+def test_congested_merge_splits_by_unequal_ratios():
+    # 2 takes 0.75 of 0's outflow and all of 1's: inflow shares 0.75 / 1.75 and 1 / 1.75
+    net = make_network([(0, 2), (0, 3), (1, 2)])
+    sys = linearize(net, default_fd_params(net), "congested", beta=TurnRatios([0.75, 0.25, 1.0], net))
+    expect = np.zeros((4, 4))
+    expect[0, 2], expect[1, 2] = 0.75 / 1.75, 1.0 / 1.75
+    expect[0, 3] = 1.0
+    assert np.array_equal(sys.a, expect)
+
+
 def test_boundary_inputs_and_camera_rows(chain3):
     sys = linearize(chain3, default_fd_params(chain3), "free", cameras=(2, 0))
     assert sys.cameras == (2, 0)
@@ -386,6 +405,18 @@ def test_analyze_scales_past_the_dense_limit():
     for i in rng.choice(net.n_segments, 8, replace=False):
         want = matvec_score(net, cams, int(i))
         assert report.obs[i] == pytest.approx(want, rel=1e-12, abs=0.0), int(i)
+
+
+def test_uniform_turn_ratios_store_no_dense_matrix():
+    net = make_network(mesh_edges(20, 40))
+    tracemalloc.start()
+    try:
+        TurnRatios.uniform(net)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    # one 800 x 800 float matrix alone is 4.9 MB
+    assert peak_mb < 1, f"TurnRatios.uniform peaked at {peak_mb:.2f} MB"
 
 
 def test_confidence_decays_with_hop_distance():
