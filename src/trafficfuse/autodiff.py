@@ -2,10 +2,16 @@
 
 A Tensor wraps an ndarray and records the operations applied to it;
 backward() walks the tape in reverse topological order and accumulates
-exact gradients. Broadcasting follows numpy semantics with gradients
-summed back over broadcast axes. Everything stays in float64, which is
-what lets the gradient checks hold to 1e-4 relative against central
-finite differences.
+exact gradients into the leaves. Broadcasting follows numpy semantics
+with gradients summed back over broadcast axes. Everything stays in
+float64, which is what lets the gradient checks hold to 1e-4 relative
+against central finite differences.
+
+backward() frees the tape as it walks it: once an interior node has
+passed its gradient on, its gradient, parents and backward closure are
+dropped, so a tape can be walked only once and a training step holds
+at most one tape. The CLI keeps the freed pages in the process (see
+cli._keep_freed_memory), so the next step does not fault them in again.
 
 Affine maps, layer norm and softmax are fused nodes with analytic
 backward passes. No gradient is ever mutated in place, so a node stores
@@ -273,7 +279,8 @@ class Tensor:
     # -- autodiff driver ------------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf,
+        freeing the tape behind it."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -292,9 +299,18 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # pop rather than iterate, and cut each interior node loose once its
+        # adjoint has been passed on: every consumer has already run, so
+        # nothing reads it again, and its activations can go
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = None
 
     def zero_grad(self):
         self.grad = None

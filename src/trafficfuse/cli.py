@@ -9,6 +9,7 @@ whole chain and writes the full artifact set.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from dataclasses import replace
@@ -17,6 +18,29 @@ import numpy as np
 
 from .harness import ExperimentConfig, Pipeline, load_config
 from .network import save_counts
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> tuple:
+    """Keep freed heap memory in the process; returns mallopt's results.
+
+    Each training step frees a whole tape. With glibc's defaults the freed
+    pages go back to the OS and the next step faults them in again. A
+    1 GiB trim threshold, and a fixed 32 MiB mmap threshold (glibc's
+    64-bit maximum) for the arrays of one step, keep them. A no-op,
+    returning (), where libc.so.6 or mallopt is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return ()
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TRIM_THRESHOLD, 1 << 30), mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -117,6 +141,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     cfg = _configure(args)
     out = _outdir(args, cfg)

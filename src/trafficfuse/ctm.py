@@ -114,23 +114,22 @@ class TurnRatios:
 
 @dataclass(frozen=True)
 class TrafficState:
-    """Counts and speeds at one time index.
+    """Counts at one time index: the initial state simulate() starts from.
 
-    Speeds outside [0, free flow] are clipped at construction.
+    create() still takes one speed per segment and checks its shape, but
+    keeps no speeds: simulate() derives speeds from the counts.
     """
 
     counts: np.ndarray
-    speeds: np.ndarray
 
     @classmethod
     def create(cls, counts, speeds, net: RoadNetwork) -> "TrafficState":
         counts = np.asarray(counts, dtype=float)
-        speeds = np.asarray(speeds, dtype=float)
-        if counts.shape != (net.n_segments,) or speeds.shape != (net.n_segments,):
+        if counts.shape != (net.n_segments,) or np.shape(speeds) != (net.n_segments,):
             raise ValueError("state arrays must have one entry per segment")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        return cls(counts=counts, speeds=np.clip(speeds, 0.0, net.free_flow()))
+        return cls(counts=counts)
 
 
 @dataclass(frozen=True)

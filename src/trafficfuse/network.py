@@ -144,9 +144,14 @@ class CountMatrix:
             raise SchemaError("count values must be 2-D (segments x bins)")
         if self.bin_seconds <= 0:
             raise SchemaError("bin_seconds must be > 0")
-        finite = self.values[np.isfinite(self.values)]
-        if finite.size and finite.min() < 0:
-            raise SchemaError("counts must be nonnegative")
+        # NaN marks a missing count; every other value must be a finite,
+        # nonnegative count
+        bad = np.argwhere(np.isinf(self.values) | (self.values < 0))
+        if bad.size:
+            i, t = bad[0]
+            raise SchemaError(
+                f"segment row {i}, bin {t}: count {self.values[i, t]} must be finite and nonnegative"
+            )
 
     @property
     def n_bins(self) -> int:

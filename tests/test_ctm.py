@@ -148,10 +148,14 @@ def test_uniform_turn_ratios():
 
 
 def test_state_speed_clipping_diagnostic():
+    # a state keeps only its counts; speeds are shape-checked, never stored
     net = make_chain(3, vfree=10.0)
     st = TrafficState.create([1.0, 2.0, 3.0], [12.0, -1.0, 5.0], net)
-    assert np.array_equal(st.speeds, [10.0, 0.0, 5.0])
-    with pytest.raises(ValueError):
+    assert np.array_equal(st.counts, [1.0, 2.0, 3.0])
+    assert not hasattr(st, "speeds")
+    with pytest.raises(ValueError, match="one entry per segment"):
+        TrafficState.create([1.0, 2.0, 3.0], [10.0, 10.0], net)
+    with pytest.raises(ValueError, match="nonnegative"):
         TrafficState.create([-1.0, 0.0, 0.0], [1.0, 1.0, 1.0], net)
 
 

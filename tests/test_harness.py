@@ -1,5 +1,6 @@
 """Probe thinning, pooling, metrics, synthetic twins, and the pipeline."""
 
+import ctypes
 import datetime as dt
 import json
 import os
@@ -628,3 +629,23 @@ def test_cli_stage_files_match_run(tmp_path, capsys):
         assert {p.name for p in outs[command].iterdir()} == names
         for name in names - {"model.npz"}:  # zip entries carry a timestamp
             assert (outs[command] / name).read_bytes() == (outs["run"] / name).read_bytes(), (command, name)
+
+
+def test_cli_runs_where_the_allocator_hook_finds_no_libc(tmp_path, monkeypatch):
+    def no_libc(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert cli._keep_freed_memory() == ()
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(small_config(train_steps=4).to_dict()))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "metrics.json").is_file()
+
+
+def test_allocator_hook_sets_both_glibc_thresholds():
+    try:
+        ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        pytest.skip("no glibc mallopt here")
+    assert cli._keep_freed_memory() == (1, 1)

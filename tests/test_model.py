@@ -10,8 +10,9 @@ from scipy.optimize import minimize_scalar
 
 from conftest import make_chain, make_feature_tensor, model_grad_fd_err
 from trafficfuse.autodiff import Tensor, no_grad
-from trafficfuse.ctm import default_fd_params
+from trafficfuse.ctm import FdArrays, default_fd_params
 from trafficfuse.features import build_tensor
+from trafficfuse.harness import ExperimentConfig, Pipeline
 from trafficfuse.model import (
     ModelConfig,
     Prediction,
@@ -387,6 +388,49 @@ def test_predict_peak_memory_does_not_grow_with_anchors():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_backward_frees_every_interior_node():
+    params = init_params(TINY, np.random.default_rng(3))
+    a_hat, hist, anchor = _tiny_inputs(TINY, seed=3)
+    target = anchor[:, :, None] + 1.0
+    pred = forward(params, TINY, a_hat, *_stacked(hist), anchor)
+    loss = loss_components(pred, target, TINY, np.full(3, 30.0), target[:, :, 0].sum(axis=1))["total"]
+    interior, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward is not None:
+                interior.append(node)
+            stack.extend(node._parents)
+    assert len(interior) > 50
+    loss.backward()
+    for node in interior:
+        assert node.grad is None and node._parents == () and node._backward is None
+    for name, p in params.items():
+        assert p.grad is not None and p.grad.shape == p.shape, name
+
+
+def test_training_steps_hold_one_tape_at_a_time():
+    # each step's backward frees its tape, so no tape or interior gradient
+    # of one step is alive during the next, and more steps add no peak
+    pipe = Pipeline(ExperimentConfig(twin="grid", days=2, forecast_days=0))
+    pipe.features()
+    cfg = pipe.cfg
+    windows = build_windows(pipe.tensor, pipe.probe.values, cfg.model,
+                            t_last=pipe.train_bins - cfg.model.horizon - 1)
+    a_hat = normalized_adjacency(pipe.net.adjacency())
+    qmax = FdArrays.build(pipe.net.segments, pipe.fd, cfg.bin_seconds).qmax
+    peaks = []
+    for steps in (1, 3):
+        tracemalloc.start()
+        try:
+            train(cfg.model, a_hat, windows, qmax, seed=0, steps=steps, eval_every=10**6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_predict_rejects_short_history():

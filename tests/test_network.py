@@ -159,11 +159,19 @@ def test_count_matrix_validation():
         CountMatrix(np.ones(5), 900, T0)  # not 2-D
     with pytest.raises(SchemaError):
         CountMatrix(np.ones((2, 3)), 0, T0)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="segment row 0, bin 0: count -1.0 must be finite and nonnegative"):
         CountMatrix(-np.ones((2, 3)), 900, T0)
     # NaN marks missing and is allowed
     cm = CountMatrix(np.array([[1.0, np.nan]]), 900, T0)
     assert np.isnan(cm.values[0, 1])
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf"])
+def test_load_counts_rejects_infinite_counts(tmp_path, cell):
+    p = tmp_path / "c.csv"
+    p.write_text(f"segment_id,2024-01-01T00:00:00,2024-01-01T00:15:00\n0,1,3\n1,,{cell}\n")
+    with pytest.raises(SchemaError, match=f"segment row 1, bin 1: count {cell} must be finite"):
+        load_counts(p)
 
 
 def test_count_matrix_time_derivation():
