@@ -89,14 +89,16 @@ N_GLOBAL = 24 + 7 + N_REGIMES  # hour, day and regime columns after the base
 
 
 class CalibrationEnsemble:
-    """Factorized log-calibration members plus per-segment confidence.
+    """Factorized log-calibration members.
 
     The members live in one (M, N + 24 + 7 + N_REGIMES) state array; base,
     hour, day and regime are column views of it, so an in-place write to a
-    component is a write to the state.
+    component is a write to the state. A confidence argument is only
+    checked for shape; the pipeline keeps per-segment confidence itself
+    (propagation.update_confidence).
     """
 
-    def __init__(self, base, hour, day, regime, confidence, n_assimilated: int = 0):
+    def __init__(self, base, hour, day, regime, confidence=None, n_assimilated: int = 0):
         parts = {"base": base, "hour": hour, "day": day, "regime": regime}
         parts = {name: np.asarray(v, dtype=float) for name, v in parts.items()}
         widths = {"hour": 24, "day": 7, "regime": N_REGIMES}
@@ -108,22 +110,21 @@ class CalibrationEnsemble:
                 raise ValueError(f"ensemble component {name} has shape {v.shape}, not {m} members")
             if name in widths and v.shape[1] != widths[name]:
                 raise ValueError(f"ensemble component {name} has {v.shape[1]} columns, not {widths[name]}")
-        self._adopt(np.concatenate(list(parts.values()), axis=1), confidence, n_assimilated)
+        if confidence is not None and np.shape(confidence) != (n,):
+            raise ValueError(f"ensemble component confidence has shape {np.shape(confidence)}, not ({n},)")
+        self._adopt(np.concatenate(list(parts.values()), axis=1), n_assimilated)
         self._check()
 
     @classmethod
-    def from_state(cls, state: np.ndarray, confidence, n_assimilated: int = 0) -> "CalibrationEnsemble":
+    def from_state(cls, state: np.ndarray, n_assimilated: int = 0) -> "CalibrationEnsemble":
         """Wrap an (M, N + N_GLOBAL) state array without copying it."""
         ens = cls.__new__(cls)
-        ens._adopt(state, confidence, n_assimilated)
+        ens._adopt(state, n_assimilated)
         ens._check()
         return ens
 
-    def _adopt(self, state, confidence, n_assimilated):
+    def _adopt(self, state, n_assimilated):
         n = state.shape[1] - N_GLOBAL
-        self.confidence = np.asarray(confidence, dtype=float)
-        if self.confidence.shape != (n,):
-            raise ValueError(f"ensemble component confidence has shape {self.confidence.shape}, not ({n},)")
         self.state = state
         self.base = state[:, :n]
         self.hour = state[:, n:n + 24]
@@ -137,8 +138,6 @@ class CalibrationEnsemble:
             bad = next(name for name in ("base", "hour", "day", "regime")
                        if not np.isfinite(getattr(self, name)).all())
             raise ValueError(f"ensemble component {bad} is not finite")
-        if not np.isfinite(self.confidence).all():
-            raise ValueError("ensemble component confidence is not finite")
 
     @property
     def n_members(self) -> int:
@@ -155,7 +154,7 @@ class CalibrationEnsemble:
 
     def copy(self) -> "CalibrationEnsemble":
         ens = CalibrationEnsemble.__new__(CalibrationEnsemble)
-        ens._adopt(self.state.copy(), self.confidence.copy(), self.n_assimilated)
+        ens._adopt(self.state.copy(), self.n_assimilated)
         return ens
 
 
@@ -209,7 +208,6 @@ def init_ensemble(n_segments: int, config: FilterConfig, rng: np.random.Generato
         hour=rng.normal(0.0, config.init_glob_sd, size=(m, 24)),
         day=rng.normal(0.0, config.init_glob_sd, size=(m, 7)),
         regime=rng.normal(0.0, config.init_glob_sd, size=(m, N_REGIMES)),
-        confidence=np.zeros(n_segments),
     )
 
 
@@ -250,7 +248,7 @@ def forecast_step(
     state = np.multiply(ens.state, 1.0 - lg)
     state[:, :n] = (1.0 - lb) * base + lb * beta_star
     state += noise
-    return CalibrationEnsemble.from_state(state, ens.confidence.copy(), ens.n_assimilated)
+    return CalibrationEnsemble.from_state(state, ens.n_assimilated)
 
 
 def _serial_update(state: np.ndarray, z_anom: np.ndarray, denom: float, gamma: float,

@@ -101,7 +101,7 @@ def temporal_features(hour: int, day: int) -> np.ndarray:
 
 @dataclass
 class FeatureTensor:
-    """Raw feature values plus the manifest needed to (de)normalize them.
+    """Raw feature values plus the manifest needed to normalize them.
 
     values has shape (n_segments, n_bins, 22) and is kept unnormalized;
     normalized() applies the stored statistics. n_max and the statistics
@@ -120,15 +120,8 @@ class FeatureTensor:
     names: tuple = FEATURE_NAMES
     version: str = FEATURE_VERSION
 
-    @property
-    def indicator_mask(self) -> np.ndarray:
-        return np.array([n in INDICATOR_FEATURES for n in self.names])
-
     def normalized(self) -> np.ndarray:
         return (self.values - self.mean) / self.scale
-
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        return x * self.scale + self.mean
 
     def save(self, prefix: str) -> None:
         """Write <prefix>.bin (flat float64) and <prefix>.json manifest."""

@@ -422,6 +422,12 @@ class ExperimentConfig:
             raise ValueError(f"calibration and validation cameras overlap: {sorted(overlap)}")
         if self.days < 1 or self.forecast_days < 0:
             raise ValueError("days must be >= 1 and forecast_days >= 0")
+        if not 0 <= self.burn_days < self.days:
+            raise ValueError(f"burn_days {self.burn_days} must lie in [0, days={self.days})")
+        if self.train_days is not None and not 1 <= self.train_days <= self.days:
+            raise ValueError(f"train_days {self.train_days} must lie in [1, days={self.days}]")
+        if self.train_steps < 1:
+            raise ValueError(f"train_steps {self.train_steps} must be >= 1")
         if not 0 < self.interval < 1:
             raise ValueError("interval must lie in (0, 1)")
         if self.bin_seconds <= 0 or 86400 % self.bin_seconds:
@@ -583,7 +589,8 @@ class Pipeline:
     @_once("features")
     def features(self):
         self.sample()
-        self.train_bins = (self.cfg.train_days or max(1, round(0.7 * self.cfg.days))) * self.bins_per_day
+        train_days = max(1, round(0.7 * self.cfg.days)) if self.cfg.train_days is None else self.cfg.train_days
+        self.train_bins = train_days * self.bins_per_day
         self.tensor = build_tensor(
             self.net, self.fd, self.probe, self.sim.speeds, train_cols=self.train_bins
         )

@@ -235,6 +235,7 @@ def load_network(path) -> RoadNetwork:
     if not segments:
         raise SchemaError(f"{seg_path}: no segments")
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     with open(edge_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != _EDGE_FIELDS:
@@ -244,6 +245,9 @@ def load_network(path) -> RoadNetwork:
             u, v = row["from_id"].strip(), row["to_id"].strip()
             if u not in index or v not in index:
                 raise SchemaError(f"{where}: unknown segment id in ({u!r}, {v!r})")
+            if (index[u], index[v]) in seen:
+                raise SchemaError(f"{where}: duplicate edge ({u!r}, {v!r})")
+            seen.add((index[u], index[v]))
             edges.append((index[u], index[v]))
     return RoadNetwork(tuple(segments), tuple(edges), tuple(externals))
 
@@ -301,10 +305,13 @@ def load_counts(path, bin_seconds: int | None = None) -> CountMatrix:
         if not stamps:
             raise SchemaError(f"{path}: no time bins")
         if len(stamps) >= 2:
-            step = int((stamps[1] - stamps[0]).total_seconds())
+            width = (stamps[1] - stamps[0]).total_seconds()
+            if width < 1 or not width.is_integer():
+                raise SchemaError(f"{path} line 1, column 3: bin width {width} s is not a whole number of seconds > 0")
+            step = int(width)
             for k in range(1, len(stamps) - 1):
-                if int((stamps[k + 1] - stamps[k]).total_seconds()) != step:
-                    raise SchemaError(f"{path}: non-uniform bin width at column {k + 2}")
+                if (stamps[k + 1] - stamps[k]).total_seconds() != width:
+                    raise SchemaError(f"{path} line 1, column {k + 3}: non-uniform bin width")
         elif bin_seconds is None:
             raise SchemaError(f"{path}: single bin; pass bin_seconds")
         else:
@@ -313,7 +320,12 @@ def load_counts(path, bin_seconds: int | None = None) -> CountMatrix:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise SchemaError(f"{path} line {lineno}: expected {len(header)} cells")
-            vals = [float(c) if c.strip() != "" else np.nan for c in row[1:]]
+            vals = []
+            for col, cell in enumerate(row[1:], start=2):
+                try:
+                    vals.append(float(cell) if cell.strip() != "" else np.nan)
+                except ValueError:
+                    raise SchemaError(f"{path} line {lineno}, column {col}: bad count {cell!r}") from None
             rows.append(vals)
     return CountMatrix(np.array(rows, dtype=float), step, stamps[0])
 

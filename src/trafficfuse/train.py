@@ -39,6 +39,10 @@ __all__ = [
 # 1,200-9,600 rows
 INFER_ROWS = 4096
 
+CLIP_NORM = 5.0  # global gradient-norm clip
+VAL_FRACTION = 0.2  # trailing share of windows held out for validation
+PATIENCE = 8  # evaluations without improvement before stopping early
+
 
 def _bin_major(tensor: FeatureTensor) -> np.ndarray:
     """Normalized features as one C-ordered (T, N, n_features) array."""
@@ -143,9 +147,8 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, params, lr, clip):
+    def __init__(self, params, lr):
         self.lr = lr
-        self.clip = clip
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
@@ -159,8 +162,8 @@ class _Adam:
                 norm_sq += float((p.grad * p.grad).sum())
         scale = 1.0
         norm = np.sqrt(norm_sq)
-        if norm > self.clip:
-            scale = self.clip / norm
+        if norm > CLIP_NORM:
+            scale = CLIP_NORM / norm
         for k, p in params.items():
             if p.grad is None:
                 continue
@@ -191,30 +194,27 @@ def train(
     steps: int = 500,
     batch_size: int = 8,
     lr: float = 1e-3,
-    clip: float = 5.0,
-    val_fraction: float = 0.2,
     eval_every: int = 25,
-    patience: int = 8,
-    params: dict | None = None,
 ) -> TrainResult:
     """Optimize the predictor on a window set.
 
-    Windows are split chronologically (the trailing val_fraction is the
+    Windows are split chronologically (the trailing VAL_FRACTION is the
     validation span). Early stopping keeps the parameters with the best
     validation loss; training aborts with a step-indexed error if the
     loss or any parameter stops being finite.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     rng = substream(seed, "train")
-    if params is None:
-        params = init_params(cfg, substream(seed, "init"))
-    n_val = int(round(len(windows) * val_fraction))
+    params = init_params(cfg, substream(seed, "init"))
+    n_val = int(round(len(windows) * VAL_FRACTION))
     n_train = len(windows) - n_val
     if n_train < 1:
         raise ValueError("no training windows after the validation split")
     train_w = windows.subset(np.arange(n_train))
     val_w = windows.subset(np.arange(n_train, len(windows))) if n_val else train_w
 
-    opt = _Adam(params, lr, clip)
+    opt = _Adam(params, lr)
     best = {k: v.data.copy() for k, v in params.items()}
     best_val = np.inf
     bad_evals = 0
@@ -257,7 +257,7 @@ def train(
                 bad_evals = 0
             else:
                 bad_evals += 1
-                if bad_evals >= patience:
+                if bad_evals >= PATIENCE:
                     break
     out = {k: Tensor(v, requires_grad=True) for k, v in best.items()}
     return TrainResult(params=out, best_val=float(best_val), steps=step, log=log)

@@ -38,7 +38,6 @@ def _bare_ensemble(base, n_segments=None):
         hour=np.zeros((m, 24)),
         day=np.zeros((m, 7)),
         regime=np.zeros((m, N_REGIMES)),
-        confidence=np.zeros(n),
     )
 
 
@@ -91,10 +90,7 @@ def test_config_validation():
 
 def test_effective_beta_is_component_sum():
     ens = _bare_ensemble(np.array([[0.5, 0.5]]), n_segments=2)
-    ens = CalibrationEnsemble(
-        base=ens.base, hour=ens.hour, day=ens.day, regime=ens.regime,
-        confidence=ens.confidence,
-    )
+    ens = CalibrationEnsemble(base=ens.base, hour=ens.hour, day=ens.day, regime=ens.regime)
     ens.hour[:, 7] = 0.1
     ens.day[:, 2] = -0.05
     ens.regime[:, REGIME_TRANSITIONAL] = 0.02
@@ -459,8 +455,6 @@ def test_single_state_forecast_matches_four_draw_form(n_segments):
         want = _four_draw_forecast(_components(ens), cfg, substream(9, "fc"), transition=transition)
         for got, ref in zip(_components(out), want):
             assert np.array_equal(got, ref)
-        assert np.array_equal(out.confidence, ens.confidence)
-        assert out.confidence is not ens.confidence
 
 
 def test_components_are_views_of_one_state():
@@ -475,9 +469,7 @@ def test_components_are_views_of_one_state():
     assert not np.shares_memory(dup.state, ens.state)
     assert np.shares_memory(dup.hour, dup.state)
     dup.hour[:] = 9.0
-    dup.confidence[:] = 1.0
     assert np.array_equal(ens.hour[:, 5], np.full(4, 0.5))
-    assert not ens.confidence.any()
 
 
 def test_ensemble_shape_mismatch_names_the_component():

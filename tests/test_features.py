@@ -236,8 +236,8 @@ def test_normalization_roundtrip_and_indicator_passthrough():
     fd = FdParams(wave_speed=2.0, jam_density=2.0, crit_speed=7.0)
     ft = build_tensor(net, fd, cm, speeds, train_cols=12)
     z = ft.normalized()
-    assert np.allclose(ft.denormalize(z), ft.values, atol=1e-9)
-    ind = ft.indicator_mask
+    assert np.allclose(z * ft.scale + ft.mean, ft.values, atol=1e-9)
+    ind = np.array([name in INDICATOR_FEATURES for name in FEATURE_NAMES])
     vals = z[:, :, ind]
     assert set(np.unique(vals)).issubset({0.0, 1.0})
     # non-indicator training columns are standardized

@@ -413,6 +413,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="interval"):
             small_config(interval=1.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("train_steps", 0), ("burn_days", 2), ("burn_days", -1), ("train_days", 0), ("train_days", 3)],
+    )
+    def test_run_length_bounds(self, name, value):
+        # small_config runs 2 days; each of these used to fail only deep in
+        # the run (or, for train_days=0, fell back to the default)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            small_config(**{name: value})
+
+    def test_run_length_bounds_are_inclusive_where_stated(self):
+        cfg = small_config(burn_days=0, train_days=2, train_steps=1)
+        assert (cfg.burn_days, cfg.train_days, cfg.train_steps) == (0, 2, 1)
+
     @pytest.mark.parametrize("bin_seconds", [700, 0])
     def test_bin_width_must_divide_a_day(self, bin_seconds):
         # 700 s would give 123 "bins per day" covering 0.996 days

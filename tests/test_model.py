@@ -327,6 +327,12 @@ def test_training_divergence_is_reported():
             train(cfg, a_hat, windows, qmax, seed=2, steps=8, batch_size=4, lr=1e12, eval_every=100)
 
 
+def test_training_needs_a_step():
+    cfg, a_hat, windows, qmax, _, _ = _training_setup()
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        train(cfg, a_hat, windows, qmax, steps=0)
+
+
 def test_predict_matches_forward():
     cfg, a_hat, windows, qmax, tensor, counts = _training_setup()
     params = init_params(cfg, np.random.default_rng(6))

@@ -1,6 +1,7 @@
 """Network container, schema validation, and count-matrix I/O."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,15 @@ def test_load_network_unknown_edge_id(tmp_path):
         load_network(tmp_path)
 
 
+def test_load_network_duplicate_edge_names_file_and_line(tmp_path):
+    (tmp_path / "segments.csv").write_text(
+        "id,length_m,lanes,capacity_vph,free_flow_mps,is_boundary\na,500,2,1800,10,0\nb,500,2,1800,10,0\n"
+    )
+    (tmp_path / "edges.csv").write_text("from_id,to_id\na,b\nb,a\na,b\n")
+    with pytest.raises(SchemaError, match=r"edges\.csv line 4: duplicate edge \('a', 'b'\)"):
+        load_network(tmp_path)
+
+
 def test_count_matrix_validation():
     with pytest.raises(SchemaError):
         CountMatrix(np.ones(5), 900, T0)  # not 2-D
@@ -209,6 +219,28 @@ def test_counts_nonuniform_bins_rejected(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("segment_id,2024-01-01T00:00:00,2024-01-01T00:15:00,2024-01-01T01:00:00\n0,1,2,3\n")
     with pytest.raises(SchemaError, match="non-uniform"):
+        load_counts(p)
+
+
+@pytest.mark.parametrize(
+    "stamps, message",
+    [
+        ("2024-01-01T00:15:00,2024-01-01T00:00:00", "column 3: bin width -900.0 s"),
+        ("2024-01-01T00:00:00,2024-01-01T00:00:00.500000", "column 3: bin width 0.5 s"),
+        ("2024-01-01T00:00:00,2024-01-01T00:15:00,2024-01-01T01:00:00", "column 4: non-uniform bin width"),
+    ],
+)
+def test_counts_header_errors_name_file_line_and_column(tmp_path, stamps, message):
+    p = tmp_path / "c.csv"
+    p.write_text(f"segment_id,{stamps}\n0" + ",1" * stamps.count(",") + ",1\n")
+    with pytest.raises(SchemaError, match=r"c\.csv line 1, " + re.escape(message)):
+        load_counts(p)
+
+
+def test_counts_unparsable_cell_names_file_line_and_column(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text("segment_id,2024-01-01T00:00:00,2024-01-01T00:15:00\n0,1,2\n1,3,abc\n")
+    with pytest.raises(SchemaError, match=r"c\.csv line 3, column 3: bad count 'abc'"):
         load_counts(p)
 
 

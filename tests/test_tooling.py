@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import subprocess
 import sys
@@ -28,6 +29,27 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_leaf_modules_do_not_load_the_stack():
+    # the network, simulator and observability modules stand alone; a
+    # package-level import that pulls in scipy, the autodiff tape or the
+    # pipeline would make every script that reads one network pay for all
+    code = (
+        "import sys, trafficfuse.network, trafficfuse.ctm, trafficfuse.observability\n"
+        "print(' '.join(m for m in ('scipy', 'trafficfuse.autodiff', 'trafficfuse.harness') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"loaded by the leaf modules: {proc.stdout.strip()}"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+def test_public_names_resolve(module):
+    mod = importlib.import_module(f"trafficfuse.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"trafficfuse.{module}.__all__ names that do not resolve: {missing}"
 
 
 def _load_benchmark_spans():
