@@ -1,11 +1,21 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
-A Tensor wraps an ndarray and records the operations applied to it;
-backward() walks the tape in reverse topological order and accumulates
-exact gradients into the leaves. Broadcasting follows numpy semantics
-with gradients summed back over broadcast axes. Everything stays in
-float64, which is what lets the gradient checks hold to 1e-4 relative
-against central finite differences.
+A Tensor wraps an ndarray; when a gradient flows to it, it also has a
+node on the tape. A node keeps only gradient routing: the adjoint
+received so far, its parent nodes and a backward closure. It never
+holds a value. Each closure captures at forward time exactly the arrays
+and shapes its backward pass reads, and only for the inputs that need a
+gradient: `+`, `reshape`, `swapaxes`, `sum` and indexing keep shapes or
+indices, `x * c` keeps c, `affine` keeps the weight for the input's
+gradient and the input for the weight's, and `layer_norm` and `softmax`
+keep what they compute (the normalized input, the output), never their
+input. So an activation that no backward pass reads is freed as soon as
+the forward code drops it. backward() walks the tape in reverse
+topological order and accumulates exact gradients into the leaves.
+Broadcasting follows numpy semantics with gradients summed back over
+broadcast axes. Everything stays in float64, which is what lets the
+gradient checks hold to 1e-4 relative against central finite
+differences.
 
 backward() frees the tape as it walks it: once an interior node has
 passed its gradient on, its gradient, parents and backward closure are
@@ -63,32 +73,73 @@ def _selects_once(idx) -> bool:
     return not arrays or (len(arrays) == 1 and np.unique(arrays[0]).size == arrays[0].size)
 
 
-class Tensor:
-    """Array node on the autodiff tape."""
+class _Node:
+    """A tensor's place on the tape: its adjoint so far, the nodes it was
+    computed from and the closure that passes its adjoint on to them."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "_parents", "_backward")
+
+    def __init__(self, parents=(), backward=None):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+    def _accumulate(self, g: np.ndarray):
+        if self.grad is None:
+            self.grad = np.asarray(g)
+        else:
+            self.grad = self.grad + g
+
+
+def _tape(*tensors) -> tuple:
+    """Each tensor's node, or None where no gradient flows to it (for
+    every tensor under no_grad). An op keeps the arrays an input's
+    gradient reads only when that input has a node."""
+    if not _GRAD_ENABLED:
+        return (None,) * len(tensors)
+    return tuple([None if t is None else t._node for t in tensors])
+
+
+def _result(data, nodes, backward) -> "Tensor":
+    """A new tensor holding data, on the tape if any input has a node.
+    A node repeated in nodes stays repeated, in order: the traversal in
+    backward() depends on it, and with it the order gradients are summed."""
+    out = Tensor(data)
+    parents = tuple([n for n in nodes if n is not None])
+    if parents:
+        out._node = _Node(parents, backward)
+    return out
+
+
+class Tensor:
+    """An array and, when a gradient flows to it, its node on the tape."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
-
-    # -- construction helpers -------------------------------------------------
+        self._node = _Node() if requires_grad else None
 
     @staticmethod
     def _lift(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    @staticmethod
-    def _node(data, parents, backward) -> "Tensor":
-        out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        return out
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    # the tape as seen from a tensor, for walking it from a loss
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
 
     @property
     def shape(self):
@@ -98,35 +149,30 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.asarray(g)
-        else:
-            self.grad = self.grad + g
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self, Tensor._lift(other)
+        b = Tensor._lift(other)
+        na, nb = _tape(self, b)
+        sa, sb = self.shape, b.shape
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
+            if na is not None:
+                na._accumulate(_unbroadcast(g, sa))
+            if nb is not None:
+                nb._accumulate(_unbroadcast(g, sb))
 
-        return Tensor._node(a.data + b.data, (a, b), backward)
+        return _result(self.data + b.data, (na, nb), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
+        (na,) = _tape(self)
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(-g)
+            na._accumulate(-g)
 
-        return Tensor._node(-a.data, (a,), backward)
+        return _result(-self.data, (na,), backward)
 
     def __sub__(self, other):
         return self + (-Tensor._lift(other))
@@ -135,97 +181,104 @@ class Tensor:
         return Tensor._lift(other) + (-self)
 
     def __mul__(self, other):
-        a, b = self, Tensor._lift(other)
+        b = Tensor._lift(other)
+        na, nb = _tape(self, b)
+        sa, sb = self.shape, b.shape
+        ad = self.data if nb is not None else None
+        bd = b.data if na is not None else None
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+            if na is not None:
+                na._accumulate(_unbroadcast(g * bd, sa))
+            if nb is not None:
+                nb._accumulate(_unbroadcast(g * ad, sb))
 
-        return Tensor._node(a.data * b.data, (a, b), backward)
+        return _result(self.data * b.data, (na, nb), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self, Tensor._lift(other)
+        b = Tensor._lift(other)
+        na, nb = _tape(self, b)
+        sa, sb = self.shape, b.shape
+        ad = self.data if nb is not None else None
+        bd = b.data
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            if na is not None:
+                na._accumulate(_unbroadcast(g / bd, sa))
+            if nb is not None:
+                nb._accumulate(_unbroadcast(-g * ad / (bd * bd), sb))
 
-        return Tensor._node(a.data / b.data, (a, b), backward)
+        return _result(self.data / b.data, (na, nb), backward)
 
     def __rtruediv__(self, other):
         return Tensor._lift(other) / self
 
     def __matmul__(self, other):
-        a, b = self, Tensor._lift(other)
+        b = Tensor._lift(other)
         if b.ndim == 2:
-            return affine(a, b)
+            return affine(self, b)
+        na, nb = _tape(self, b)
+        sa, sb = self.shape, b.shape
+        ad = self.data if nb is not None else None
+        bd = b.data if na is not None else None
 
         def backward(g):
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a._accumulate(_unbroadcast(ga, a.shape))
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b._accumulate(_unbroadcast(gb, b.shape))
+            if na is not None:
+                na._accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), sa))
+            if nb is not None:
+                nb._accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb))
 
-        return Tensor._node(a.data @ b.data, (a, b), backward)
+        return _result(self.data @ b.data, (na, nb), backward)
 
     # -- shape -------------------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        old = a.shape
+        (na,) = _tape(self)
+        old = self.shape
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.reshape(old))
+            na._accumulate(g.reshape(old))
 
-        return Tensor._node(a.data.reshape(shape), (a,), backward)
+        return _result(self.data.reshape(shape), (na,), backward)
 
     def swapaxes(self, i, j):
-        a = self
+        (na,) = _tape(self)
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(np.swapaxes(g, i, j))
+            na._accumulate(np.swapaxes(g, i, j))
 
-        return Tensor._node(np.swapaxes(a.data, i, j), (a,), backward)
+        return _result(np.swapaxes(self.data, i, j), (na,), backward)
 
     def __getitem__(self, idx):
-        a = self
+        (na,) = _tape(self)
+        shape = self.shape
 
         def backward(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                if _selects_once(idx):
-                    full[idx] = g
-                else:
-                    np.add.at(full, idx, g)
-                a._accumulate(full)
+            full = np.zeros(shape)
+            if _selects_once(idx):
+                full[idx] = g
+            else:
+                np.add.at(full, idx, g)
+            na._accumulate(full)
 
-        return Tensor._node(a.data[idx], (a,), backward)
+        return _result(self.data[idx], (na,), backward)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        a = self
+        (na,) = _tape(self)
+        shape = self.shape
 
         def backward(g):
-            if not a.requires_grad:
-                return
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape))
+            na._accumulate(np.broadcast_to(g, shape))
 
-        return Tensor._node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+        return _result(self.data.sum(axis=axis, keepdims=keepdims), (na,), backward)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -237,44 +290,40 @@ class Tensor:
     # -- elementwise nonlinearities ------------------------------------------
 
     def exp(self):
-        a = self
-        out_data = np.exp(a.data)
+        (na,) = _tape(self)
+        out_data = np.exp(self.data)
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * out_data)
+            na._accumulate(g * out_data)
 
-        return Tensor._node(out_data, (a,), backward)
+        return _result(out_data, (na,), backward)
 
     def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
+        (na,) = _tape(self)
+        out_data = np.sqrt(self.data)
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * 0.5 / out_data)
+            na._accumulate(g * 0.5 / out_data)
 
-        return Tensor._node(out_data, (a,), backward)
+        return _result(out_data, (na,), backward)
 
     def abs(self):
-        a = self
-        sign = np.sign(a.data)
+        (na,) = _tape(self)
+        sign = np.sign(self.data) if na is not None else None
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * sign)
+            na._accumulate(g * sign)
 
-        return Tensor._node(np.abs(a.data), (a,), backward)
+        return _result(np.abs(self.data), (na,), backward)
 
     def relu(self):
-        a = self
-        mask = a.data > 0
+        (na,) = _tape(self)
+        mask = self.data > 0
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * mask)
+            na._accumulate(g * mask)
 
-        return Tensor._node(a.data * mask, (a,), backward)
+        return _result(self.data * mask, (na,), backward)
 
     # -- autodiff driver ------------------------------------------------------
 
@@ -283,9 +332,12 @@ class Tensor:
         freeing the tape behind it."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
-        topo: list[Tensor] = []
+        root = self._node
+        if root is None:
+            return
+        topo: list[_Node] = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -296,12 +348,12 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         # pop rather than iterate, and cut each interior node loose once its
         # adjoint has been passed on: every consumer has already run, so
-        # nothing reads it again, and its activations can go
+        # nothing reads it again, and the arrays its closure kept can go
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -313,7 +365,8 @@ class Tensor:
             node._backward = None
 
     def zero_grad(self):
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def item(self) -> float:
         return float(self.data)
@@ -328,72 +381,87 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit, x * Phi(x)."""
-    a = x
+    (nx,) = _tape(x)
+    xd = x.data
     # phi = 0.5 * (1 + erf(x / sqrt 2)), in place: a fresh temporary per
     # step costs more than the arithmetic at these sizes
-    phi = a.data / _SQRT2
+    phi = xd / _SQRT2
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    out_data = a.data * phi
+    out_data = xd * phi
 
     def backward(g):
-        if a.requires_grad:
-            # g * (phi + x * exp(-x^2 / 2) / sqrt(2 pi))
-            d = -0.5 * a.data
-            d *= a.data
-            np.exp(d, out=d)
-            d *= _INV_SQRT_2PI
-            d *= a.data
-            d += phi
-            d *= g
-            a._accumulate(d)
+        # g * (phi + x * exp(-x^2 / 2) / sqrt(2 pi))
+        d = -0.5 * xd
+        d *= xd
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= xd
+        d += phi
+        d *= g
+        nx._accumulate(d)
 
-    return Tensor._node(out_data, (a,), backward)
+    return _result(out_data, (nx,), backward)
+
+
+def _max_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
+    """np.max(a, axis, keepdims=True) as in-place np.maximum passes over
+    the slices of a short axis: the same bits, NaN included, without the
+    reduction's per-row loop."""
+    a = np.moveaxis(a, axis, -1)
+    m = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j : j + 1], out=m)
+    return np.moveaxis(m, -1, axis)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax; the max shift cancels, so the gradient
     is exact."""
-    y = x.data - np.max(x.data, axis=axis, keepdims=True)
+    (nx,) = _tape(x)
+    y = x.data - _max_keepdims(x.data, axis)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if x.requires_grad:
-            # y * (g - sum(g * y))
-            gy = g * y
-            np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
-            gy *= y
-            x._accumulate(gy)
+        # y * (g - sum(g * y))
+        gy = g * y
+        np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
+        gy *= y
+        nx._accumulate(gy)
 
-    return Tensor._node(y, (x,), backward)
+    return _result(y, (nx,), backward)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w (+ b) for a 2-D w and a 1-D b, as one GEMM over the flattened
     leading axes of x; the weight gradient is one GEMM too."""
+    nx, nw, nb = _tape(x, w, b)
     k, n = w.shape
     x2 = x.data.reshape(-1, k)
     out = x2 @ w.data
     if b is not None:
         out += b.data
-    parents = (x, w) if b is None else (x, w, b)
+    x_shape = x.shape
+    wd = w.data if nx is not None else None
+    xk = x2 if nw is not None else None
 
     def backward(g):
         g2 = g.reshape(-1, n)
-        if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2)
-        if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+        if nx is not None:
+            nx._accumulate((g2 @ wd.T).reshape(x_shape))
+        if nw is not None:
+            nw._accumulate(xk.T @ g2)
+        if nb is not None:
+            nb._accumulate(g2.sum(axis=0))
 
-    return Tensor._node(out.reshape(x.shape[:-1] + (n,)), parents, backward)
+    return _result(out.reshape(x_shape[:-1] + (n,)), (nx, nw, nb), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
+    nx, ng, nb = _tape(x, gain, bias)
     inv_d = 1.0 / x.shape[-1]
     # C order, so a following affine flattens it without a copy
     xhat = np.subtract(x.data, x.data.sum(axis=-1, keepdims=True) * inv_d, order="C")
@@ -401,21 +469,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     xhat /= std
     out = xhat * gain.data
     out += bias.data
+    g_shape, b_shape = gain.shape, bias.shape
+    gd = gain.data if nx is not None else None
+    sd = std if nx is not None else None
+    xh = xhat if nx is not None or ng is not None else None
 
     def backward(g):
-        if x.requires_grad:
+        if nx is not None:
             # (gh - mean(gh) - xhat * mean(gh * xhat)) / std, gh = g * gain
-            gh = g * gain.data
-            t = gh * xhat
+            gh = g * gd
+            t = gh * xh
             m = t.mean(axis=-1, keepdims=True)
-            np.multiply(xhat, m, out=t)
+            np.multiply(xh, m, out=t)
             gh -= gh.mean(axis=-1, keepdims=True)
             gh -= t
-            gh /= std
-            x._accumulate(gh)
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
+            gh /= sd
+            nx._accumulate(gh)
+        if ng is not None:
+            ng._accumulate(_unbroadcast(g * xh, g_shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g, b_shape))
 
-    return Tensor._node(out, (x, gain, bias), backward)
+    return _result(out, (nx, ng, nb), backward)

@@ -150,14 +150,17 @@ def forward(
     d = cfg.embed_dim
     a_t = Tensor(a_hat)
 
-    h = affine(Tensor(bins), params["w_in"], params["b_in"])  # (U, N, d)
+    # one name for the running state: the tape keeps what backward reads,
+    # and an array left bound to a name of its own would outlive its use
+    z = affine(Tensor(bins), params["w_in"], params["b_in"])  # (U, N, d)
     for ell in range(cfg.spatial_layers):
-        msg = a_t @ h
-        pre = msg @ params[f"sp{ell}_w_n"] + h @ params[f"sp{ell}_w_s"] + h @ params[f"sp{ell}_w_r"]
-        h = gelu(layer_norm(pre, params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], cfg.ln_eps))
+        msg = a_t @ z
+        z = gelu(layer_norm(
+            msg @ params[f"sp{ell}_w_n"] + z @ params[f"sp{ell}_w_s"] + z @ params[f"sp{ell}_w_r"],
+            params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], cfg.ln_eps,
+        ))
 
-    h = h[windows]  # (B, H, N, d)
-    z = h.swapaxes(1, 2)  # (B, N, H, d)
+    z = z[windows].swapaxes(1, 2)  # (B, N, H, d)
     nh, dh = cfg.heads, d // cfg.heads
     inv_sqrt = 1.0 / np.sqrt(dh)
     for k in range(cfg.temporal_blocks):

@@ -1,6 +1,7 @@
 """Tape-based gradients verified against central finite differences."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,29 +14,33 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
+def central_differences(f, base, h=1e-6):
+    """Central-difference gradient of the scalar f(array) at base, flat."""
+    work = base.copy()
+    flat = work.reshape(-1)
+    num = np.zeros(flat.size)
+    for k in range(flat.size):
+        keep = flat[k]
+        flat[k] = keep + h
+        fp = f(work)
+        flat[k] = keep - h
+        fm = f(work)
+        flat[k] = keep
+        num[k] = (fp - fm) / (2.0 * h)
+    return num
+
+
 def gradcheck(fn, *arrays, h=1e-6, tol=1e-6):
     """Compare tape gradients of a scalar-valued fn against central FD."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = fn(*leaves)
     out.backward()
-    for leaf, base in zip(leaves, arrays):
-        work = base.copy()
-        flat = work.reshape(-1)
-        num = np.zeros(flat.size)
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + h
-            fp = fn(*[Tensor(w if w is not work else work) for w in _swap(arrays, base, work)]).item()
-            flat[k] = keep - h
-            fm = fn(*[Tensor(w if w is not work else work) for w in _swap(arrays, base, work)]).item()
-            flat[k] = keep
-            num[k] = (fp - fm) / (2.0 * h)
+    for i, leaf in enumerate(leaves):
+        num = central_differences(
+            lambda work: fn(*[Tensor(work if j == i else a) for j, a in enumerate(arrays)]).item(), arrays[i], h
+        )
         err = rel_err(leaf.grad.reshape(-1), num)
         assert err < tol, f"gradient mismatch {err}"
-
-
-def _swap(arrays, target, replacement):
-    return [replacement if a is target else a for a in arrays]
 
 
 RNG = np.random.default_rng(11)
@@ -131,6 +136,71 @@ def test_softmax_rows_sum_to_one():
     s = softmax(a).data
     assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
     assert (s >= 0).all()
+
+
+def _softmax_by_reduction(x, axis):
+    y = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+@pytest.mark.parametrize("axis", [-1, 1])
+def test_softmax_max_shift_matches_the_reduction_bit_for_bit(axis):
+    x = RNG.normal(size=(6, 5, 7)) * 1e300  # large magnitudes
+    x[0, 0] = -np.inf  # a whole row of -inf
+    x[1, 1, 2] = -np.inf
+    x[2, 2, 3] = np.inf
+    x[3, 3, 4] = np.nan
+    x[4, :, 0] = np.nan
+    x[5, 0, :2] = [-0.0, 0.0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = softmax(Tensor(x), axis=axis).data
+        want = _softmax_by_reduction(x, axis)
+    assert np.isnan(got).any() and np.isfinite(got).any()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _weighted_sum(t):
+    """A scalar whose gradient differs in every entry of t."""
+    return (t * np.cos(np.arange(t.data.size)).reshape(t.shape)).sum()
+
+
+_ROWS = np.linspace(0.5, 1.5, 4)
+
+# ops whose backward reads no value of x, only shapes, indices or constants
+_KEEPS_NO_INPUT = {
+    "add": lambda x: _weighted_sum(x + Tensor(np.ones(4), requires_grad=True)),
+    "sub": lambda x: _weighted_sum(x - 1.0),
+    "rsub": lambda x: _weighted_sum(1.0 - x),
+    "mul_constant": lambda x: _weighted_sum(x * 3.0),
+    "reshape": lambda x: _weighted_sum(x.reshape(6, 4)),
+    "swapaxes": lambda x: _weighted_sum(x.swapaxes(0, 2)),
+    "getitem_slice": lambda x: _weighted_sum(x[1:, ::2]),
+    "getitem_array": lambda x: _weighted_sum(x[:, np.array([2, 0, 2])]),
+    "sum": lambda x: _weighted_sum(x.sum(axis=1)),
+    "mean": lambda x: _weighted_sum(x.mean(axis=-1)),
+    "layer_norm": lambda x: _weighted_sum(
+        layer_norm(x, Tensor(_ROWS, requires_grad=True), Tensor(-_ROWS, requires_grad=True), 1e-5)
+    ),
+    "softmax": lambda x: _weighted_sum(softmax(x)),
+    "constant_left_matmul": lambda x: _weighted_sum(Tensor(np.outer(_ROWS[:3], _ROWS[1:])) @ x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEEPS_NO_INPUT))
+def test_tape_does_not_keep_an_input_its_backward_does_not_read(name):
+    op = _KEEPS_NO_INPUT[name]
+    a = RNG.normal(size=(2, 3, 4))
+    leaf = Tensor(a.copy(), requires_grad=True)
+    x = leaf * 2.0
+    alive = weakref.ref(x.data)
+    loss = op(x)
+    del x
+    assert alive() is None, f"{name} keeps its input on the tape"
+    loss.backward()
+    num = central_differences(lambda w: op(Tensor(w) * 2.0).item(), a)
+    assert rel_err(leaf.grad.reshape(-1), num) < 1e-6
 
 
 def test_diamond_reuse_accumulates():
