@@ -14,7 +14,7 @@ def main():
     print(f"{cfg.twin} twin, {cfg.days} assimilated days + {cfg.forecast_days} forecast days")
     print(f"{'camera':>8} {'mae raw':>9} {'mae cal':>9} {'r2':>6} {'r':>6}")
     for loc, m in sorted(res.report.per_location.items()):
-        u = res.uncalibrated.per_location[loc]
+        u = res.uncal_report.per_location[loc]
         print(f"{loc:>8} {u.mae:>9.1f} {m.mae:>9.1f} {m.r2:>6.3f} {m.r:>6.3f}")
     d = res.diagnostics
     print(f"pooled r2 {res.report.pooled_r2:.3f}, coverage {res.report.coverage:.3f}, "

@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="experiment JSON (defaults when omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="artifact directory (default: out)")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
@@ -63,12 +63,6 @@ def _configure(args) -> ExperimentConfig:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
-
-
-def _outdir(args, cfg: ExperimentConfig) -> str:
-    out = args.out or cfg.out_dir or "out"
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _cmd_simulate(pipe: Pipeline, out: str) -> str:
@@ -143,11 +137,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     _keep_freed_memory()
     args = build_parser().parse_args(argv)
-    cfg = _configure(args)
-    out = _outdir(args, cfg)
-    pipe = Pipeline(cfg)
-    line = _COMMANDS[args.command](pipe, out)
-    print(line)
+    pipe = Pipeline(_configure(args))
+    os.makedirs(args.out, exist_ok=True)
+    print(_COMMANDS[args.command](pipe, args.out))
     return 0
 
 

@@ -52,20 +52,27 @@ def regime_index(b):
 
 @dataclass(frozen=True)
 class FilterConfig:
-    n_members: int = 64
-    sigma_0: float = 0.05  # log-space noise floor
+    """Ensemble size, noise levels and the Ornstein-Uhlenbeck reversion rates.
+
+    The reversion timescales sit far above one day, so the hour-of-day
+    globals can hold a persistent diurnal penetration pattern instead of
+    bleeding it back to zero between revisits of the same hour bucket.
+    """
+
+    n_members: int = 128
+    sigma_0: float = 0.25  # log-space noise floor
     sigma_y: float = 5.0  # camera count noise, vehicles
     eps: float = 1.0
-    lambda_base: float = 0.02
-    lambda_glob: float = 0.2
+    lambda_base: float = 1e-4
+    lambda_glob: float = 3e-4
     q_base: float = 1e-4
-    q_hour: float = 1e-5
+    q_hour: float = 1e-4
     q_day: float = 1e-5
     q_regime: float = 1e-5
-    global_gain_scale: float = 0.1
+    global_gain_scale: float = 0.6
     max_global_obs: int = 4
     init_base_sd: float = 0.25
-    init_glob_sd: float = 0.05
+    init_glob_sd: float = 0.1
 
     def __post_init__(self):
         if self.n_members < 2:

@@ -27,7 +27,7 @@ from scipy.special import ndtri
 
 from . import ensrf
 from .ctm import FdArrays, FdParams, TurnRatios, default_fd_params, simulate
-from .features import build_tensor
+from .features import FEATURE_NAMES, build_tensor
 from .model import ModelConfig, normalized_adjacency
 from .network import (
     CountMatrix,
@@ -330,6 +330,12 @@ def chain_network(n: int = 4, length: float = 500.0, capacity: float = 2400.0, v
     return net, TurnRatios.uniform(net), [0]
 
 
+GRID_CAMERAS = {"calibration": (2, 14, 23, 36, 48), "validation": (5, 16, 27, 37)}
+CHAIN_CAMERAS = {"calibration": (1,), "validation": (3,)}
+# twin name -> (network builder, default camera layout)
+TWINS = {"grid": (grid_network, GRID_CAMERAS), "chain": (chain_network, CHAIN_CAMERAS)}
+
+
 def _daily_weight(hour_frac: np.ndarray) -> np.ndarray:
     """Two-peak weekday demand shape, normalized to max 1."""
 
@@ -366,27 +372,14 @@ def demand_profile(
 # -- experiment config -------------------------------------------------------
 
 
-def _default_model() -> ModelConfig:
-    return ModelConfig(
-        n_features=22, embed_dim=24, spatial_layers=2, temporal_blocks=1,
-        heads=4, history=6, horizon=2, ffn_width=48,
-    )
-
-
-def _default_filter() -> ensrf.FilterConfig:
-    # Reversion timescales sit far above one day so the hour-of-day globals
-    # can hold a persistent diurnal penetration pattern instead of bleeding
-    # it back to zero between revisits of the same hour bucket.
-    return ensrf.FilterConfig(
-        n_members=128, sigma_0=0.25, sigma_y=5.0, lambda_base=1e-4,
-        lambda_glob=3e-4, q_base=1e-4, q_hour=1e-4, q_day=1e-5, q_regime=1e-5,
-        global_gain_scale=0.6, init_base_sd=0.25, init_glob_sd=0.1,
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One JSON-serializable document describing a full experiment."""
+    """One JSON-serializable document describing a full experiment.
+
+    twin names a built-in network; a network of one's own needs twin None
+    and network_path. The model and filter take their field defaults from
+    ModelConfig and FilterConfig.
+    """
 
     twin: str | None = "grid"
     network_path: str | None = None
@@ -400,23 +393,29 @@ class ExperimentConfig:
     penetration_day_weekend: float = 0.85
     cameras_calibration: tuple = ()
     cameras_validation: tuple = ()
-    model: ModelConfig = field(default_factory=_default_model)
+    model: ModelConfig = field(default_factory=ModelConfig)
     train_steps: int = 400
     train_batch: int = 8
     train_lr: float = 1e-3
     train_days: int | None = None  # defaults to ~70% of days
-    filter: ensrf.FilterConfig = field(default_factory=_default_filter)
+    filter: ensrf.FilterConfig = field(default_factory=ensrf.FilterConfig)
     gamma_pd: float = 0.8
     diffusion_s: float = 0.1
     confidence_decay: float = 0.999
     interval: float = 0.95
     burn_days: int = 1
     seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self):
-        if self.twin is None and self.network_path is None:
-            raise ValueError("config needs a twin name or a network path")
+        if self.twin is None:
+            if self.network_path is None:
+                raise ValueError("config needs a twin name or a network path")
+        elif self.twin not in TWINS:
+            raise ValueError(f"unknown twin {self.twin!r}: choose {', '.join(map(repr, TWINS))} or null")
+        elif self.network_path is not None:
+            raise ValueError(f"network_path needs twin null; twin {self.twin!r} would ignore it")
+        if self.model.n_features != len(FEATURE_NAMES):
+            raise ValueError(f"model.n_features {self.model.n_features} must be {len(FEATURE_NAMES)}, the feature count")
         overlap = set(self.cameras_calibration) & set(self.cameras_validation)
         if overlap:
             raise ValueError(f"calibration and validation cameras overlap: {sorted(overlap)}")
@@ -436,8 +435,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = {}
         for f in fields(self):
-            if f.name == "out_dir":  # the run's placement, not the experiment
-                continue
             value = getattr(self, f.name)
             if is_dataclass(value):
                 value = {k.name: getattr(value, k.name) for k in fields(value)}
@@ -449,7 +446,6 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = config_kwargs(d, cls, "experiment")
-        d.pop("out_dir", None)
         if "model" in d:
             d["model"] = ModelConfig.from_dict(d["model"])
         if "filter" in d:
@@ -463,10 +459,6 @@ class ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         return ExperimentConfig.from_dict(json.load(fh))
-
-
-GRID_CAMERAS = {"calibration": (2, 14, 23, 36, 48), "validation": (5, 16, 27, 37)}
-CHAIN_CAMERAS = {"calibration": (1,), "validation": (3,)}
 
 
 # -- pipeline ----------------------------------------------------------------
@@ -509,18 +501,6 @@ def _once(name: str):
     return wrap
 
 
-@dataclass
-class PipelineResult:
-    config: ExperimentConfig
-    report: MetricsReport
-    uncalibrated: MetricsReport
-    diagnostics: dict
-    calibrated: CountMatrix
-    truth: CountMatrix
-    intervals: tuple  # (lo, hi) arrays aligned with calibrated
-    artifacts: dict
-
-
 class Pipeline:
     """Stage-by-stage pipeline; each stage caches its output on self.
 
@@ -538,19 +518,14 @@ class Pipeline:
     @_once("build")
     def build(self):
         cfg = self.cfg
-        if cfg.twin == "grid":
-            self.net, self.beta, self.sources = grid_network()
-            cameras = GRID_CAMERAS
-        elif cfg.twin == "chain":
-            self.net, self.beta, self.sources = chain_network()
-            cameras = CHAIN_CAMERAS
-        elif cfg.twin is None:
+        if cfg.twin is None:
             self.net = load_network(cfg.network_path)
             self.beta = TurnRatios.uniform(self.net)
             self.sources = [i for i in boundary_segments(self.net) if not self.net.upstream[i]]
             cameras = {"calibration": (), "validation": ()}
         else:
-            raise ValueError(f"unknown twin {cfg.twin!r}")
+            make, cameras = TWINS[cfg.twin]
+            self.net, self.beta, self.sources = make()
         self.calibration = tuple(cfg.cameras_calibration) or cameras["calibration"]
         self.validation = tuple(cfg.cameras_validation) or cameras["validation"]
         overlap = set(self.calibration) & set(self.validation)
@@ -617,17 +592,13 @@ class Pipeline:
         cfg = self.cfg
         h = cfg.model.history
         anchors = np.arange(h - 1, self.truth.n_bins - 1)
-        raw, sigma = predict(
+        raw, _ = predict(
             self.trained.params, cfg.model, self.a_hat, self.tensor,
             self.probe.values, anchors,
         )
-        t = self.truth.n_bins
-        n = self.net.n_segments
         # q_hat[:, b] is the one-step-ahead probe-scale estimate of bin b
-        self.q_hat = np.full((n, t), np.nan)
+        self.q_hat = np.full((self.net.n_segments, self.truth.n_bins), np.nan)
         self.q_hat[:, anchors + 1] = np.maximum(raw[:, :, 0], 0.0).T
-        self.sigma_hat = np.full((n, t), np.nan)
-        self.sigma_hat[:, anchors + 1] = sigma[:, :, 0].T
         self.first_bin = h  # earliest bin with an estimate
 
     @_once("transition")
@@ -858,18 +829,9 @@ class Pipeline:
         }
 
 
-def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> PipelineResult:
-    """Run every stage and write the artifact set when a directory is given."""
+def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Pipeline:
+    """Run every stage, write the artifact set when a directory is given, and return the pipeline."""
     pipe = Pipeline(config).metrics()
-    target = out_dir or config.out_dir
-    artifacts = pipe.write_artifacts(target) if target else {}
-    return PipelineResult(
-        config=config,
-        report=pipe.report,
-        uncalibrated=pipe.uncal_report,
-        diagnostics=pipe.diagnostics,
-        calibrated=pipe.calibrated,
-        truth=pipe.truth,
-        intervals=pipe.intervals,
-        artifacts=artifacts,
-    )
+    if out_dir:
+        pipe.write_artifacts(out_dir)
+    return pipe

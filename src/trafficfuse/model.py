@@ -33,13 +33,13 @@ class ModelConfig:
     """
 
     n_features: int = 22
-    embed_dim: int = 32
+    embed_dim: int = 24
     spatial_layers: int = 2
-    temporal_blocks: int = 2
+    temporal_blocks: int = 1
     heads: int = 4
-    history: int = 8
-    horizon: int = 4
-    ffn_width: int = 64
+    history: int = 6
+    horizon: int = 2
+    ffn_width: int = 48
     ln_eps: float = 1e-5
     lambda_mae: float = 1.0
     lambda_nll: float = 1.0

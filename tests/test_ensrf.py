@@ -141,7 +141,7 @@ def test_forecast_consumes_diffused_base():
     flows[0, 1] = 1.0
     t = build_transition(flows, gamma_pd=0.8, s=0.5)
     cfg = FilterConfig(n_members=2, q_base=0.0, q_hour=0.0, q_day=0.0, q_regime=0.0,
-                       lambda_base=0.01)
+                       lambda_base=0.01, lambda_glob=0.2)
     ens = _bare_ensemble(np.array([[1.0, 0.0], [1.0, 0.0]]))
     out = forecast_step(ens, cfg, substream(0, "d"), beta_star=0.0, transition=t)
     # diffusion moves both segments toward each other before the OU pull
@@ -279,7 +279,7 @@ def test_init_ensemble_centering():
 
 
 def test_ou_stationary_variance():
-    cfg = FilterConfig(n_members=4000, lambda_base=0.1, q_base=1e-3,
+    cfg = FilterConfig(n_members=4000, lambda_base=0.1, lambda_glob=0.2, q_base=1e-3,
                        q_hour=0.0, q_day=0.0, q_regime=0.0)
     rng = substream(1, "ou")
     ens = _bare_ensemble(np.zeros((4000, 1)))
@@ -312,7 +312,7 @@ def test_matches_exact_kalman_filter_1d():
     m = 10_000
     lam, q, r = 0.05, 4e-4, 0.01
     cfg = FilterConfig(
-        n_members=m, sigma_0=math.sqrt(r), sigma_y=0.0, lambda_base=lam,
+        n_members=m, sigma_0=math.sqrt(r), sigma_y=0.0, lambda_base=lam, lambda_glob=0.2,
         q_base=q, q_hour=0.0, q_day=0.0, q_regime=0.0,
         init_base_sd=0.3, init_glob_sd=0.0, max_global_obs=0,
     )

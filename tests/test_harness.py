@@ -4,6 +4,7 @@ import ctypes
 import datetime as dt
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,13 +357,8 @@ def small_config(**kw):
         n_features=22, embed_dim=8, spatial_layers=1, temporal_blocks=1,
         heads=2, history=4, horizon=1, ffn_width=16,
     )
-    filt = ensrf.FilterConfig(
-        n_members=16, sigma_0=0.25, sigma_y=5.0, lambda_base=1e-4,
-        lambda_glob=3e-4, q_base=1e-4, q_hour=1e-4, q_day=1e-5, q_regime=1e-5,
-        global_gain_scale=0.6, init_base_sd=0.25, init_glob_sd=0.1,
-    )
     base = dict(
-        twin="chain", days=2, demand_peak=400.0, model=model, filter=filt,
+        twin="chain", days=2, demand_peak=400.0, model=model, filter=ensrf.FilterConfig(n_members=16),
         train_steps=40, train_batch=4, seed=11,
     )
     base.update(kw)
@@ -386,6 +382,8 @@ class TestExperimentConfig:
             ({"twin": "chain", "dayz": 3}, "experiment", "dayz"),
             ({"twin": "chain", "model": {"embed_dimm": 8}}, "model", "embed_dimm"),
             ({"twin": "chain", "filter": {"n_member": 8}}, "filter", "n_member"),
+            # the output directory is the run's placement (--out), not the experiment
+            ({"twin": "chain", "out_dir": "results"}, "experiment", "out_dir"),
         ],
     )
     def test_load_config_rejects_unknown_keys(self, tmp_path, doc, where, key):
@@ -394,10 +392,30 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"unknown {where} config keys: {key}"):
             load_config(str(path))
 
-    def test_out_dir_is_not_part_of_the_experiment(self, tmp_path):
-        with_dir = small_config(out_dir=str(tmp_path))
-        assert "out_dir" not in with_dir.to_dict()
-        assert ExperimentConfig.from_dict(with_dir.to_dict()).out_dir is None
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [("model", "history", 6), ("model", "embed_dim", 48), ("filter", "n_members", 128), ("filter", "lambda_glob", 6e-4)],
+    )
+    def test_partial_section_takes_the_defaults(self, section, name, value):
+        # a section that names one field leaves every other field at the
+        # default, as an absent section does
+        got = getattr(ExperimentConfig.from_dict({section: {name: value}}), section)
+        assert got == replace(getattr(ExperimentConfig(), section), **{name: value})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # twin defaults to "grid", which would run in place of the network
+            ({"network_path": "networks/city"}, "^network_path needs twin null; twin 'grid'"),
+            ({"twin": "grdi"}, "^unknown twin 'grdi'"),
+            # a standalone ModelConfig may take any width; the pipeline builds 22 features
+            ({"model": {"n_features": 21}}, "^model.n_features 21 must be 22"),
+        ],
+        ids=["network_path_with_twin", "unknown_twin", "n_features"],
+    )
+    def test_rejected_at_construction(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(doc)
 
     def test_camera_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -450,11 +468,6 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="^build:") as err:
             Pipeline(cfg).build()
         assert err.value.stage == "build"
-
-    def test_unknown_twin_rejected(self):
-        cfg = small_config(twin="moebius")
-        with pytest.raises(PipelineError, match="unknown twin"):
-            Pipeline(cfg).build()
 
     def test_validation_cameras_never_enter_assimilation(self):
         pipe = Pipeline(small_config()).transition()
@@ -568,7 +581,7 @@ class TestPipeline:
         assert result.diagnostics["alpha_star"] > 5.0
         assert result.diagnostics["improvement_mae"] > 0.4
         cal = result.report.per_location[3]
-        unc = result.uncalibrated.per_location[3]
+        unc = result.uncal_report.per_location[3]
         assert cal.mae < unc.mae
 
     def test_intervals_align_with_calibrated(self, chain_run):
@@ -579,8 +592,10 @@ class TestPipeline:
         assert both.any()
         assert np.all(lo[both] <= hi[both])
 
-    def test_artifact_files_exist(self, chain_run):
+    def test_artifact_files_exist(self, chain_run, tmp_path):
         result, out = chain_run
+        # a finished pipeline writes the same files again without rerunning a stage
+        paths = result.write_artifacts(str(tmp_path))
         names = {
             "metrics": "metrics.json",
             "calibrated_counts": "calibrated_counts.csv",
@@ -592,8 +607,10 @@ class TestPipeline:
             "checkpoint": "model.npz",
         }
         for key, name in names.items():
-            assert result.artifacts[key] == str(out / name)
-            assert os.path.getsize(result.artifacts[key]) > 0
+            assert paths[key] == str(tmp_path / name)
+            assert os.path.getsize(out / name) > 0
+            if name != "model.npz":  # zip entries carry a timestamp
+                assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
         assert os.path.exists(out / "observability_conf.csv")
 
     def test_metrics_json_records_seed_and_config(self, chain_run):

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,11 +14,12 @@ import pytest
 
 import trafficfuse
 from trafficfuse.ensrf import FilterConfig
-from trafficfuse.harness import ExperimentConfig, Pipeline
+from trafficfuse.harness import ExperimentConfig, Pipeline, load_config
 from trafficfuse.model import ModelConfig
 
 PACKAGE = pathlib.Path(trafficfuse.__file__).parent
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def test_package_has_no_assert_statements():
@@ -55,7 +57,7 @@ def test_public_names_resolve(module):
 def _load_benchmark_spans():
     # loaded by path and only read: the benchmark's files are not part of
     # the package, and the test must not change them
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("benchmark_spans", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -103,6 +105,18 @@ def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch, tmp_path):
     inside = Counter(span["name"] for span in rec.spans if span["parent"] == analyses[0])
     for name in ("observability.rank", "observability.linearize", "observability.spectral_radius"):
         assert inside[name] == 2, inside  # one per regime
+
+
+def test_readme_configs_load(tmp_path):
+    # every config README shows must load, so the documented schema cannot drift
+    blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    configs = []
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"readme_{k}.json"
+        path.write_text(block)
+        configs.append(load_config(str(path)))
+    assert configs, "no JSON config block in README.md"
+    assert configs[0] == ExperimentConfig(days=14, forecast_days=7, train_steps=800, seed=0)
 
 
 def test_demo_imports_resolve():
