@@ -1,11 +1,11 @@
-"""Turn trajectory moves into a flow kernel, then score camera placements."""
+"""Turn per-edge probe move counts into a flow kernel, then score camera placements."""
 
 import datetime as dt
 
 import numpy as np
 
 from trafficfuse.ctm import default_fd_params, simulate
-from trafficfuse.harness import GRID_CAMERAS, demand_profile, grid_network, link_flow_stats
+from trafficfuse.harness import GRID_CAMERAS, demand_profile, grid_network
 from trafficfuse.network import CountMatrix
 from trafficfuse.observability import analyze
 from trafficfuse.propagation import build_transition, diffuse, localization_vectors
@@ -20,14 +20,13 @@ def main():
     sim = simulate(net, fd, beta, demand_profile(net, shell, sources, 700.0), 900, start)
 
     # pretend only a 10% probe fleet reports its edge moves
-    rng = substream(42, "trajectories")
     totals = sim.link_flows.sum(axis=1)
-    records = [(i, j, float(rng.binomial(int(round(t)), 0.1)))
-               for (i, j), t in zip(net.edges, totals)]
-    flows = link_flow_stats(records, net)
-    print(f"{len(records)} edge records, {flows.sum():.0f} observed moves")
+    moves = substream(42, "trajectories").binomial(np.rint(totals).astype(np.int64), 0.1)
+    flows = np.zeros((net.n_segments, net.n_segments))
+    flows[beta.edge_from, beta.edge_to] = moves
+    print(f"{len(moves)} edges, {flows.sum():.0f} observed moves")
 
-    trans = build_transition(flows, net=net, gamma_pd=0.8, s=0.1)
+    trans = build_transition(flows, gamma_pd=0.8, s=0.1)
     moving = trans.p.sum(axis=1) > 0
     print(f"row-stochastic on {moving.sum()} of {net.n_segments} segments; "
           f"diffusion row sums max deviation "
@@ -40,7 +39,8 @@ def main():
     order = np.argsort(vec)[::-1]
     near = ", ".join(f"{i}:{vec[i]:.2f}" for i in order[:5])
     print(f"camera {cam} influence (top 5): {near}")
-    far = [i for i in range(net.n_segments) if all(v[i] == 0.0 for v in loc.values())]
+    reached = np.vstack([np.zeros(net.n_segments), *loc.values()]).any(axis=0)
+    far = np.flatnonzero(~reached).tolist()
     print(f"{len(far)} segments outside every camera footprint: {far}")
 
     # a constant field is a fixed point of the diffusion; a spike spreads

@@ -58,7 +58,6 @@ __all__ = [
     "LocationMetrics",
     "MetricsReport",
     "evaluate",
-    "link_flow_stats",
     "grid_network",
     "chain_network",
     "demand_profile",
@@ -245,19 +244,6 @@ def evaluate(estimate, truth, locations, lo=None, hi=None) -> MetricsReport:
     return MetricsReport(per, pooled, coverage, n_points, tuple(notes))
 
 
-def link_flow_stats(transitions, net: RoadNetwork) -> np.ndarray:
-    """Accumulate (i, j, count) trajectory transitions into a flow matrix."""
-    edges = set(net.edges)
-    q = np.zeros((net.n_segments, net.n_segments))
-    for k, (i, j, count) in enumerate(transitions):
-        if (int(i), int(j)) not in edges:
-            raise ValueError(f"record {k}: ({i}, {j}) is not a network edge")
-        if count < 0:
-            raise ValueError(f"record {k}: negative transition count")
-        q[int(i), int(j)] += count
-    return q
-
-
 # -- synthetic twins ---------------------------------------------------------
 
 GRID_CONNECTOR_COLS = (0, 3, 6)
@@ -425,8 +411,13 @@ class ExperimentConfig:
             raise ValueError(f"burn_days {self.burn_days} must lie in [0, days={self.days})")
         if self.train_days is not None and not 1 <= self.train_days <= self.days:
             raise ValueError(f"train_days {self.train_days} must lie in [1, days={self.days}]")
-        if self.train_steps < 1:
-            raise ValueError(f"train_steps {self.train_steps} must be >= 1")
+        for name in ("train_steps", "train_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
+        if not self.train_lr > 0:
+            raise ValueError(f"train_lr {self.train_lr} must be positive")
+        if not 0 <= self.confidence_decay <= 1:
+            raise ValueError(f"confidence_decay {self.confidence_decay} must lie in [0, 1]")
         if not 0 < self.interval < 1:
             raise ValueError("interval must lie in (0, 1)")
         if self.bin_seconds <= 0 or 86400 % self.bin_seconds:
@@ -452,7 +443,7 @@ class ExperimentConfig:
             d["filter"] = ensrf.FilterConfig(**config_kwargs(d["filter"], ensrf.FilterConfig, "filter"))
         for key in ("cameras_calibration", "cameras_validation"):
             if key in d:
-                d[key] = tuple(int(i) for i in d[key])
+                d[key] = tuple(d[key])
         return cls(**d)
 
 
@@ -605,20 +596,18 @@ class Pipeline:
     def transition(self):
         self.simulate()
         cfg = self.cfg
+        # the probe fleet reports a binomial share of each edge's simulated moves
         totals = self.sim.link_flows.sum(axis=1)
-        rng = substream(cfg.seed, "transitions")
-        records = [
-            (i, j, float(rng.binomial(int(round(tot)), cfg.penetration_base)))
-            for (i, j), tot in zip(self.net.edges, totals)
-        ]
-        flows = link_flow_stats(records, self.net)
-        self.trans = build_transition(flows, net=self.net, gamma_pd=cfg.gamma_pd, s=cfg.diffusion_s)
+        moves = substream(cfg.seed, "transitions").binomial(np.rint(totals).astype(np.int64), cfg.penetration_base)
+        n = self.net.n_segments
+        flows = np.zeros((n, n))
+        flows[self.beta.edge_from, self.beta.edge_to] = moves
+        self.trans = build_transition(flows, gamma_pd=cfg.gamma_pd, s=cfg.diffusion_s)
         self.localization = localization_vectors(self.trans, self.calibration)
-        far = []
-        for i in range(self.net.n_segments):
-            if all(vec[i] == 0.0 for vec in self.localization.values()):
-                far.append(i)
-        self.far_segments = far
+        # a segment no camera's localization vector reaches is far; the zero
+        # row keeps the mask's shape when there are no cameras
+        self.reached = np.vstack([np.zeros(n), *self.localization.values()]).any(axis=0)
+        self.far_segments = np.flatnonzero(~self.reached).tolist()
 
     @_once("calibrate")
     def calibrate(self):
@@ -796,13 +785,12 @@ class Pipeline:
             with open(paths["calibration_field"], "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["segment_id", "alpha", "delta", "localized"])
-                for i in range(self.net.n_segments):
-                    w.writerow([
-                        self.net.external_ids[i],
-                        repr(float(final[i])),
-                        repr(float(self.delta[i])),
-                        int(i not in self.far_segments),
-                    ])
+                w.writerows(zip(
+                    self.net.external_ids,
+                    map(repr, final.tolist()),
+                    map(repr, self.delta.tolist()),
+                    self.reached.astype(int).tolist(),
+                ))
             export_transition(self.trans, self.net, paths["transition"])
             export_localization(self.localization, self.net, paths["localization"])
         return paths

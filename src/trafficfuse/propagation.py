@@ -68,29 +68,21 @@ def _effective_rows(w: np.ndarray) -> np.ndarray:
     W rows can sum past 1 after symmetrization; such rows are scaled down
     so the invariant (row sum exactly 1, diagonal >= 0) always holds.
     """
-    n = w.shape[0]
     out = np.array(w, dtype=float)
     np.fill_diagonal(out, 0.0)
-    for i in range(n):
-        row = out[i]
-        total = row.sum()
-        if total > 1.0:
-            row /= total
-            total = row.sum()
-            if total > 1.0:
-                # float residue from the division; shave the largest entry
-                row[np.argmax(row)] -= total - 1.0
-                total = 1.0
-        row[i] = max(0.0, 1.0 - total)
+    total = out.sum(axis=1)
+    big = total > 1.0
+    out[big] /= total[big, None]
+    total[big] = out[big].sum(axis=1)
+    # float residue from the division; shave each such row's largest entry
+    over = np.flatnonzero(total > 1.0)
+    out[over, out[over].argmax(axis=1)] -= total[over] - 1.0
+    total[over] = 1.0
+    np.fill_diagonal(out, np.where(total < 1.0, 1.0 - total, 0.0))
     return out
 
 
-def build_transition(
-    link_flows: np.ndarray,
-    net: RoadNetwork | None = None,
-    gamma_pd: float = 0.8,
-    s: float = 0.1,
-) -> TransitionMatrix:
+def build_transition(link_flows: np.ndarray, gamma_pd: float = 0.8, s: float = 0.1) -> TransitionMatrix:
     """Turn aggregated directed trajectory counts into the kernel family.
 
     link_flows[i, j] counts observed moves from segment i to j; rows with
@@ -106,13 +98,6 @@ def build_transition(
         raise ValueError("gamma_pd must lie in (0, 1)")
     if not 0.0 <= s < 1.0:
         raise ValueError("smoothing coefficient must lie in [0, 1)")
-    if net is not None:
-        if q.shape[0] != len(net.segments):
-            raise ValueError("link flows do not match the network size")
-        allowed = set(net.edges)
-        for i, j in np.argwhere(q > 0):
-            if (int(i), int(j)) not in allowed:
-                raise ValueError(f"trajectory flow on missing edge ({i}, {j})")
     totals = q.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(totals > 0, q / totals, 0.0)

@@ -22,17 +22,35 @@ def substream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), zlib.crc32(label.encode())]))
 
 
+# the JSON values each field annotation takes; any other annotation names a
+# nested config, which takes an object
+_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+          "str": ((str,), "a string"), "tuple": ((list, tuple), "a list of integers")}
+
+
+def _is(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def config_kwargs(d: dict, cls, where: str, retired=()) -> dict:
     """The entries of d that name fields of dataclass cls.
 
     Any other key is a typo or a stale option, so it raises ValueError,
-    except the retired keys, which older documents may still carry.
+    except the retired keys, which older documents may still carry. So
+    does a value of the wrong JSON type, such as 900.0 or true for an int.
     """
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(d) - names - set(retired))
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(d) - set(known) - set(retired))
     if unknown:
         raise ValueError(f"unknown {where} config keys: {', '.join(unknown)}")
-    return {k: v for k, v in d.items() if k in names}
+    d = {k: v for k, v in d.items() if k in known}
+    for k, v in d.items():
+        kind, _, optional = known[k].type.partition(" | ")
+        types, wanted = _KINDS.get(kind, ((dict,), "an object"))
+        ok = v is None and optional == "None" or _is(v, types) and (kind != "tuple" or all(_is(i, int) for i in v))
+        if not ok:
+            raise ValueError(f"{where} config key {k} must be {wanted}{' or null' * (optional == 'None')}, not {v!r}")
+    return d
 
 
 def canonical_json(obj) -> str:

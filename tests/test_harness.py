@@ -23,7 +23,6 @@ from trafficfuse.harness import (
     demand_profile,
     evaluate,
     grid_network,
-    link_flow_stats,
     load_config,
     pool_windows,
     run_pipeline,
@@ -258,24 +257,6 @@ class TestEvaluate:
         json.dumps(d)
 
 
-class TestLinkFlowStats:
-    def test_records_accumulate_on_edges(self):
-        net, _, _ = chain_network(n=3)
-        q = link_flow_stats([(0, 1, 7.0), (0, 1, 3.0), (1, 2, 5.0)], net)
-        assert q[0, 1] == 10.0 and q[1, 2] == 5.0
-        assert q.sum() == 15.0
-
-    def test_non_edge_record_names_its_locus(self):
-        net, _, _ = chain_network(n=3)
-        with pytest.raises(ValueError, match=r"record 1: \(2, 0\) is not a network edge"):
-            link_flow_stats([(0, 1, 1.0), (2, 0, 1.0)], net)
-
-    def test_negative_count_rejected(self):
-        net, _, _ = chain_network(n=3)
-        with pytest.raises(ValueError, match="record 0: negative"):
-            link_flow_stats([(0, 1, -2.0)], net)
-
-
 # -- synthetic twins ----------------------------------------------------------
 
 
@@ -416,6 +397,40 @@ class TestExperimentConfig:
     def test_rejected_at_construction(self, doc, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # each used to load (and be echoed into metrics.json), become
+            # something else, or fail late or as a bare TypeError
+            ({"seed": "7"}, "^experiment config key seed must be an integer, not '7'"),
+            ({"seed": True}, "^experiment config key seed must be an integer, not True"),
+            ({"cameras_calibration": [1.7]}, "^experiment config key cameras_calibration must be a list of integers"),
+            ({"bin_seconds": 900.0}, "^experiment config key bin_seconds must be an integer, not 900.0"),
+            ({"days": "14"}, "^experiment config key days must be an integer"),
+            ({"model": None}, "^experiment config key model must be an object, not None"),
+            ({"train_batch": 0}, "^train_batch 0 must be >= 1"),
+            ({"train_lr": -1}, "^train_lr -1 must be positive"),
+            ({"confidence_decay": 2.0}, r"^confidence_decay 2.0 must lie in \[0, 1\]"),
+        ],
+        ids=["seed_str", "seed_bool", "camera_float", "bin_seconds_float", "days_str", "model_null",
+             "train_batch_0", "train_lr_negative", "confidence_decay_2"],
+    )
+    def test_bad_values_are_rejected_by_name(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(doc)
+
+    def test_value_types_in_every_section(self):
+        # a float field takes an int, and null where the field allows it
+        cfg = ExperimentConfig.from_dict({"twin": "chain", "demand_peak": 500, "train_days": None,
+                                          "filter": {"sigma_y": 4}, "model": {"ln_eps": 1}})
+        assert (cfg.demand_peak, cfg.train_days, cfg.filter.sigma_y, cfg.model.ln_eps) == (500, None, 4, 1)
+        with pytest.raises(ValueError, match="^filter config key n_members must be an integer"):
+            ExperimentConfig.from_dict({"filter": {"n_members": 64.0}})
+        with pytest.raises(ValueError, match="^model config key lambda_mae must be a number, not '1'"):
+            ExperimentConfig.from_dict({"model": {"lambda_mae": "1"}})
+        with pytest.raises(ValueError, match="^experiment config key twin must be a string or null"):
+            ExperimentConfig.from_dict({"twin": 3})
 
     def test_camera_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):

@@ -141,3 +141,14 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip(), f"{demo} printed nothing"
+
+
+def test_readme_module_table_names_every_module():
+    # the "How the pieces fit" table has one row per package module, each
+    # row starting with the module name at the left margin
+    text = (ROOT / "README.md").read_text()
+    table = re.search(r"## How the pieces fit\n\n```\n(.*?)```", text, re.S)
+    assert table, "README.md has no module table"
+    rows = re.findall(r"^(\w+) ", table.group(1), re.M)
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert sorted(rows) == modules
