@@ -68,7 +68,7 @@ def _configure(args) -> ExperimentConfig:
 def _cmd_simulate(pipe: Pipeline, out: str) -> str:
     pipe.simulate()
     path = os.path.join(out, "truth_counts.csv")
-    save_counts(pipe.truth, path)
+    save_counts(pipe.truth, path, pipe.net.external_ids)
     n, t = pipe.truth.values.shape
     return f"simulate: {n} segments x {t} bins -> {path}"
 
@@ -76,7 +76,7 @@ def _cmd_simulate(pipe: Pipeline, out: str) -> str:
 def _cmd_sample(pipe: Pipeline, out: str) -> str:
     pipe.sample()
     path = os.path.join(out, "probe_counts.csv")
-    save_counts(pipe.probe, path)
+    save_counts(pipe.probe, path, pipe.net.external_ids)
     rate = float(np.nansum(pipe.probe.values) / max(np.nansum(pipe.truth.values), 1.0))
     return f"sample: through-rate {rate:.3f} -> {path}"
 

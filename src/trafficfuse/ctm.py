@@ -98,18 +98,19 @@ class TurnRatios:
             raise ValueError("turn ratios must be finite")
         if (b < 0).any():
             raise ValueError("turn ratios must be nonnegative")
-        self.edge_from = np.array([i for i, _ in net.edges], dtype=int)
-        self.edge_to = np.array([j for _, j in net.edges], dtype=int)
+        self.edge_from = net.edge_from
+        self.edge_to = net.edge_to
         self.edge_beta = b
         sums = np.bincount(self.edge_from, weights=b, minlength=net.n_segments)
-        for i, down in enumerate(net.downstream):
-            if down and abs(sums[i] - 1.0) > ROW_SUM_TOL:
-                raise ValueError(f"turn ratios out of segment {i} sum to {sums[i]!r}, not 1")
+        bad = np.flatnonzero((net.out_degree > 0) & (np.abs(sums - 1.0) > ROW_SUM_TOL))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"turn ratios out of segment {i} sum to {sums[i]!r}, not 1")
 
     @classmethod
     def uniform(cls, net: RoadNetwork) -> "TurnRatios":
         """Equal split over each segment's downstream neighbours."""
-        return cls([1.0 / len(net.downstream[i]) for i, _ in net.edges], net)
+        return cls(1.0 / net.out_degree[net.edge_from], net)
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,6 @@ def supply(rho: float, seg: Segment, fd: FdParams, bin_seconds: float) -> float:
     return float(FdArrays.build((seg,), fd, bin_seconds).supply(rho)[0])
 
 
-def _sink_mask(net: RoadNetwork) -> np.ndarray:
-    """Segments with no downstream edges, which discharge out of the network."""
-    return np.array([not net.downstream[i] for i in range(net.n_segments)])
-
-
 def _step_kernel(q, fdk: FdArrays, sink, beta, bc_in):
     """Advance counts by one bin; returns (q_next, speeds, link_flows, exits).
 
@@ -223,20 +219,16 @@ def _step_kernel(q, fdk: FdArrays, sink, beta, bc_in):
     dem = fdk.demand(rho)
     sup = fdk.supply(rho)
 
+    # the network's int edge arrays index and bincount fine when empty
     ef, et, eb = beta.edge_from, beta.edge_to, beta.edge_beta
-    if len(ef):
-        flows = np.minimum(dem[ef] * eb, sup[et] * eb)
-        out_sum = np.bincount(ef, weights=flows, minlength=n)
-        # no segment emits more than it holds
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(out_sum > q, np.where(out_sum > 0, q / out_sum, 1.0), 1.0)
-        flows = flows * scale[ef]
-        out_sum = np.bincount(ef, weights=flows, minlength=n)
-        in_sum = np.bincount(et, weights=flows, minlength=n)
-    else:
-        flows = np.zeros(0)
-        out_sum = np.zeros(n)
-        in_sum = np.zeros(n)
+    flows = np.minimum(dem[ef] * eb, sup[et] * eb)
+    out_sum = np.bincount(ef, weights=flows, minlength=n)
+    # no segment emits more than it holds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(out_sum > q, np.where(out_sum > 0, q / out_sum, 1.0), 1.0)
+    flows = flows * scale[ef]
+    out_sum = np.bincount(ef, weights=flows, minlength=n)
+    in_sum = np.bincount(et, weights=flows, minlength=n)
 
     # implicit discharge at sink segments
     exit_out = np.minimum(np.where(sink, dem, 0.0), np.maximum(q - out_sum, 0.0))
@@ -300,7 +292,7 @@ def simulate(
     bc_out_hist = np.zeros((n, horizon))
     flow_hist = np.zeros((len(net.edges), horizon))
     fdk = FdArrays.build(net.segments, fd, bin_seconds)
-    sink = _sink_mask(net)
+    sink = net.out_degree == 0
     q = np.zeros(n) if initial is None else initial.counts.copy()
     for t in range(horizon):
         counts[:, t] = q

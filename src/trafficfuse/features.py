@@ -177,6 +177,17 @@ def load_tensor(prefix: str) -> FeatureTensor:
     )
 
 
+def _neighbour_sums(src: np.ndarray, dst: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[i] = sum of x[j] over the edges (i, j), added in ascending j.
+
+    ufunc.at accumulates in index order, so the sort fixes each sum's order.
+    """
+    order = np.lexsort((dst, src))
+    out = np.zeros_like(x)
+    np.add.at(out, src[order], x[dst[order]])
+    return out
+
+
 def build_tensor(
     net: RoadNetwork,
     fd: FdParams,
@@ -237,17 +248,14 @@ def build_tensor(
         bo = np.zeros((n, t)) if boundary_out is None else np.asarray(boundary_out, dtype=float)
         if bi.shape != (n, t) or bo.shape != (n, t):
             raise ValueError("boundary arrays must align with counts")
-        mask = np.zeros(n, dtype=bool)
-        mask[list(bset)] = True
-        q_bc[mask] = (bi[mask] - bo[mask]) / qmax[mask]
+        q_bc[bset] = (bi[bset] - bo[bset]) / qmax[bset]
 
-    # spatial means via adjacency matvecs; empty sides fall back to own b
-    a = net.adjacency()
-    out_deg = a.sum(axis=1)[:, None]
-    in_deg = a.sum(axis=0)[:, None]
+    # spatial means over the edges; empty sides fall back to own b
+    out_deg = net.out_degree[:, None]
+    in_deg = net.in_degree[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_ds = np.where(out_deg > 0, (a @ b) / out_deg, b)
-        mean_us = np.where(in_deg > 0, (a.T @ b) / in_deg, b)
+        mean_ds = np.where(out_deg > 0, _neighbour_sums(net.edge_from, net.edge_to, b) / out_deg, b)
+        mean_us = np.where(in_deg > 0, _neighbour_sums(net.edge_to, net.edge_from, b) / in_deg, b)
 
     x = np.empty((n, t, 22))
     x[:, :, 0] = q

@@ -297,11 +297,9 @@ def grid_network(
                 edges.append((sid(r, c), sid(r + 1, c)))
     net = RoadNetwork(tuple(segs), tuple(edges), tuple(f"g{r}_{c}" for r in range(rows) for c in range(cols)))
 
-    # a segment splits only east and south, and the east neighbour has the smaller id
-    b = [
-        1.0 if len(net.downstream[i]) == 1 else EAST_SHARE if j == net.downstream[i][0] else 1.0 - EAST_SHARE
-        for i, j in net.edges
-    ]
+    # a segment splits only east (the next id) and south
+    src, dst = net.edge_from, net.edge_to
+    b = np.where(net.out_degree[src] == 1, 1.0, np.where(dst == src + 1, EAST_SHARE, 1.0 - EAST_SHARE))
     return net, TurnRatios(b, net), source_ids
 
 
@@ -512,7 +510,7 @@ class Pipeline:
         if cfg.twin is None:
             self.net = load_network(cfg.network_path)
             self.beta = TurnRatios.uniform(self.net)
-            self.sources = [i for i in boundary_segments(self.net) if not self.net.upstream[i]]
+            self.sources = [i for i in boundary_segments(self.net) if self.net.in_degree[i] == 0]
             cameras = {"calibration": (), "validation": ()}
         else:
             make, cameras = TWINS[cfg.twin]
@@ -565,7 +563,10 @@ class Pipeline:
     def fit(self):
         self.features()
         cfg = self.cfg
-        self.a_hat = normalized_adjacency(self.net.adjacency())
+        # the model's dense message-passing operand, scattered from the edges
+        a = np.zeros((self.net.n_segments, self.net.n_segments))
+        a[self.net.edge_from, self.net.edge_to] = 1.0
+        self.a_hat = normalized_adjacency(a)
         self.qmax = FdArrays.build(self.net.segments, self.fd, cfg.bin_seconds).qmax
         windows = build_windows(
             self.tensor, self.probe.values, cfg.model,
@@ -750,8 +751,8 @@ class Pipeline:
 
     # - artifacts -
     # Each writer runs the stages it needs and writes their files into an
-    # existing out_dir, returning {artifact key: path}; the CLI stage
-    # commands and write_artifacts share them.
+    # existing out_dir, returning {artifact key: path} for every file it
+    # writes; the CLI stage commands and write_artifacts share them.
 
     def write_metrics(self, out_dir: str) -> dict:
         self.metrics()
@@ -772,15 +773,16 @@ class Pipeline:
         with _stage("write"):
             log = os.path.join(out_dir, "training_log.csv")
             self.trained.write_log(log)
-            save_checkpoint(os.path.join(out_dir, "model"), self.trained.params, self.cfg.model)
-        return {"training_log": log, "checkpoint": os.path.join(out_dir, "model.npz")}
+            prefix = os.path.join(out_dir, "model")
+            save_checkpoint(prefix, self.trained.params, self.cfg.model)
+        return {"training_log": log, "checkpoint": prefix + ".npz", "checkpoint_config": prefix + ".json"}
 
     def write_calibration(self, out_dir: str) -> dict:
         self.calibrate()
         paths = {k: os.path.join(out_dir, f"{k}.csv")
                  for k in ("calibrated_counts", "calibration_field", "transition", "localization")}
         with _stage("write"):
-            save_counts(self.calibrated, paths["calibrated_counts"])
+            save_counts(self.calibrated, paths["calibrated_counts"], self.net.external_ids)
             final = self.alpha_path[:, self.t_assim - 1]
             with open(paths["calibration_field"], "w", newline="") as fh:
                 w = csv.writer(fh)
@@ -799,13 +801,15 @@ class Pipeline:
         """Also keeps the report on self.obs_report."""
         self.build()
         path = os.path.join(out_dir, "observability.json")
-        with _stage("write"):
+        conf = os.path.join(out_dir, "observability_conf.csv")
+        with _stage("observability"):
             self.obs_report = analyze(
                 self.net, self.fd, self.calibration, beta=self.beta, bin_seconds=self.cfg.bin_seconds
             )
+        with _stage("write"):
             report_to_json(self.obs_report, self.net, path)
-            report_to_csv(self.obs_report, self.net, os.path.join(out_dir, "observability_conf.csv"))
-        return {"observability": path}
+            report_to_csv(self.obs_report, self.net, conf)
+        return {"observability": path, "observability_conf": conf}
 
     def write_artifacts(self, out_dir: str) -> dict:
         os.makedirs(out_dir, exist_ok=True)

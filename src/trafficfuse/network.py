@@ -78,45 +78,43 @@ class Segment:
 class RoadNetwork:
     """Immutable directed road network.
 
-    edges are (from_id, to_id) pairs over dense ids. upstream[i] and
-    downstream[i] are sorted id lists derived once at construction.
+    edges are (from_id, to_id) pairs over dense ids. edge_from/edge_to (per
+    edge) and in_degree/out_degree (per segment) are read-only int arrays
+    derived once at construction and left out of equality.
     external_ids maps dense id -> id string from the source file.
     """
 
     segments: tuple[Segment, ...]
     edges: tuple[tuple[int, int], ...]
     external_ids: tuple[str, ...]
-    upstream: tuple[tuple[int, ...], ...] = field(init=False)
-    downstream: tuple[tuple[int, ...], ...] = field(init=False)
+    edge_from: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_to: np.ndarray = field(init=False, repr=False, compare=False)
+    in_degree: np.ndarray = field(init=False, repr=False, compare=False)
+    out_degree: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.segments)
-        ups: list[list[int]] = [[] for _ in range(n)]
-        downs: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
-        for k, (i, j) in enumerate(self.edges):
-            if not (0 <= i < n and 0 <= j < n):
-                raise SchemaError(f"edge {k}: ({i}, {j}) references unknown segment")
-            if i == j:
-                raise SchemaError(f"edge {k}: self-loop on segment {i}")
-            if (i, j) in seen:
-                raise SchemaError(f"edge {k}: duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            downs[i].append(j)
-            ups[j].append(i)
-        object.__setattr__(self, "upstream", tuple(tuple(sorted(u)) for u in ups))
-        object.__setattr__(self, "downstream", tuple(tuple(sorted(d)) for d in downs))
+        src, dst = np.array(self.edges, dtype=int).reshape(len(self.edges), 2).T.copy()
+        bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+        if bad.size:
+            k = bad[0]
+            raise SchemaError(f"edge {k}: ({src[k]}, {dst[k]}) references unknown segment")
+        loops = np.flatnonzero(src == dst)
+        if loops.size:
+            raise SchemaError(f"edge {loops[0]}: self-loop on segment {src[loops[0]]}")
+        first = np.zeros(len(src), dtype=bool)
+        first[np.unique(src * n + dst, return_index=True)[1]] = True
+        if not first.all():
+            k = np.argmin(first)
+            raise SchemaError(f"edge {k}: duplicate edge ({src[k]}, {dst[k]})")
+        degrees = (("in_degree", np.bincount(dst, minlength=n)), ("out_degree", np.bincount(src, minlength=n)))
+        for name, arr in (("edge_from", src), ("edge_to", dst), *degrees):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_segments(self) -> int:
         return len(self.segments)
-
-    def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency, A[i, j] = 1 iff edge i -> j."""
-        a = np.zeros((self.n_segments, self.n_segments))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-        return a
 
     def free_flow(self) -> np.ndarray:
         return np.array([s.free_flow_mps for s in self.segments])
@@ -330,31 +328,27 @@ def load_counts(path, bin_seconds: int | None = None) -> CountMatrix:
     return CountMatrix(np.array(rows, dtype=float), step, stamps[0])
 
 
-def save_counts(cm: CountMatrix, path) -> None:
-    """Write a CountMatrix in the CSV layout load_counts reads."""
+def save_counts(cm: CountMatrix, path, segment_ids) -> None:
+    """Write a CountMatrix in the CSV layout load_counts reads, row i labelled segment_ids[i]."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["segment_id"] + [cm.bin_start(t).isoformat() for t in range(cm.n_bins)])
-        for i in range(cm.values.shape[0]):
-            w.writerow([i] + ["" if not np.isfinite(v) else _fmt(v) for v in cm.values[i]])
+        for ext, row in zip(segment_ids, cm.values, strict=True):
+            w.writerow([ext] + ["" if not np.isfinite(v) else _fmt(v) for v in row])
 
 
 def boundary_segments(net: RoadNetwork) -> list[int]:
     """Segments where traffic may enter or leave the network.
 
     If any segment carries an explicit is_boundary flag the flagged set is
-    returned verbatim; otherwise the degree rule applies: segments with an
-    empty upstream or empty downstream set. A closed ring with no flags
-    therefore has no boundary.
+    returned verbatim; otherwise the degree rule applies: segments with no
+    incoming or no outgoing edge. A closed ring with no flags therefore has
+    no boundary.
     """
     flagged = [s.id for s in net.segments if s.is_boundary]
     if flagged:
         return flagged
-    return [
-        s.id
-        for s in net.segments
-        if not net.upstream[s.id] or not net.downstream[s.id]
-    ]
+    return np.flatnonzero((net.in_degree == 0) | (net.out_degree == 0)).tolist()
 
 
 def max_storage(seg: Segment, bin_seconds: float) -> float:

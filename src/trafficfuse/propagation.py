@@ -91,9 +91,10 @@ def build_transition(link_flows: np.ndarray, gamma_pd: float = 0.8, s: float = 0
     q = np.asarray(link_flows, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("link flows must be a square matrix")
-    if (q < 0).any():
-        i, j = np.argwhere(q < 0)[0]
-        raise ValueError(f"negative trajectory flow at ({i}, {j})")
+    bad = ~np.isfinite(q) | (q < 0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"trajectory flow {q[i, j]} at ({i}, {j}) must be finite and nonnegative")
     if not 0.0 < gamma_pd < 1.0:
         raise ValueError("gamma_pd must lie in (0, 1)")
     if not 0.0 <= s < 1.0:

@@ -1,6 +1,7 @@
 """Feature blocks and tensor assembly. Expected vectors are hand-frozen."""
 
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from trafficfuse.features import (
     manifest_hash,
     temporal_features,
 )
+from trafficfuse.harness import grid_network
 from trafficfuse.network import CountMatrix, SchemaError, Segment, max_storage
 
 from conftest import make_chain, make_network
@@ -58,21 +60,49 @@ def sd_features(b, q, seg, fd, bin_seconds, n_max):
     )
 
 
+def neighbour_means(b, net):
+    """Mean b over each segment's downstream and over its upstream neighbours.
+
+    A Python loop over net.edges that adds each side's terms in ascending
+    neighbour id; a side with no neighbours reads the segment's own b.
+    """
+    down = [[] for _ in range(net.n_segments)]
+    up = [[] for _ in range(net.n_segments)]
+    for i, j in net.edges:
+        down[i].append(j)
+        up[j].append(i)
+    means = []
+    for side in (down, up):
+        mean = np.empty_like(b)
+        for i, ids in enumerate(side):
+            total = np.zeros_like(b[i])
+            for j in sorted(ids):
+                total = total + b[j]
+            mean[i] = total / len(ids) if ids else b[i]
+        means.append(mean)
+    return means
+
+
+def dense_neighbour_means(b, net):
+    """The same means from dense products: (A b) / out-degree and (A^T b) / in-degree."""
+    a = np.zeros((net.n_segments, net.n_segments))
+    for i, j in net.edges:
+        a[i, j] = 1.0
+    out_deg = a.sum(axis=1)[:, None]
+    in_deg = a.sum(axis=0)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(out_deg > 0, (a @ b) / out_deg, b), np.where(in_deg > 0, (a.T @ b) / in_deg, b)
+
+
 def sp_features(b, net):
-    """Spatial block, shape (n_segments, 4).
+    """Spatial block, shape b.shape + (4,).
 
     [mean downstream b, own b minus that, mean upstream b, own b minus
     that]; segments with no neighbours on a side use their own b there so
     the gradient reads zero.
     """
-    out = np.empty((net.n_segments, 4))
-    for i in range(net.n_segments):
-        ds = net.downstream[i]
-        us = net.upstream[i]
-        mean_ds = b[list(ds)].mean() if ds else b[i]
-        mean_us = b[list(us)].mean() if us else b[i]
-        out[i] = (mean_ds, b[i] - mean_ds, mean_us, b[i] - mean_us)
-    return out
+    mean_ds, mean_us = neighbour_means(b, net)
+    return np.stack([mean_ds, b - mean_ds, mean_us, b - mean_us], axis=-1)
 
 
 def test_feature_layout_is_22_wide():
@@ -179,6 +209,53 @@ def test_sp_chain_values():
     # no upstream at the head, no downstream at the tail: gradients read 0
     assert np.allclose(f[0], [0.5, 0.5, 1.0, 0.0], atol=1e-12)
     assert np.allclose(f[2], [0.25, 0.0, 0.5, -0.25], atol=1e-12)
+
+
+def _spatial_block(net, seed, t=6):
+    """build_tensor's speed ratios and spatial block for random speeds."""
+    rng = np.random.default_rng(seed)
+    n = net.n_segments
+    counts = CountMatrix(rng.uniform(0, 300, (n, t)), 900, T0)
+    ft = build_tensor(net, FD, counts, rng.uniform(0.5, 10.0, (n, t)))
+    return ft.values[:, :, 9], ft.values[:, :, 18:22]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spatial_block_sums_neighbours_in_ascending_id(seed):
+    # in-degrees of 3 and more, where the order of a sum shows in its
+    # last bits, and edges listed in random order
+    rng = np.random.default_rng(100 + seed)
+    pairs = [(i, j) for i in range(9) for j in range(9) if i != j]
+    edges = [pairs[k] for k in rng.choice(len(pairs), 30, replace=False)]
+    net = make_network(edges, n=9)
+    assert net.in_degree.max() >= 3 and net.out_degree.max() >= 3
+    b, block = _spatial_block(net, seed)
+    assert np.array_equal(block, sp_features(b, net))
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 10), (20, 40)])
+def test_spatial_block_matches_dense_products_bitwise(rows, cols):
+    # every degree of the grid twins is at most 2, so any order of the
+    # neighbour sum is exact and the dense products agree bit for bit
+    net, _, _ = grid_network(rows=rows, cols=cols)
+    assert max(net.in_degree.max(), net.out_degree.max()) <= 2
+    b, block = _spatial_block(net, rows)
+    mean_ds, mean_us = dense_neighbour_means(b, net)
+    assert np.array_equal(block, np.stack([mean_ds, b - mean_ds, mean_us, b - mean_us], axis=-1))
+
+
+def test_build_tensor_peak_is_far_below_one_n_by_n_array():
+    # one dense float array over 2,000 segments would alone take 32 MB
+    n, t = 2000, 4
+    net = make_chain(n)
+    counts = CountMatrix(np.full((n, t), 50.0), 900, T0)
+    tracemalloc.start()
+    try:
+        build_tensor(net, FD, counts, np.full((n, t), 8.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"build_tensor peak {peak / 2**20:.1f} MB"
 
 
 def _toy_inputs(t=16, missing_speed=False, missing_count=False):

@@ -273,7 +273,7 @@ class TestTwins:
         net, beta, _ = grid_network()
         rows = np.bincount(beta.edge_from, weights=beta.edge_beta, minlength=net.n_segments)
         for i in range(net.n_segments):
-            expected = 1.0 if net.downstream[i] else 0.0
+            expected = 1.0 if any(a == i for a, _ in net.edges) else 0.0
             assert rows[i] == pytest.approx(expected)
 
     def test_grid_bottleneck_capacity_applies(self):
@@ -499,6 +499,15 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="no calibration cameras"):
             pipe.calibrate()
 
+    def test_failed_analysis_is_named_observability(self, monkeypatch, tmp_path):
+        def fails(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(harness, "analyze", fails)
+        with pytest.raises(PipelineError, match="^observability: injected") as err:
+            Pipeline(small_config()).write_observability(str(tmp_path))
+        assert err.value.stage == "observability"
+
     def test_failed_stage_runs_again(self, monkeypatch):
         calls = []
 
@@ -618,15 +627,17 @@ class TestPipeline:
             "transition": "transition.csv",
             "localization": "localization.csv",
             "observability": "observability.json",
+            "observability_conf": "observability_conf.csv",
             "training_log": "training_log.csv",
             "checkpoint": "model.npz",
+            "checkpoint_config": "model.json",
         }
-        for key, name in names.items():
-            assert paths[key] == str(tmp_path / name)
+        assert paths == {key: str(tmp_path / name) for key, name in names.items()}
+        # the returned paths are every file written, and nothing else
+        assert sorted(paths.values()) == sorted(str(p) for p in tmp_path.iterdir())
+        for name in names.values():
             assert os.path.getsize(out / name) > 0
-            if name != "model.npz":  # zip entries carry a timestamp
-                assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
-        assert os.path.exists(out / "observability_conf.csv")
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_metrics_json_records_seed_and_config(self, chain_run):
         result, out = chain_run
@@ -642,6 +653,15 @@ class TestPipeline:
         assert lines[0] == "segment_id,alpha,delta,localized"
         assert len(lines) == 1 + 4
         assert lines[1].startswith("c0,")
+
+    def test_count_files_label_rows_by_external_id(self, chain_run, tmp_path):
+        result, out = chain_run
+        rows = (out / "calibrated_counts.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["segment_id", *result.net.external_ids]
+        for command, name in (("simulate", "truth_counts.csv"), ("sample", "probe_counts.csv")):
+            assert cli._COMMANDS[command](result, str(tmp_path)).startswith(command)
+            rows = (tmp_path / name).read_text().splitlines()
+            assert [r.split(",")[0] for r in rows] == ["segment_id", *result.net.external_ids]
 
     def test_reruns_are_byte_identical(self, chain_run, tmp_path):
         _, out = chain_run
@@ -673,7 +693,7 @@ def test_cli_stage_files_match_run(tmp_path, capsys):
     }
     for command, names in expected.items():
         assert {p.name for p in outs[command].iterdir()} == names
-        for name in names - {"model.npz"}:  # zip entries carry a timestamp
+        for name in names:
             assert (outs[command] / name).read_bytes() == (outs["run"] / name).read_bytes(), (command, name)
 
 

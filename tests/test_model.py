@@ -243,6 +243,13 @@ def test_gradients_through_shared_bins_match_finite_differences():
     assert model_grad_fd_err(cfg, n_segments=3, batch=3, seed=8, shared=True) < 1e-4
 
 
+def _adjacency(net):
+    """Dense 0/1 adjacency over a network's edges, as Pipeline.fit scatters it."""
+    a = np.zeros((net.n_segments, net.n_segments))
+    a[net.edge_from, net.edge_to] = 1.0
+    return a
+
+
 def _training_setup(t_bins=96, seed=0):
     net = make_chain(3, boundary=(0, 2))
     fd = default_fd_params(net)
@@ -255,7 +262,7 @@ def _training_setup(t_bins=96, seed=0):
         n_features=22, embed_dim=8, spatial_layers=1, temporal_blocks=1,
         heads=2, history=4, horizon=2, ffn_width=16,
     )
-    a_hat = normalized_adjacency(net.adjacency())
+    a_hat = normalized_adjacency(_adjacency(net))
     windows = build_windows(tensor, counts, cfg)
     qmax = np.array([s.capacity_vph / 3600.0 * 900 for s in net.segments])
     return cfg, a_hat, windows, qmax, tensor, counts
@@ -487,7 +494,7 @@ def test_training_steps_hold_one_tape_at_a_time():
     cfg = pipe.cfg
     windows = build_windows(pipe.tensor, pipe.probe.values, cfg.model,
                             t_last=pipe.train_bins - cfg.model.horizon - 1)
-    a_hat = normalized_adjacency(pipe.net.adjacency())
+    a_hat = normalized_adjacency(_adjacency(pipe.net))
     qmax = FdArrays.build(pipe.net.segments, pipe.fd, cfg.bin_seconds).qmax
     peaks = []
     for steps in (1, 3):

@@ -64,14 +64,40 @@ def test_edge_to_unknown_segment_rejected():
         RoadNetwork((seg(0),), ((0, 3),), ("a",))
 
 
-def test_upstream_downstream_derivation():
+def test_edge_arrays_and_degrees():
     net = make_network([(0, 1), (0, 2), (2, 1)])
-    assert net.downstream[0] == (1, 2)
-    assert net.upstream[1] == (0, 2)
-    assert net.upstream[0] == ()
-    a = net.adjacency()
-    assert a[0, 1] == 1.0 and a[0, 2] == 1.0 and a[2, 1] == 1.0
-    assert a.sum() == 3
+    assert net.edge_from.tolist() == [0, 0, 2]
+    assert net.edge_to.tolist() == [1, 2, 1]
+    assert net.out_degree.tolist() == [2, 0, 1]
+    assert net.in_degree.tolist() == [0, 2, 1]
+    for arr in (net.edge_from, net.edge_to, net.in_degree, net.out_degree):
+        assert arr.dtype.kind == "i"
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5
+    # the derived arrays take no part in equality or hashing
+    twin = make_network([(0, 1), (0, 2), (2, 1)])
+    assert net == twin and hash(net) == hash(twin)
+    assert net != make_network([(0, 1), (0, 2)], n=3)
+
+
+def test_edgeless_network_has_zero_degrees():
+    net = make_network([], n=3)
+    assert net.edge_from.shape == net.edge_to.shape == (0,)
+    assert net.out_degree.tolist() == net.in_degree.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "edges,match",
+    [
+        ([(0, 1), (1, 2), (2, 5)], r"edge 2: \(2, 5\) references unknown segment"),
+        ([(0, 1), (1, -1)], r"edge 1: \(1, -1\) references unknown segment"),
+        ([(0, 1), (1, 2), (2, 2)], "edge 2: self-loop on segment 2"),
+        ([(0, 1), (1, 2), (2, 0), (1, 2), (0, 1)], r"edge 3: duplicate edge \(1, 2\)"),
+    ],
+)
+def test_edge_errors_name_the_first_bad_edge(edges, match):
+    with pytest.raises(SchemaError, match=match):
+        RoadNetwork(tuple(seg(i) for i in range(3)), tuple(edges), ("a", "b", "c"))
 
 
 def test_boundary_flags_returned_verbatim():
@@ -207,7 +233,10 @@ def test_counts_roundtrip_with_missing(tmp_path):
     vals = np.array([[1.0, np.nan, 3.5], [0.0, 2.0, np.nan]])
     cm = CountMatrix(vals, 900, T0)
     p = tmp_path / "counts.csv"
-    save_counts(cm, p)
+    save_counts(cm, p, ("north", "south"))
+    assert [line.split(",")[0] for line in p.read_text().splitlines()] == ["segment_id", "north", "south"]
+    with pytest.raises(ValueError, match="longer"):
+        save_counts(cm, tmp_path / "short.csv", ("north",))
     back = load_counts(p)
     assert back.bin_seconds == 900
     assert back.start_time == T0

@@ -116,6 +116,16 @@ def test_build_transition_input_validation():
         build_transition(np.zeros((2, 2)), gamma_pd=1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_build_transition_rejects_non_finite_flows(value):
+    # on a 3-segment chain a NaN would leave row 0 flow-isolated and an inf
+    # would break the row sums of p and w_eff
+    flows = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    flows[0, 1] = value
+    with pytest.raises(ValueError, match=r"trajectory flow -?(nan|inf) at \(0, 1\) must be finite"):
+        build_transition(flows)
+
+
 def test_diffuse_zero_smoothing_is_identity():
     t = _chain_transition()
     beta = np.random.default_rng(0).normal(size=(4, 3))

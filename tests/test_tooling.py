@@ -152,3 +152,18 @@ def test_readme_module_table_names_every_module():
     rows = re.findall(r"^(\w+) ", table.group(1), re.M)
     modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     assert sorted(rows) == modules
+
+
+def test_readme_artifact_table_names_every_written_file(tmp_path):
+    # the artifact table under "Command line" lists each file write_artifacts
+    # returns, so a writer that adds or drops a file must update README
+    text = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| (`.*?) \|", text, re.M)
+    assert rows, "README.md has no artifact table"
+    documented = [name for row in rows for name in re.findall(r"`([^`]+)`", row)]
+    model = ModelConfig(n_features=22, embed_dim=8, spatial_layers=1, temporal_blocks=1,
+                        heads=2, history=4, horizon=1, ffn_width=16)
+    cfg = ExperimentConfig(twin="chain", days=2, forecast_days=1, model=model,
+                           filter=FilterConfig(n_members=8), train_steps=2, train_batch=4, seed=3)
+    paths = Pipeline(cfg).write_artifacts(str(tmp_path))
+    assert sorted(documented) == sorted(os.path.basename(p) for p in paths.values())
