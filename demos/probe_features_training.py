@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from trafficfuse.features import FEATURE_NAMES
 from trafficfuse.harness import ExperimentConfig, Pipeline
 from trafficfuse.model import ModelConfig
 
@@ -29,8 +30,8 @@ def main():
     pipe.features()
     t = pipe.tensor
     print(f"feature tensor {t.values.shape}, {t.n_imputed_count} imputed counts, "
-          f"normalized from the first {t.train_cols} columns")
-    print("feature names:", ", ".join(t.names[:6]), "...")
+          f"normalized from the first {pipe.train_bins} columns")
+    print("feature names:", ", ".join(FEATURE_NAMES[:6]), "...")
 
     pipe.fit()
     first_val = pipe.trained.log[0][6]

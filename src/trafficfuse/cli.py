@@ -1,4 +1,4 @@
-"""Command-line front end: one subcommand per pipeline stage.
+"""Command-line front end: one subcommand per pipeline stage that writes files.
 
 Every subcommand reads the same experiment JSON (defaults apply when no
 config is given), reruns the deterministic stage chain up to its own
@@ -81,14 +81,6 @@ def _cmd_sample(pipe: Pipeline, out: str) -> str:
     return f"sample: through-rate {rate:.3f} -> {path}"
 
 
-def _cmd_features(pipe: Pipeline, out: str) -> str:
-    pipe.features()
-    prefix = os.path.join(out, "features")
-    pipe.tensor.save(prefix)
-    shape = "x".join(str(k) for k in pipe.tensor.values.shape)
-    return f"features: tensor {shape} -> {prefix}.bin"
-
-
 def _cmd_train(pipe: Pipeline, out: str) -> str:
     log = pipe.write_training(out)["training_log"]
     return f"train: best validation loss {pipe.trained.best_val:.4f} -> {log}"
@@ -125,7 +117,6 @@ def _cmd_run(pipe: Pipeline, out: str) -> str:
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "sample": _cmd_sample,
-    "features": _cmd_features,
     "train": _cmd_train,
     "calibrate": _cmd_calibrate,
     "observability": _cmd_observability,

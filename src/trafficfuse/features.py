@@ -6,16 +6,11 @@ Each segment/bin pair yields a 22-entry vector laid out as
 
 Indicator entries are exactly 0 or 1 and are never normalized; all other
 entries get per-feature mean/scale statistics computed over the training
-columns only. The layout is versioned and hashed into the manifest so a
-tensor written by one build cannot silently feed a model trained on
-another layout.
+columns only.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +20,11 @@ from .network import CountMatrix, RoadNetwork, boundary_segments
 
 __all__ = [
     "FEATURE_NAMES",
-    "FEATURE_VERSION",
     "INDICATOR_FEATURES",
     "FeatureTensor",
     "temporal_features",
     "build_tensor",
-    "load_tensor",
 ]
-
-FEATURE_VERSION = "1"
 
 FEATURE_NAMES = (
     "q_traj",
@@ -71,15 +62,6 @@ _LOS_THRESHOLDS = np.array([0.35, 0.55, 0.75, 0.9, 1.0])
 _LOS_VALUES = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
 
 
-def manifest_hash(names=FEATURE_NAMES, version=FEATURE_VERSION) -> str:
-    h = hashlib.sha256()
-    h.update(version.encode())
-    for n in names:
-        h.update(b"|")
-        h.update(n.encode())
-    return h.hexdigest()
-
-
 def temporal_features(hour: int, day: int) -> np.ndarray:
     """Cyclic hour/day encodings plus weekend, rush and night indicators."""
     if not 0 <= hour <= 23:
@@ -101,80 +83,22 @@ def temporal_features(hour: int, day: int) -> np.ndarray:
 
 @dataclass
 class FeatureTensor:
-    """Raw feature values plus the manifest needed to normalize them.
+    """Raw feature values plus the statistics that normalize them.
 
     values has shape (n_segments, n_bins, 22) and is kept unnormalized;
-    normalized() applies the stored statistics. n_max and the statistics
-    come from the training columns only.
+    normalized() applies mean and scale, which come from the training
+    columns only. n_imputed_speed and n_imputed_count count the missing
+    inputs that build_tensor filled in.
     """
 
     values: np.ndarray
     mean: np.ndarray
     scale: np.ndarray
-    n_max: np.ndarray
-    train_cols: int
-    bin_seconds: int
-    start_time: _dt.datetime
     n_imputed_speed: int = 0
     n_imputed_count: int = 0
-    names: tuple = FEATURE_NAMES
-    version: str = FEATURE_VERSION
 
     def normalized(self) -> np.ndarray:
         return (self.values - self.mean) / self.scale
-
-    def save(self, prefix: str) -> None:
-        """Write <prefix>.bin (flat float64) and <prefix>.json manifest."""
-        arr = np.ascontiguousarray(self.values, dtype="<f8")
-        with open(prefix + ".bin", "wb") as fh:
-            arr.tofile(fh)
-        manifest = {
-            "layout_hash": manifest_hash(self.names, self.version),
-            "version": self.version,
-            "names": list(self.names),
-            "shape": list(self.values.shape),
-            "dtype": "<f8",
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "n_max": self.n_max.tolist(),
-            "train_cols": self.train_cols,
-            "bin_seconds": self.bin_seconds,
-            "start_time": self.start_time.isoformat(),
-            "n_imputed_speed": self.n_imputed_speed,
-            "n_imputed_count": self.n_imputed_count,
-        }
-        with open(prefix + ".json", "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-
-
-def load_tensor(prefix: str) -> FeatureTensor:
-    """Read a tensor written by FeatureTensor.save, verifying the manifest."""
-    with open(prefix + ".json") as fh:
-        m = json.load(fh)
-    names = tuple(m["names"])
-    if m["layout_hash"] != manifest_hash(names, m["version"]):
-        raise ValueError("feature manifest hash mismatch")
-    if names != FEATURE_NAMES or m["version"] != FEATURE_VERSION:
-        raise ValueError("feature layout differs from this build")
-    values = np.fromfile(prefix + ".bin", dtype=m["dtype"])
-    shape = tuple(m["shape"])
-    if values.size != int(np.prod(shape)):
-        raise ValueError(
-            f"feature payload holds {values.size} values, manifest says {shape}"
-        )
-    return FeatureTensor(
-        values=values.reshape(shape),
-        mean=np.array(m["mean"]),
-        scale=np.array(m["scale"]),
-        n_max=np.array(m["n_max"]),
-        train_cols=int(m["train_cols"]),
-        bin_seconds=int(m["bin_seconds"]),
-        start_time=_dt.datetime.fromisoformat(m["start_time"]),
-        n_imputed_speed=int(m["n_imputed_speed"]),
-        n_imputed_count=int(m["n_imputed_count"]),
-        names=names,
-        version=m["version"],
-    )
 
 
 def _neighbour_sums(src: np.ndarray, dst: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -237,9 +161,9 @@ def build_tensor(
 
     n_max = np.maximum(q[:, :train_cols].max(axis=1), 1.0)
 
-    hours = counts.hours()
-    days = counts.days()
-    temp = np.stack([temporal_features(int(h), int(d)) for h, d in zip(hours, days)])  # (t, 7)
+    # one row per (hour, day) pair, looked up per bin
+    table = np.array([[temporal_features(h, d) for d in range(7)] for h in range(24)])
+    temp = table[counts.hours(), counts.days()]  # (t, 7)
 
     bset = boundary_segments(net)
     q_bc = np.zeros((n, t))
@@ -287,10 +211,6 @@ def build_tensor(
         values=x,
         mean=mean,
         scale=scale,
-        n_max=n_max,
-        train_cols=train_cols,
-        bin_seconds=counts.bin_seconds,
-        start_time=counts.start_time,
         n_imputed_speed=n_imp_speed,
         n_imputed_count=n_imp_count,
     )

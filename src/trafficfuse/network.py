@@ -176,13 +176,30 @@ class CountMatrix:
         return (self.start_time.weekday() + self._seconds() // 86400) % 7
 
 
-def _parse_bool(raw: str, where: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     v = raw.strip().lower()
     if v in ("1", "true", "yes"):
         return True
     if v in ("0", "false", "no", ""):
         return False
-    raise SchemaError(f"{where}: bad boolean {raw!r}")
+    raise SchemaError(f"bad boolean {raw!r}")
+
+
+def _csv_rows(path: str, fields: list):
+    """(line number, cells) of each non-blank row after a header that
+    matches fields up to surrounding spaces; every row must have as many
+    cells as the header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != fields:
+            raise SchemaError(f"{path}: header must be {','.join(fields)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(fields):
+                raise SchemaError(f"{path} line {lineno}: expected {len(fields)} cells, got {len(row)}")
+            yield lineno, row
 
 
 _SEGMENT_FIELDS = ["id", "length_m", "lanes", "capacity_vph", "free_flow_mps", "is_boundary"]
@@ -203,50 +220,42 @@ def load_network(path) -> RoadNetwork:
     segments: list[Segment] = []
     externals: list[str] = []
     index: dict[str, int] = {}
-    with open(seg_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != _SEGMENT_FIELDS:
-            raise SchemaError(f"{seg_path}: header must be {','.join(_SEGMENT_FIELDS)}")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{seg_path} line {lineno}"
-            ext = row["id"].strip()
-            if not ext:
-                raise SchemaError(f"{where}: empty id")
-            if ext in index:
-                raise SchemaError(f"{where}: duplicate id {ext!r}")
-            try:
-                seg = Segment(
-                    id=len(segments),
-                    length_m=float(row["length_m"]),
-                    lanes=int(row["lanes"]),
-                    capacity_vph=float(row["capacity_vph"]),
-                    free_flow_mps=float(row["free_flow_mps"]),
-                    is_boundary=_parse_bool(row["is_boundary"], where),
-                )
-            except (TypeError, KeyError, ValueError) as exc:
-                if isinstance(exc, SchemaError):
-                    raise
-                raise SchemaError(f"{where}: {exc}") from exc
-            index[ext] = seg.id
-            segments.append(seg)
-            externals.append(ext)
+    for lineno, (ext, length, lanes, capacity, free_flow, flag) in _csv_rows(seg_path, _SEGMENT_FIELDS):
+        where = f"{seg_path} line {lineno}"
+        ext = ext.strip()
+        if not ext:
+            raise SchemaError(f"{where}: empty id")
+        if ext in index:
+            raise SchemaError(f"{where}: duplicate id {ext!r}")
+        try:
+            seg = Segment(
+                id=len(segments),
+                length_m=float(length),
+                lanes=int(lanes),
+                capacity_vph=float(capacity),
+                free_flow_mps=float(free_flow),
+                is_boundary=_parse_bool(flag),
+            )
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        index[ext] = seg.id
+        segments.append(seg)
+        externals.append(ext)
     if not segments:
         raise SchemaError(f"{seg_path}: no segments")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    with open(edge_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != _EDGE_FIELDS:
-            raise SchemaError(f"{edge_path}: header must be {','.join(_EDGE_FIELDS)}")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{edge_path} line {lineno}"
-            u, v = row["from_id"].strip(), row["to_id"].strip()
-            if u not in index or v not in index:
-                raise SchemaError(f"{where}: unknown segment id in ({u!r}, {v!r})")
-            if (index[u], index[v]) in seen:
-                raise SchemaError(f"{where}: duplicate edge ({u!r}, {v!r})")
-            seen.add((index[u], index[v]))
-            edges.append((index[u], index[v]))
+    for lineno, (u, v) in _csv_rows(edge_path, _EDGE_FIELDS):
+        where = f"{edge_path} line {lineno}"
+        u, v = u.strip(), v.strip()
+        if u not in index or v not in index:
+            raise SchemaError(f"{where}: unknown segment id in ({u!r}, {v!r})")
+        if u == v:
+            raise SchemaError(f"{where}: self-loop on segment {u!r}")
+        if (index[u], index[v]) in seen:
+            raise SchemaError(f"{where}: duplicate edge ({u!r}, {v!r})")
+        seen.add((index[u], index[v]))
+        edges.append((index[u], index[v]))
     return RoadNetwork(tuple(segments), tuple(edges), tuple(externals))
 
 
@@ -325,7 +334,12 @@ def load_counts(path, bin_seconds: int | None = None) -> CountMatrix:
                 except ValueError:
                     raise SchemaError(f"{path} line {lineno}, column {col}: bad count {cell!r}") from None
             rows.append(vals)
-    return CountMatrix(np.array(rows, dtype=float), step, stamps[0])
+    if not rows:
+        raise SchemaError(f"{path}: no segment rows")
+    try:
+        return CountMatrix(np.array(rows, dtype=float), step, stamps[0])
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def save_counts(cm: CountMatrix, path, segment_ids) -> None:

@@ -210,10 +210,15 @@ def export_transition(t: TransitionMatrix, net: RoadNetwork, path: str) -> None:
 
 
 def export_localization(vectors: dict, net: RoadNetwork, path: str) -> None:
-    """Long-form CSV (camera_id, segment_id, rho), one block per camera."""
+    """Long-form CSV (camera_id, segment_id, rho), one block per camera.
+
+    Only the nonzero entries are written; a (camera, segment) pair with no
+    row has rho 0.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["camera_id", "segment_id", "rho"])
         for cam in sorted(vectors):
-            for j, val in enumerate(vectors[cam]):
-                w.writerow([net.external_ids[cam], net.external_ids[j], repr(float(val))])
+            rho = vectors[cam]
+            for j in np.flatnonzero(rho):
+                w.writerow([net.external_ids[cam], net.external_ids[j], repr(float(rho[j]))])

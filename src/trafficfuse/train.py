@@ -12,7 +12,6 @@ gradient-norm clipping; runs are bitwise reproducible for a fixed seed.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "train",
     "predict",
     "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -295,18 +293,3 @@ def save_checkpoint(prefix: str, params: dict, cfg: ModelConfig) -> None:
     np.savez(prefix + ".npz", **{k: v.data for k, v in params.items()})
     with open(prefix + ".json", "w") as fh:
         fh.write(canonical_json(cfg.to_dict()))
-
-
-def load_checkpoint(prefix: str):
-    """Inverse of save_checkpoint; validates the parameter set and shapes."""
-    with open(prefix + ".json") as fh:
-        cfg = ModelConfig.from_dict(json.load(fh))
-    with np.load(prefix + ".npz") as z:
-        params = {k: Tensor(z[k], requires_grad=True) for k in z.files}
-    expected = init_params(cfg, np.random.default_rng(0))
-    if set(params) != set(expected):
-        raise ValueError("checkpoint parameter names do not match the config")
-    for k, v in expected.items():
-        if params[k].data.shape != v.data.shape:
-            raise ValueError(f"checkpoint parameter {k} has shape {params[k].data.shape}, expected {v.data.shape}")
-    return params, cfg

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import datetime as dt
 import os
 
 import numpy as np
 import pytest
 
 from trafficfuse.autodiff import no_grad
-from trafficfuse.features import FEATURE_NAMES, FEATURE_VERSION, FeatureTensor
+from trafficfuse.features import FeatureTensor
 from trafficfuse.model import forward, init_params, loss_components, normalized_adjacency
 from trafficfuse.network import RoadNetwork, Segment
 
@@ -65,22 +64,11 @@ def ring10():
     return make_ring(10)
 
 
-def make_feature_tensor(values, bin_seconds=900, start=None):
+def make_feature_tensor(values):
     """Wrap a raw (N, T, F) array with identity normalization stats."""
     values = np.asarray(values, dtype=float)
     f = values.shape[2]
-    names = FEATURE_NAMES if f == len(FEATURE_NAMES) else tuple(f"f{i}" for i in range(f))
-    return FeatureTensor(
-        values=values,
-        mean=np.zeros(f),
-        scale=np.ones(f),
-        n_max=np.ones(values.shape[0]),
-        train_cols=values.shape[1],
-        bin_seconds=bin_seconds,
-        start_time=start or dt.datetime(2024, 3, 4, 0, 0),
-        names=names,
-        version=FEATURE_VERSION,
-    )
+    return FeatureTensor(values=values, mean=np.zeros(f), scale=np.ones(f))
 
 
 def check_transition_invariants(n_networks=100, seed=0, n_max=12):

@@ -11,8 +11,6 @@ from trafficfuse.features import (
     FEATURE_NAMES,
     INDICATOR_FEATURES,
     build_tensor,
-    load_tensor,
-    manifest_hash,
     temporal_features,
 )
 from trafficfuse.harness import grid_network
@@ -280,7 +278,7 @@ def test_build_tensor_shape_and_consistency_with_scalar_ops():
     for i in (0, 1, 2):
         for t in (0, 7, 15):
             b = min(max(speeds[i, t] / 10.0, 0.0), 1.0)
-            row = sd_features(b, cm.values[i, t], net.segments[i], fd, 900, ft.n_max[i])
+            row = sd_features(b, cm.values[i, t], net.segments[i], fd, 900, cm.values[i, :12].max())
             assert np.allclose(ft.values[i, t, 9:18], row, atol=1e-12)
             tf = temporal_features(int(cm.hours()[t]), int(cm.days()[t]))
             assert np.allclose(ft.values[i, t, 1:8], tf, atol=1e-12)
@@ -302,10 +300,11 @@ def test_build_tensor_nmax_uses_training_columns_only():
     net, cm, speeds = _toy_inputs()
     cm.values[0, 12:] = 10_000.0  # huge counts outside the training split
     fd = FdParams(wave_speed=2.0, jam_density=2.0, crit_speed=7.0)
+    q_rel = FEATURE_NAMES.index("q_rel_max")
     ft = build_tensor(net, fd, cm, speeds, train_cols=12)
-    assert ft.n_max[0] == cm.values[0, :12].max()
+    assert np.array_equal(ft.values[0, :, q_rel], cm.values[0] / cm.values[0, :12].max())
     all_cols = build_tensor(net, fd, cm, speeds)
-    assert all_cols.n_max[0] == 10_000.0
+    assert np.array_equal(all_cols.values[0, :, q_rel], cm.values[0] / 10_000.0)
 
 
 def test_normalization_roundtrip_and_indicator_passthrough():
@@ -333,42 +332,19 @@ def test_boundary_feature_zero_off_boundary():
     assert np.all(ft.values[1, :, 8] == 0.0)
 
 
-def test_tensor_save_load_roundtrip(tmp_path):
-    net, cm, speeds = _toy_inputs()
-    fd = FdParams(wave_speed=2.0, jam_density=2.0, crit_speed=7.0)
-    ft = build_tensor(net, fd, cm, speeds, train_cols=12)
-    prefix = str(tmp_path / "feat")
-    ft.save(prefix)
-    back = load_tensor(prefix)
-    assert np.array_equal(back.values, ft.values)
-    assert np.array_equal(back.mean, ft.mean)
-    assert np.array_equal(back.scale, ft.scale)
-    assert back.train_cols == 12
-    assert back.start_time == T0
-
-
-def test_tensor_load_rejects_corruption(tmp_path):
-    import json
-
-    net, cm, speeds = _toy_inputs()
-    fd = FdParams(wave_speed=2.0, jam_density=2.0, crit_speed=7.0)
-    ft = build_tensor(net, fd, cm, speeds)
-    prefix = str(tmp_path / "feat")
-    ft.save(prefix)
-    with open(prefix + ".json") as fh:
-        m = json.load(fh)
-    m["shape"][1] += 3
-    with open(prefix + ".json", "w") as fh:
-        json.dump(m, fh)
-    with pytest.raises(ValueError, match="payload"):
-        load_tensor(prefix)
-    m["names"][0] = "renamed"
-    with open(prefix + ".json", "w") as fh:
-        json.dump(m, fh)
-    with pytest.raises(ValueError, match="hash"):
-        load_tensor(prefix)
-
-
-def test_manifest_hash_stable():
-    assert manifest_hash() == manifest_hash(FEATURE_NAMES, "1")
-    assert manifest_hash() != manifest_hash(FEATURE_NAMES, "2")
+@pytest.mark.parametrize(
+    "start, bin_seconds, n_bins",
+    [
+        (T0, 900, 1344),  # Monday start, two weeks
+        (dt.datetime(2024, 3, 9, 21, 47, 13), 700, 1000),  # Saturday evening, bins off the hour grid
+        (T0, 3600, 35 * 24),  # five weeks
+    ],
+    ids=["monday_900s", "saturday_700s", "35_days_3600s"],
+)
+def test_temporal_block_matches_per_bin_features(start, bin_seconds, n_bins):
+    # build_tensor looks each bin up in an (hour, day) table; the per-bin
+    # call is the reference, compared bit for bit
+    cm = CountMatrix(np.zeros((2, n_bins)), bin_seconds, start)
+    got = build_tensor(make_chain(2), FD, cm, None).values[:, :, 1:8]
+    expected = np.stack([temporal_features(int(h), int(d)) for h, d in zip(cm.hours(), cm.days())])
+    assert (got.view(np.uint64) == expected.view(np.uint64)).all()

@@ -190,6 +190,39 @@ def test_load_network_duplicate_edge_names_file_and_line(tmp_path):
         load_network(tmp_path)
 
 
+_SEGMENTS_HEADER = "id,length_m,lanes,capacity_vph,free_flow_mps,is_boundary\n"
+_TWO_SEGMENTS = "a,500,2,1800,10,0\nb,500,2,1800,10,0\n"
+
+
+@pytest.mark.parametrize(
+    "segments, edges, message",
+    [
+        (_SEGMENTS_HEADER + _TWO_SEGMENTS, "from_id,to_id\na\n", r"edges\.csv line 2: expected 2 cells, got 1"),
+        (_SEGMENTS_HEADER + _TWO_SEGMENTS, "from_id,to_id\na,b,c\n", r"edges\.csv line 2: expected 2 cells, got 3"),
+        (_SEGMENTS_HEADER + "a,500,2,1800,10,0,9\n", "from_id,to_id\n", r"segments\.csv line 2: expected 6 cells, got 7"),
+        (_SEGMENTS_HEADER + "a,nan,2,1800,10,0\n", "from_id,to_id\n", r"segments\.csv line 2: segment 0: length_m must be finite"),
+        (_SEGMENTS_HEADER + "a,500,2,1800,10,0\nb,500,2,inf,10,0\n", "from_id,to_id\n",
+         r"segments\.csv line 3: segment 1: capacity_vph must be finite"),
+        (_SEGMENTS_HEADER + "a,500,0,1800,10,0\n", "from_id,to_id\n", r"segments\.csv line 2: segment 0: lanes must be >= 1"),
+        (_SEGMENTS_HEADER + "a,500,2,1800,10,maybe\n", "from_id,to_id\n", r"segments\.csv line 2: bad boolean 'maybe'"),
+        (_SEGMENTS_HEADER + _TWO_SEGMENTS, "from_id,to_id\na,b\nb,b\n", r"edges\.csv line 3: self-loop on segment 'b'"),
+        # spaces after the header's commas are accepted, and the rows are read by position
+        (_SEGMENTS_HEADER + _TWO_SEGMENTS, "from_id, to_id\na,b\n", None),
+        (_SEGMENTS_HEADER.replace(",", ", ") + _TWO_SEGMENTS, "from_id,to_id\na,b\n", None),
+    ],
+    ids=["edge_one_cell", "edge_extra_cell", "segment_extra_cell", "nan_length", "inf_capacity",
+         "zero_lanes", "bad_boolean", "self_loop", "spaced_edge_header", "spaced_segment_header"],
+)
+def test_malformed_network_files_name_file_and_line(tmp_path, segments, edges, message):
+    (tmp_path / "segments.csv").write_text(segments)
+    (tmp_path / "edges.csv").write_text(edges)
+    if message is None:
+        assert load_network(tmp_path) == RoadNetwork(make_network([(0, 1)]).segments, ((0, 1),), ("a", "b"))
+    else:
+        with pytest.raises(SchemaError, match=message):
+            load_network(tmp_path)
+
+
 def test_count_matrix_validation():
     with pytest.raises(SchemaError):
         CountMatrix(np.ones(5), 900, T0)  # not 2-D
@@ -207,6 +240,22 @@ def test_load_counts_rejects_infinite_counts(tmp_path, cell):
     p = tmp_path / "c.csv"
     p.write_text(f"segment_id,2024-01-01T00:00:00,2024-01-01T00:15:00\n0,1,3\n1,,{cell}\n")
     with pytest.raises(SchemaError, match=f"segment row 1, bin 1: count {cell} must be finite"):
+        load_counts(p)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,1,3\n1,-2,4\n", "segment row 1, bin 0: count -2.0 must be finite and nonnegative"),
+        ("0,inf,3\n", "segment row 0, bin 0: count inf must be finite"),
+        ("", "no segment rows"),
+    ],
+    ids=["negative", "inf", "no_rows"],
+)
+def test_load_counts_errors_name_the_file(tmp_path, body, message):
+    p = tmp_path / "c.csv"
+    p.write_text("segment_id,2024-01-01T00:00:00,2024-01-01T00:15:00\n" + body)
+    with pytest.raises(SchemaError, match=re.escape(f"{p}: {message}")):
         load_counts(p)
 
 

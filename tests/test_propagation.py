@@ -324,6 +324,27 @@ def test_exports_round_trip(tmp_path):
     assert got["s0"] == 1.0
 
 
+def test_localization_export_writes_exactly_the_nonzeros(tmp_path):
+    # on a six-segment chain, cameras 0 and 5 reach three hops each, so
+    # both vectors hold zeros; the file keeps only the nonzero entries,
+    # camera by camera in ascending segment order
+    net = make_chain(6)
+    flows = np.zeros((6, 6))
+    flows[np.arange(5), np.arange(1, 6)] = 1.0
+    vectors = localization_vectors(build_transition(flows, gamma_pd=0.5), [5, 0])
+    path = tmp_path / "localization.csv"
+    export_localization(vectors, net, str(path))
+    rows = list(csv.reader(open(path)))
+    expected = [
+        [f"s{cam}", f"s{j}", repr(float(vectors[cam][j]))]
+        for cam in (0, 5)
+        for j in range(6)
+        if vectors[cam][j] != 0.0
+    ]
+    assert rows == [["camera_id", "segment_id", "rho"], *expected]
+    assert 0 < len(expected) < 12
+
+
 def test_transition_matrix_is_frozen():
     t = _chain_transition()
     assert isinstance(t, TransitionMatrix)

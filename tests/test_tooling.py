@@ -119,6 +119,17 @@ def test_readme_configs_load(tmp_path):
     assert configs[0] == ExperimentConfig(days=14, forecast_days=7, train_steps=800, seed=0)
 
 
+def test_readme_command_line_names_every_stage_command():
+    # the stage commands README lists under "Command line" are the CLI's
+    # subcommands other than run, in the same order
+    from trafficfuse import cli
+
+    line = re.search(r"^trafficfuse simulate \|.*$", (ROOT / "README.md").read_text(), re.M)
+    assert line, "README.md has no stage command line"
+    listed = line.group(0).removeprefix("trafficfuse ").split(" | ")
+    assert listed == [name for name in cli._COMMANDS if name != "run"]
+
+
 def test_demo_imports_resolve():
     # covers full_experiment.py too, which is too slow to run here
     demos = sorted(DEMOS.glob("*.py"))
