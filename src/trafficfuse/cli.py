@@ -17,7 +17,6 @@ from dataclasses import replace
 import numpy as np
 
 from .harness import ExperimentConfig, Pipeline, load_config
-from .network import save_counts
 
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -65,22 +64,6 @@ def _configure(args) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_simulate(pipe: Pipeline, out: str) -> str:
-    pipe.simulate()
-    path = os.path.join(out, "truth_counts.csv")
-    save_counts(pipe.truth, path, pipe.net.external_ids)
-    n, t = pipe.truth.values.shape
-    return f"simulate: {n} segments x {t} bins -> {path}"
-
-
-def _cmd_sample(pipe: Pipeline, out: str) -> str:
-    pipe.sample()
-    path = os.path.join(out, "probe_counts.csv")
-    save_counts(pipe.probe, path, pipe.net.external_ids)
-    rate = float(np.nansum(pipe.probe.values) / max(np.nansum(pipe.truth.values), 1.0))
-    return f"sample: through-rate {rate:.3f} -> {path}"
-
-
 def _cmd_train(pipe: Pipeline, out: str) -> str:
     log = pipe.write_training(out)["training_log"]
     return f"train: best validation loss {pipe.trained.best_val:.4f} -> {log}"
@@ -115,8 +98,6 @@ def _cmd_run(pipe: Pipeline, out: str) -> str:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "sample": _cmd_sample,
     "train": _cmd_train,
     "calibrate": _cmd_calibrate,
     "observability": _cmd_observability,

@@ -416,6 +416,10 @@ class ExperimentConfig:
             raise ValueError(f"train_lr {self.train_lr} must be positive")
         if not 0 <= self.confidence_decay <= 1:
             raise ValueError(f"confidence_decay {self.confidence_decay} must lie in [0, 1]")
+        if not 0 < self.gamma_pd < 1:
+            raise ValueError(f"gamma_pd {self.gamma_pd} must lie in (0, 1)")
+        if not 0 <= self.diffusion_s < 1:
+            raise ValueError(f"diffusion_s {self.diffusion_s} must lie in [0, 1)")
         if not 0 < self.interval < 1:
             raise ValueError("interval must lie in (0, 1)")
         if self.bin_seconds <= 0 or 86400 % self.bin_seconds:
@@ -515,8 +519,9 @@ class Pipeline:
         else:
             make, cameras = TWINS[cfg.twin]
             self.net, self.beta, self.sources = make()
-        self.calibration = tuple(cfg.cameras_calibration) or cameras["calibration"]
-        self.validation = tuple(cfg.cameras_validation) or cameras["validation"]
+        # a repeated id is one camera, kept at its first position
+        self.calibration = tuple(dict.fromkeys(cfg.cameras_calibration)) or cameras["calibration"]
+        self.validation = tuple(dict.fromkeys(cfg.cameras_validation)) or cameras["validation"]
         overlap = set(self.calibration) & set(self.validation)
         if overlap:
             raise ValueError(f"calibration and validation cameras overlap: {sorted(overlap)}")

@@ -53,13 +53,18 @@ class ModelConfig:
         for name in ("embed_dim", "spatial_layers", "temporal_blocks", "heads", "history", "horizon", "ffn_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("lambda_mae", "lambda_nll", "lambda_cons", "lambda_cap", "tau_b_coeff"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 0")
+        if not self.ln_eps > 0:
+            raise ValueError(f"ln_eps {self.ln_eps} must be positive")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**config_kwargs(d, cls, "model", retired=("row_normalize_adjacency",)))
+        return cls(**config_kwargs(d, cls, "model"))
 
 
 def _glorot(rng, fan_in, fan_out):

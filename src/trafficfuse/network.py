@@ -1,4 +1,4 @@
-"""Directed road network containers and count-matrix I/O.
+"""Directed road network containers, network-file I/O and the count writer.
 
 A network is a set of road segments (the graph nodes) joined by directed
 connectivity edges; traffic flows along edges. Segment ids are dense
@@ -25,7 +25,6 @@ __all__ = [
     "SchemaError",
     "load_network",
     "save_network",
-    "load_counts",
     "save_counts",
     "boundary_segments",
     "max_storage",
@@ -36,7 +35,7 @@ LENGTH_RANGE_M = (50.0, 2000.0)
 
 
 class SchemaError(ValueError):
-    """Raised when a network or count file violates its schema."""
+    """Raised when a network file or a count matrix violates its schema."""
 
 
 @dataclass(frozen=True)
@@ -290,60 +289,12 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def load_counts(path, bin_seconds: int | None = None) -> CountMatrix:
-    """Read a count matrix CSV: header of ISO-8601 bin starts, one row per segment.
-
-    Empty cells become NaN. Bin width is inferred from the first two
-    header timestamps unless there is a single bin, in which case
-    bin_seconds must be given.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if not header or header[0] != "segment_id":
-            raise SchemaError(f"{path}: first header cell must be 'segment_id'")
-        try:
-            stamps = [_dt.datetime.fromisoformat(h) for h in header[1:]]
-        except ValueError as exc:
-            raise SchemaError(f"{path}: bad ISO-8601 header: {exc}") from exc
-        if not stamps:
-            raise SchemaError(f"{path}: no time bins")
-        if len(stamps) >= 2:
-            width = (stamps[1] - stamps[0]).total_seconds()
-            if width < 1 or not width.is_integer():
-                raise SchemaError(f"{path} line 1, column 3: bin width {width} s is not a whole number of seconds > 0")
-            step = int(width)
-            for k in range(1, len(stamps) - 1):
-                if (stamps[k + 1] - stamps[k]).total_seconds() != width:
-                    raise SchemaError(f"{path} line 1, column {k + 3}: non-uniform bin width")
-        elif bin_seconds is None:
-            raise SchemaError(f"{path}: single bin; pass bin_seconds")
-        else:
-            step = bin_seconds
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"{path} line {lineno}: expected {len(header)} cells")
-            vals = []
-            for col, cell in enumerate(row[1:], start=2):
-                try:
-                    vals.append(float(cell) if cell.strip() != "" else np.nan)
-                except ValueError:
-                    raise SchemaError(f"{path} line {lineno}, column {col}: bad count {cell!r}") from None
-            rows.append(vals)
-    if not rows:
-        raise SchemaError(f"{path}: no segment rows")
-    try:
-        return CountMatrix(np.array(rows, dtype=float), step, stamps[0])
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-
-
 def save_counts(cm: CountMatrix, path, segment_ids) -> None:
-    """Write a CountMatrix in the CSV layout load_counts reads, row i labelled segment_ids[i]."""
+    """Write a CountMatrix as CSV, row i labelled segment_ids[i].
+
+    The header is segment_id and each bin's ISO-8601 start; a NaN count is
+    an empty cell.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["segment_id"] + [cm.bin_start(t).isoformat() for t in range(cm.n_bins)])

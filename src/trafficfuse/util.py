@@ -32,25 +32,23 @@ def _is(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def config_kwargs(d: dict, cls, where: str, retired=()) -> dict:
-    """The entries of d that name fields of dataclass cls.
+def config_kwargs(d: dict, cls, where: str) -> dict:
+    """A copy of d, once each key names a field of dataclass cls.
 
-    Any other key is a typo or a stale option, so it raises ValueError,
-    except the retired keys, which older documents may still carry. So
-    does a value of the wrong JSON type, such as 900.0 or true for an int.
+    Any other key is a typo or a stale option, so it raises ValueError.
+    So does a value of the wrong JSON type, such as 900.0 or true for an int.
     """
     known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(d) - set(known) - set(retired))
+    unknown = sorted(set(d) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} config keys: {', '.join(unknown)}")
-    d = {k: v for k, v in d.items() if k in known}
     for k, v in d.items():
         kind, _, optional = known[k].type.partition(" | ")
         types, wanted = _KINDS.get(kind, ((dict,), "an object"))
         ok = v is None and optional == "None" or _is(v, types) and (kind != "tuple" or all(_is(i, int) for i in v))
         if not ok:
             raise ValueError(f"{where} config key {k} must be {wanted}{' or null' * (optional == 'None')}, not {v!r}")
-    return d
+    return dict(d)
 
 
 def canonical_json(obj) -> str:

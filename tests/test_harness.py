@@ -412,9 +412,12 @@ class TestExperimentConfig:
             ({"train_batch": 0}, "^train_batch 0 must be >= 1"),
             ({"train_lr": -1}, "^train_lr -1 must be positive"),
             ({"confidence_decay": 2.0}, r"^confidence_decay 2.0 must lie in \[0, 1\]"),
+            # these two used to fail only in the transition stage, after training
+            ({"gamma_pd": 1.5}, r"^gamma_pd 1.5 must lie in \(0, 1\)"),
+            ({"diffusion_s": 1.0}, r"^diffusion_s 1.0 must lie in \[0, 1\)"),
         ],
         ids=["seed_str", "seed_bool", "camera_float", "bin_seconds_float", "days_str", "model_null",
-             "train_batch_0", "train_lr_negative", "confidence_decay_2"],
+             "train_batch_0", "train_lr_negative", "confidence_decay_2", "gamma_pd_1.5", "diffusion_s_1"],
     )
     def test_bad_values_are_rejected_by_name(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -592,6 +595,13 @@ class TestPipeline:
         pipe = Pipeline(small_config(cameras_calibration=(1, 1))).calibrate()
         assert pipe.ensemble.n_assimilated == chain_run[0].diagnostics["n_assimilated"]
         assert np.isfinite(pipe.calibrated.values[:, pipe.first_bin :]).all()
+        # a repeat of one of several cameras is that camera once, in the
+        # warm-up median too, and keeps the first-occurrence order
+        once = Pipeline(small_config(cameras_calibration=(2, 1), cameras_validation=(3,))).calibrate()
+        twice = Pipeline(small_config(cameras_calibration=(2, 1, 2, 2), cameras_validation=(3, 3))).calibrate()
+        assert (twice.calibration, twice.validation) == ((2, 1), (3,))
+        assert twice.alpha_star == once.alpha_star
+        assert np.array_equal(twice.calibrated.values, once.calibrated.values, equal_nan=True)
 
     def test_observability_uses_the_simulated_turn_ratios(self, tmp_path):
         pipe = Pipeline(small_config(twin="grid"))
@@ -654,14 +664,10 @@ class TestPipeline:
         assert len(lines) == 1 + 4
         assert lines[1].startswith("c0,")
 
-    def test_count_files_label_rows_by_external_id(self, chain_run, tmp_path):
+    def test_count_files_label_rows_by_external_id(self, chain_run):
         result, out = chain_run
         rows = (out / "calibrated_counts.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows] == ["segment_id", *result.net.external_ids]
-        for command, name in (("simulate", "truth_counts.csv"), ("sample", "probe_counts.csv")):
-            assert cli._COMMANDS[command](result, str(tmp_path)).startswith(command)
-            rows = (tmp_path / name).read_text().splitlines()
-            assert [r.split(",")[0] for r in rows] == ["segment_id", *result.net.external_ids]
 
     def test_reruns_are_byte_identical(self, chain_run, tmp_path):
         _, out = chain_run

@@ -73,8 +73,19 @@ def test_config_rejects_nonpositive_sizes():
 def test_config_dict_round_trip():
     cfg = ModelConfig(embed_dim=16, heads=4, lambda_cap=2.5)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-    # a key of a removed option, as older configs and checkpoints carry it
-    assert ModelConfig.from_dict({**cfg.to_dict(), "row_normalize_adjacency": True}) == cfg
+    # the key of a removed option is unknown like any other
+    with pytest.raises(ValueError, match="^unknown model config keys: row_normalize_adjacency$"):
+        ModelConfig.from_dict({**cfg.to_dict(), "row_normalize_adjacency": True})
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [(name, -0.5, "must be >= 0") for name in ("lambda_mae", "lambda_nll", "lambda_cons", "lambda_cap", "tau_b_coeff")]
+    + [("lambda_cons", float("nan"), "must be >= 0"), ("ln_eps", 0.0, "must be positive"), ("ln_eps", -1e-5, "must be positive")],
+)
+def test_config_rejects_bad_loss_weights(name, value, message):
+    with pytest.raises(ValueError, match=f"^{name} {value} {message}"):
+        ModelConfig(**{name: value})
 
 
 def test_normalized_adjacency_rows():
