@@ -24,8 +24,13 @@ at most one tape. The CLI keeps the freed pages in the process (see
 cli._keep_freed_memory), so the next step does not fault them in again.
 
 Affine maps, layer norm and softmax are fused nodes with analytic
-backward passes. No gradient is ever mutated in place, so a node stores
-the first gradient it is handed without copying it.
+backward passes. The row sums of layer norm and softmax and the bias
+gradients' column sums are BLAS mat-vecs against a vector of ones, which
+beat ufunc.reduce over a short axis. No gradient is ever mutated in place, so
+a node stores the first gradient it is handed without copying it.
+
+GELU's erf is a numpy port of the Cephes rational approximations, so the
+tape needs numpy alone.
 """
 
 from __future__ import annotations
@@ -33,9 +38,8 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy.special import erf
 
-__all__ = ["Tensor", "no_grad", "affine", "gelu", "layer_norm", "softmax"]
+__all__ = ["Tensor", "no_grad", "affine", "erf", "gelu", "layer_norm", "softmax"]
 
 _GRAD_ENABLED = True
 
@@ -52,10 +56,31 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def _axis_sums(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """a.sum(axis, keepdims=True) as BLAS mat-vecs against ones: ufunc.reduce
+    over a short axis pays a loop per row. One mat-vec over the flattened
+    rows where the swapped array is C-contiguous, numpy's stacked product
+    elsewhere, which needs no copy of a."""
+    a = a.swapaxes(axis, -1)
+    ones = np.ones(a.shape[-1])
+    if a.flags.c_contiguous:
+        s = (a.reshape(-1, a.shape[-1]) @ ones).reshape(a.shape[:-1] + (1,))
+    else:
+        s = (a @ ones)[..., None]
+    return s.swapaxes(axis, -1)
+
+
+def _col_sums(a2: np.ndarray) -> np.ndarray:
+    """a2.sum(axis=0) for a 2-D a2, as one BLAS mat-vec."""
+    return np.ones(a2.shape[0]) @ a2
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to the shape it was broadcast from."""
     if grad.shape == shape:
         return grad
+    if len(shape) == 1 and grad.shape[-1] == shape[0] and grad.flags.c_contiguous:
+        return _col_sums(grad.reshape(-1, shape[0]))
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -375,6 +400,92 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
 
+# Cephes ndtr.c rational approximations (Cody 1969): erf(x) = x T(x^2) / U(x^2)
+# on |x| <= 1 and 1 - exp(-x^2) P(|x|) / Q(|x|) beyond, with sign; leading
+# coefficients first, and U and Q monic
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# erfc(8) is 1e-29, so past 8 the second form already rounds to +-1
+_ERF_CLIP = 8.0
+# elements per pass: the buffers stay in cache, and no whole-array
+# temporary raises the peak
+_ERF_CHUNK = 16384
+
+
+def _polevl(z: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """coef[0] z^n + ... + coef[n] by Horner's rule, into out."""
+    np.multiply(z, coef[0], out=out)
+    for c in coef[1:-1]:
+        out += c
+        out *= z
+    out += coef[-1]
+    return out
+
+
+def _p1evl(z: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """z^n + coef[0] z^(n-1) + ... + coef[n-1], the monic form, into out."""
+    np.add(z, coef[0], out=out)
+    for c in coef[1:]:
+        out *= z
+        out += c
+    return out
+
+
+def erf(x, out: np.ndarray | None = None) -> np.ndarray:
+    """The error function, elementwise in float64, to within 1 ulp of
+    Cephes: exact at +-0 (sign kept), +-1 at +-inf, NaN at NaN. out, a
+    C-contiguous array of x's shape, may be x itself."""
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or not out.flags.c_contiguous:
+        raise ValueError(f"erf: out must be a C-contiguous array of shape {x.shape}")
+    if not x.size:
+        return out
+    src, dst = x.reshape(-1), out.reshape(-1)
+    t, z, num, den = np.empty((4, min(src.size, _ERF_CHUNK)))
+    far, x_far = [], []
+    # a subnormal x underflows harmlessly in x^2 and x T / U
+    with np.errstate(under="ignore"):
+        for lo in range(0, src.size, _ERF_CHUNK):
+            c, d = src[lo : lo + _ERF_CHUNK], dst[lo : lo + _ERF_CHUNK]
+            k = c.size
+            tk, zk, nk, dk = t[:k], z[:k], num[:k], den[:k]
+            # clipped before squaring, so nothing overflows at +-inf; the
+            # entries clipping changes (|x| > 1, and NaN, which the second
+            # form passes through) are kept before d, which may be c, is written
+            np.clip(c, -1.0, 1.0, out=tk)
+            f = np.flatnonzero(tk != c)
+            far.append(f + lo)
+            x_far.append(c[f])
+            np.square(tk, out=zk)
+            _polevl(zk, _ERF_T, nk)
+            nk *= tk
+            np.divide(nk, _p1evl(zk, _ERF_U, dk), out=d)
+        # the far entries of every chunk in one pass, not one pass per chunk
+        far, x_far = np.concatenate(far), np.concatenate(x_far)
+        for lo in range(0, far.size, _ERF_CHUNK):
+            xf = x_far[lo : lo + _ERF_CHUNK]
+            k = xf.size
+            a = np.minimum(np.abs(xf, out=t[:k]), _ERF_CLIP, out=t[:k])
+            e = np.square(a, out=z[:k])
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            e *= _polevl(a, _ERFC_P, num[:k])
+            e /= _p1evl(a, _ERFC_Q, den[:k])
+            np.subtract(1.0, e, out=e)
+            dst[far[lo : lo + k]] = np.copysign(e, xf, out=e)
+    return out
+
+
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -422,12 +533,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     (nx,) = _tape(x)
     y = x.data - _max_keepdims(x.data, axis)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= _axis_sums(y, axis)
 
     def backward(g):
         # y * (g - sum(g * y))
         gy = g * y
-        np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
+        np.subtract(g, _axis_sums(gy, axis), out=gy)
         gy *= y
         nx._accumulate(gy)
 
@@ -454,7 +565,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if nw is not None:
             nw._accumulate(xk.T @ g2)
         if nb is not None:
-            nb._accumulate(g2.sum(axis=0))
+            nb._accumulate(_col_sums(g2))
 
     return _result(out.reshape(x_shape[:-1] + (n,)), (nx, nw, nb), backward)
 
@@ -464,8 +575,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     nx, ng, nb = _tape(x, gain, bias)
     inv_d = 1.0 / x.shape[-1]
     # C order, so a following affine flattens it without a copy
-    xhat = np.subtract(x.data, x.data.sum(axis=-1, keepdims=True) * inv_d, order="C")
-    std = np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) * inv_d + eps)
+    xhat = np.subtract(x.data, _axis_sums(x.data) * inv_d, order="C")
+    std = np.sqrt(_axis_sums(np.square(xhat)) * inv_d + eps)
     xhat /= std
     out = xhat * gain.data
     out += bias.data
@@ -477,11 +588,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     def backward(g):
         if nx is not None:
             # (gh - mean(gh) - xhat * mean(gh * xhat)) / std, gh = g * gain
-            gh = g * gd
+            gh = np.multiply(g, gd, order="C")
             t = gh * xh
-            m = t.mean(axis=-1, keepdims=True)
+            m = _axis_sums(t) * inv_d
             np.multiply(xh, m, out=t)
-            gh -= gh.mean(axis=-1, keepdims=True)
+            gh -= _axis_sums(gh) * inv_d
             gh -= t
             gh /= sd
             nx._accumulate(gh)

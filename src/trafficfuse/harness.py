@@ -19,14 +19,14 @@ import datetime as dt
 import functools
 import json
 import os
+import statistics
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import ensrf
-from .ctm import FdArrays, FdParams, TurnRatios, default_fd_params, simulate
+from .ctm import FdArrays, TurnRatios, default_fd_params, simulate
 from .features import FEATURE_NAMES, build_tensor
 from .model import ModelConfig, normalized_adjacency
 from .network import (
@@ -242,6 +242,12 @@ def evaluate(estimate, truth, locations, lo=None, hi=None) -> MetricsReport:
     pooled = None if sst_tot == 0.0 else 1.0 - sse_tot / sst_tot
     coverage = hits / trials if trials else None
     return MetricsReport(per, pooled, coverage, n_points, tuple(notes))
+
+
+def _band_crit(interval: float) -> float:
+    """The standard normal quantile at 0.5 + interval / 2: a central band
+    of +-crit standard deviations holds an `interval` share."""
+    return statistics.NormalDist().inv_cdf(0.5 + interval / 2.0)
 
 
 # -- synthetic twins ---------------------------------------------------------
@@ -700,7 +706,7 @@ class Pipeline:
         calibrated[:, run] = calibrate_counts(q_run, alpha_c)
         # Predictive band: posterior log-ratio spread convolved with the
         # filter's own count-noise model, moment-matched in log space.
-        crit = float(ndtri(0.5 + cfg.interval / 2.0))
+        crit = _band_crit(cfg.interval)
         r_z = ensrf.obs_variance(q_run * mean, fcfg)
         half = crit * np.sqrt(z_var + r_z)
         lo[:, run] = q_run * np.exp(z_mean - half)

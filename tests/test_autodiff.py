@@ -5,8 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf  # the oracle for the numpy erf
 
-from trafficfuse.autodiff import Tensor, affine, gelu, layer_norm, no_grad, softmax
+from trafficfuse.autodiff import Tensor, affine, erf, gelu, layer_norm, no_grad, softmax
 
 
 def rel_err(a, b):
@@ -122,6 +123,50 @@ def test_elementwise_nonlinear():
     gradcheck(lambda x: x.abs().sum(), b)
     gradcheck(lambda x: x.relu().sum(), b)
     gradcheck(lambda x: gelu(x).sum(), a, tol=1e-5)
+
+
+def ulps_apart(a, b):
+    """Elementwise distance between float64 arrays in units in the last
+    place, counting every representable value in between (+0 and -0 are
+    one point)."""
+    lowest = np.iinfo(np.int64).min
+
+    def line(v):
+        k = np.asarray(v, dtype=np.float64).view(np.int64)
+        return np.where(k < 0, lowest - k, k)
+
+    return np.abs(line(a) - line(b))
+
+
+def test_erf_within_one_ulp_of_scipy():
+    sweep = np.linspace(-10.0, 10.0, 400_001)
+    samples = [RNG.normal(size=50_000) * scale for scale in (0.3, 1.0, 3.0, 10.0, 30.0)]
+    for x in [sweep, *samples]:
+        assert ulps_apart(erf(x), scipy_erf(x)).max() <= 1
+
+
+def test_erf_special_values_are_exact_and_raise_no_warning():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -1e-200])
+    with np.errstate(all="raise"):
+        y = erf(x)
+        erf(np.linspace(-1e3, 1e3, 100_001))  # every branch, under the same check
+    assert np.array_equal(y[:7], [0.0, -0.0, 1.0, -1.0, np.nan, 1.0, -1.0], equal_nan=True)
+    assert list(np.signbit(y[:2])) == [False, True]
+    assert np.array_equal(y[7:], scipy_erf(x[7:]))
+
+
+def test_erf_in_place_and_on_a_transposed_input():
+    # more elements than one evaluation chunk, so chunk edges are crossed
+    x = RNG.normal(size=(3, 20_000)) * 2.0
+    want = erf(x)
+    y = x.copy()
+    assert erf(y, out=y) is y
+    assert np.array_equal(y, want)
+    assert np.array_equal(erf(x.T), want.T)
+    for out in (np.empty(x.size), np.empty((20_000, 3)).T):
+        with pytest.raises(ValueError, match="C-contiguous array of shape"):
+            erf(x, out=out)
+    assert erf(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_softmax_gradient():

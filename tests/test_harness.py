@@ -256,6 +256,13 @@ class TestEvaluate:
         assert d["per_location"]["0"]["mae"] == pytest.approx(0.8)
         json.dumps(d)
 
+    @pytest.mark.parametrize("interval", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_band_crit_is_the_normal_quantile(self, interval):
+        from scipy.special import ndtri  # the oracle
+
+        want = float(ndtri(0.5 + interval / 2.0))
+        assert abs(harness._band_crit(interval) - want) <= 4 * np.spacing(want)
+
 
 # -- synthetic twins ----------------------------------------------------------
 

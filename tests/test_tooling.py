@@ -33,18 +33,53 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def _loaded_after(imports: str, prefixes: tuple) -> list:
+    """The sys.modules keys starting with one of prefixes after a fresh
+    interpreter runs `import <imports>`."""
+    code = f"import sys, {imports}\nprint(' '.join(m for m in sys.modules if m.startswith({prefixes!r})))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_leaf_modules_do_not_load_the_stack():
     # the network, simulator and observability modules stand alone; a
     # package-level import that pulls in scipy, the autodiff tape or the
     # pipeline would make every script that reads one network pay for all
-    code = (
-        "import sys, trafficfuse.network, trafficfuse.ctm, trafficfuse.observability\n"
-        "print(' '.join(m for m in ('scipy', 'trafficfuse.autodiff', 'trafficfuse.harness') if m in sys.modules))"
+    loaded = _loaded_after(
+        "trafficfuse.network, trafficfuse.ctm, trafficfuse.observability",
+        ("scipy", "trafficfuse.autodiff", "trafficfuse.harness"),
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [], f"loaded by the leaf modules: {proc.stdout.strip()}"
+    assert loaded == [], f"loaded by the leaf modules: {loaded}"
+
+
+def test_cli_does_not_load_scipy():
+    # scipy.special alone costs a CLI process about 0.3 s and 25 MB; the
+    # run path needs only numpy and the standard library
+    loaded = _loaded_after("trafficfuse.cli", ("scipy",))
+    assert loaded == [], f"loaded by trafficfuse.cli: {loaded}"
+
+
+def _bound_names(node) -> list:
+    """The names a module-level import statement binds."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    # an import nothing references still costs every process that loads
+    # the module; a name re-exported through __all__ counts as used
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    mod = importlib.import_module("trafficfuse" if path.stem == "__init__" else f"trafficfuse.{path.stem}")
+    used |= set(getattr(mod, "__all__", ()))
+    unused = [name for node in tree.body for name in _bound_names(node) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
