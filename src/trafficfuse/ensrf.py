@@ -85,9 +85,11 @@ class FilterConfig:
             raise ValueError("sigma_0 must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        for name in ("sigma_y", "q_base", "q_hour", "q_day", "q_regime"):
-            if getattr(self, name) < 0:
+        for name in ("sigma_y", "q_base", "q_hour", "q_day", "q_regime", "init_base_sd", "init_glob_sd"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not 0.0 <= self.global_gain_scale <= 1.0:
+            raise ValueError(f"global_gain_scale {self.global_gain_scale} must lie in [0, 1]")
         if self.max_global_obs < 0:
             raise ValueError("max_global_obs must be nonnegative")
 

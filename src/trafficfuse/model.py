@@ -1,14 +1,16 @@
 """Spatiotemporal graph predictor over probe-count features.
 
 Per time step, stacked graph-convolution layers mix each segment with its
-neighbours: H <- GELU(LN(A H W_n + H W_s + H W_r)), where W_s and W_r are
-two separate matrices applied to the same operand (kept distinct on
-purpose; they are not fused). Per segment, pre-norm self-attention blocks
-mix the history axis. A flattening layer and two small MLP heads emit a
-mean increment and a log-variance for each forecast horizon; predictions
-are anchored on the last observed count, q_hat = q(t) + mu. Heads are
-zero-initialized so the untrained model reproduces last-value persistence
-with unit predictive variance.
+neighbours: H <- GELU(LN(A H W_n + H W_s)), with one self weight W_s
+(a second self matrix on the same operand would only get the same
+gradient). Per segment, pre-norm self-attention blocks mix the history
+axis; keys carry no bias, since softmax over keys ignores the per-query
+constant q . b_k it would add. GELU is the tanh form (autodiff.gelu). A
+flattening layer and two small MLP heads emit a mean increment and a
+log-variance for each forecast horizon; predictions are anchored on the
+last observed count, q_hat = q(t) + mu. Heads are zero-initialized so the
+untrained model reproduces last-value persistence with unit predictive
+variance.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ class ModelConfig:
     """Architecture and loss weights.
 
     tau_b_coeff sets the conservation tolerance per window as a fraction
-    of that window's total vehicle count. ffn_width defaults to twice the
-    embedding width.
+    of that window's total vehicle count. ffn_width is the temporal
+    blocks' feed-forward width, a fixed 48 by default (twice the default
+    embed_dim; it does not follow embed_dim).
     """
 
     n_features: int = 22
@@ -80,7 +83,6 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
     for ell in range(cfg.spatial_layers):
         p[f"sp{ell}_w_n"] = _glorot(rng, d, d)
         p[f"sp{ell}_w_s"] = _glorot(rng, d, d)
-        p[f"sp{ell}_w_r"] = _glorot(rng, d, d)
         p[f"sp{ell}_ln_g"] = np.ones(d)
         p[f"sp{ell}_ln_b"] = np.zeros(d)
     for k in range(cfg.temporal_blocks):
@@ -88,7 +90,8 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
         p[f"tb{k}_ln1_b"] = np.zeros(d)
         for nm in ("q", "k", "v", "o"):
             p[f"tb{k}_w_{nm}"] = _glorot(rng, d, d)
-            p[f"tb{k}_b_{nm}"] = np.zeros(d)
+            if nm != "k":
+                p[f"tb{k}_b_{nm}"] = np.zeros(d)
         p[f"tb{k}_ln2_g"] = np.ones(d)
         p[f"tb{k}_ln2_b"] = np.zeros(d)
         p[f"tb{k}_w_f1"] = _glorot(rng, d, cfg.ffn_width)
@@ -161,7 +164,7 @@ def forward(
     for ell in range(cfg.spatial_layers):
         msg = a_t @ z
         z = gelu(layer_norm(
-            msg @ params[f"sp{ell}_w_n"] + z @ params[f"sp{ell}_w_s"] + z @ params[f"sp{ell}_w_r"],
+            msg @ params[f"sp{ell}_w_n"] + z @ params[f"sp{ell}_w_s"],
             params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], cfg.ln_eps,
         ))
 
@@ -171,7 +174,7 @@ def forward(
     for k in range(cfg.temporal_blocks):
         y = layer_norm(z, params[f"tb{k}_ln1_g"], params[f"tb{k}_ln1_b"], cfg.ln_eps)
         qs = affine(y, params[f"tb{k}_w_q"], params[f"tb{k}_b_q"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
-        ks = affine(y, params[f"tb{k}_w_k"], params[f"tb{k}_b_k"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
+        ks = affine(y, params[f"tb{k}_w_k"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
         vs = affine(y, params[f"tb{k}_w_v"], params[f"tb{k}_b_v"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
         att = softmax((qs @ ks.swapaxes(-1, -2)) * inv_sqrt, axis=-1)
         ctx = (att @ vs).swapaxes(2, 3).reshape(bsz, n, hh, d)

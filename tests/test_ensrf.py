@@ -86,6 +86,13 @@ def test_config_validation():
         FilterConfig(sigma_0=0.0)
     with pytest.raises(ValueError, match="q_base"):
         FilterConfig(q_base=-1.0)
+    for name in ("init_base_sd", "init_glob_sd"):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+            FilterConfig(**{name: -1.0})
+    for gain in (-3.0, 1.5, 5.0, float("nan")):
+        with pytest.raises(ValueError, match="^global_gain_scale .* must lie in"):
+            FilterConfig(global_gain_scale=gain)
+    FilterConfig(global_gain_scale=1.0, init_base_sd=0.0, init_glob_sd=0.0)
 
 
 def test_effective_beta_is_component_sum():

@@ -254,6 +254,34 @@ def test_gradients_through_shared_bins_match_finite_differences():
     assert model_grad_fd_err(cfg, n_segments=3, batch=3, seed=8, shared=True) < 1e-4
 
 
+def test_every_parameter_gets_a_gradient_of_its_own():
+    # a parameter the loss cannot see has a zero (rounding-noise) gradient;
+    # two that the loss cannot tell apart get the same gradient bit for bit
+    cfg = ModelConfig(
+        n_features=5, embed_dim=4, spatial_layers=2, temporal_blocks=1,
+        heads=2, history=3, horizon=2, ffn_width=8,
+    )
+    rng = np.random.default_rng(3)
+    params = init_params(cfg, rng)
+    for p in params.values():
+        p.data = rng.normal(scale=0.3, size=p.data.shape)
+    a_hat, hist, anchor = _tiny_inputs(cfg, n=3, b=2, seed=4)
+    target = anchor[:, :, None] + rng.normal(scale=2.0, size=(2, 3, cfg.horizon))
+    qmax = rng.uniform(8.0, 25.0, size=3)
+    n_tot = target[:, :, 0].sum(axis=1)
+    pred = forward(params, cfg, a_hat, *_stacked(hist), anchor)
+    loss_components(pred, target, cfg, qmax, n_tot)["total"].backward()
+    scale = {k: np.abs(p.grad).max() for k, p in params.items()}
+    largest = max(scale.values())
+    assert not [k for k, s in scale.items() if s < 1e-8 * largest]
+    names = list(params)
+    twins = [
+        (a, b) for i, a in enumerate(names) for b in names[i + 1 :]
+        if params[a].grad.shape == params[b].grad.shape and np.array_equal(params[a].grad, params[b].grad)
+    ]
+    assert not twins
+
+
 def _adjacency(net):
     """Dense 0/1 adjacency over a network's edges, as Pipeline.fit scatters it."""
     a = np.zeros((net.n_segments, net.n_segments))
