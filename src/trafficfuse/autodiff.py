@@ -32,7 +32,9 @@ a node stores the first gradient it is handed without copying it.
 GELU is the tanh form of Hendrycks & Gimpel (2016), within 5e-4 of the
 exact x Phi(x); it needs only np.tanh, so the tape needs numpy alone. Its
 node keeps the input and the tanh value, and its backward overwrites the
-tanh value in place.
+tanh value in place. Where no backward will read them (under no_grad),
+layer_norm and gelu write their outputs over their own temporaries, so
+each holds one output-sized array.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "affine", "gelu", "layer_norm", "softmax"]
+__all__ = ["Tensor", "no_grad", "grad_enabled", "affine", "gelu", "layer_norm", "softmax"]
 
 _GRAD_ENABLED = True
 
@@ -56,6 +58,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def grad_enabled() -> bool:
+    """False inside no_grad, where no op records a tape."""
+    return _GRAD_ENABLED
 
 
 def _axis_sums(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -418,7 +425,8 @@ def gelu(x: Tensor) -> Tensor:
     t += _GELU_C
     t *= xd
     np.tanh(t, out=t)
-    out_data = t + 1.0
+    # without a node the output overwrites t, which no backward reads
+    out_data = t + 1.0 if nx is not None else np.add(t, 1.0, out=t)
     out_data *= xd
     out_data *= 0.5
 
@@ -504,12 +512,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     xhat = np.subtract(x.data, _axis_sums(x.data) * inv_d, order="C")
     std = np.sqrt(_axis_sums(np.square(xhat)) * inv_d + eps)
     xhat /= std
-    out = xhat * gain.data
-    out += bias.data
     g_shape, b_shape = gain.shape, bias.shape
     gd = gain.data if nx is not None else None
     sd = std if nx is not None else None
     xh = xhat if nx is not None or ng is not None else None
+    # without a backward that reads xhat, the output overwrites it
+    out = xhat * gain.data if xh is not None else np.multiply(xhat, gain.data, out=xhat)
+    out += bias.data
 
     def backward(g):
         if nx is not None:

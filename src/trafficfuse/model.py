@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, gelu, layer_norm, softmax
+from .autodiff import Tensor, affine, gelu, grad_enabled, layer_norm, softmax
 from .util import config_kwargs
 
 __all__ = ["ModelConfig", "Prediction", "init_params", "normalized_adjacency", "forward", "loss_components"]
@@ -129,6 +129,14 @@ class Prediction:
     mu: Tensor  # (B, N, F) increments
     sigma: Tensor  # (B, N, F) predictive std
     log_var: Tensor  # (B, N, F)
+    # (K + U, N, d) carried then new embedded bins, only when forward was
+    # given carried embeddings
+    embedded: np.ndarray | None = None
+
+
+def _is_identity(windows: np.ndarray, n_bins: int) -> bool:
+    """True when window j reads bins j*H ... j*H + H - 1, each bin once."""
+    return windows.size == n_bins and bool((windows.ravel() == np.arange(n_bins)).all())
 
 
 def forward(
@@ -138,6 +146,7 @@ def forward(
     bins: np.ndarray,
     windows: np.ndarray,
     anchor: np.ndarray,
+    carry: np.ndarray | None = None,
 ) -> Prediction:
     """Run the predictor.
 
@@ -147,6 +156,15 @@ def forward(
     last-observed counts (B, n_segments); a_hat is the (already
     normalized) message-passing matrix. The input projection and the
     spatial layers run once per bin, however many windows share it.
+
+    carry, only under no_grad, is (K, n_segments, embed_dim) bins an
+    earlier call embedded: windows then index into carry followed by the
+    newly embedded bins, and the Prediction returns that whole array as
+    embedded, so a rolling caller embeds each bin once.
+
+    Every temporal-block activation is dropped at its last use, so a
+    no-tape batch holds about six (B, H, N, d) arrays at its peak; under
+    a tape, the tape keeps what backward reads either way.
     """
     windows = np.asarray(windows)
     if windows.ndim != 2 or windows.shape[1] != cfg.history or bins.ndim != 3 or bins.shape[2] != cfg.n_features:
@@ -156,19 +174,27 @@ def forward(
     if anchor.shape != (bsz, n):
         raise ValueError("anchor must be (batch, n_segments)")
     d = cfg.embed_dim
+    if carry is not None and grad_enabled():
+        raise ValueError("carried embeddings hold no tape; pass carry only under no_grad")
     a_t = Tensor(a_hat)
 
     # one name for the running state: the tape keeps what backward reads,
     # and an array left bound to a name of its own would outlive its use
     z = affine(Tensor(bins), params["w_in"], params["b_in"])  # (U, N, d)
     for ell in range(cfg.spatial_layers):
-        msg = a_t @ z
         z = gelu(layer_norm(
-            msg @ params[f"sp{ell}_w_n"] + z @ params[f"sp{ell}_w_s"],
+            (a_t @ z) @ params[f"sp{ell}_w_n"] + z @ params[f"sp{ell}_w_s"],
             params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], cfg.ln_eps,
         ))
 
-    z = z[windows].swapaxes(1, 2)  # (B, N, H, d)
+    embedded = None
+    if carry is not None:
+        embedded = np.concatenate([carry, z.data])
+        z = Tensor(embedded)
+    # a training batch lists each window's bins in order, so its windows
+    # are a reshape of the bins, not a gather
+    z = z.reshape(bsz, hh, n, d) if _is_identity(windows, z.shape[0]) else z[windows]
+    z = z.swapaxes(1, 2)  # (B, N, H, d)
     nh, dh = cfg.heads, d // cfg.heads
     inv_sqrt = 1.0 / np.sqrt(dh)
     for k in range(cfg.temporal_blocks):
@@ -176,20 +202,29 @@ def forward(
         qs = affine(y, params[f"tb{k}_w_q"], params[f"tb{k}_b_q"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
         ks = affine(y, params[f"tb{k}_w_k"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
         vs = affine(y, params[f"tb{k}_w_v"], params[f"tb{k}_b_v"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
-        att = softmax((qs @ ks.swapaxes(-1, -2)) * inv_sqrt, axis=-1)
-        ctx = (att @ vs).swapaxes(2, 3).reshape(bsz, n, hh, d)
+        del y
+        att = (qs @ ks.swapaxes(-1, -2)) * inv_sqrt
+        del qs, ks
+        att = softmax(att, axis=-1)
+        ctx = att @ vs
+        del att, vs
+        ctx = ctx.swapaxes(2, 3).reshape(bsz, n, hh, d)
         z = z + affine(ctx, params[f"tb{k}_w_o"], params[f"tb{k}_b_o"])
-        y2 = layer_norm(z, params[f"tb{k}_ln2_g"], params[f"tb{k}_ln2_b"], cfg.ln_eps)
-        ffn = gelu(affine(y2, params[f"tb{k}_w_f1"], params[f"tb{k}_b_f1"]))
+        del ctx
+        ffn = gelu(affine(
+            layer_norm(z, params[f"tb{k}_ln2_g"], params[f"tb{k}_ln2_b"], cfg.ln_eps),
+            params[f"tb{k}_w_f1"], params[f"tb{k}_b_f1"],
+        ))
         z = z + affine(ffn, params[f"tb{k}_w_f2"], params[f"tb{k}_b_f2"])
+        del ffn
 
-    flat = z.reshape(bsz, n, hh * d)
-    hv = gelu(affine(flat, params["w_out"], params["b_out"]))  # (B, N, d)
+    hv = gelu(affine(z.reshape(bsz, n, hh * d), params["w_out"], params["b_out"]))  # (B, N, d)
+    del z
     mu = affine(gelu(affine(hv, params["mu_w1"], params["mu_b1"])), params["mu_w2"], params["mu_b2"])
     log_var = affine(gelu(affine(hv, params["lv_w1"], params["lv_b1"])), params["lv_w2"], params["lv_b2"])
     sigma = (log_var * 0.5).exp()
     q_hat = Tensor(anchor[:, :, None]) + mu
-    return Prediction(q_hat=q_hat, mu=mu, sigma=sigma, log_var=log_var)
+    return Prediction(q_hat=q_hat, mu=mu, sigma=sigma, log_var=log_var, embedded=embedded)
 
 
 def loss_components(

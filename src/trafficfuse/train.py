@@ -3,9 +3,11 @@
 Training windows pair a normalized feature history with raw future
 counts; histories and futures are contiguous and never overlap within a
 window. The features are kept once per bin, and a window is the index of
-its last observed bin; no-tape passes (validation and prediction) run the
-spatial layers once per bin, in batches of about INFER_ROWS rows. The
-optimizer is first-order adaptive-moment gradient descent with global
+its last observed bin. Validation and prediction share one no-tape loop
+(_no_tape_passes) in batches of about INFER_ROWS rows; it carries the
+last history - 1 embedded bins from one batch into the next, so each bin
+goes through the input projection and the spatial layers once per pass.
+The optimizer is first-order adaptive-moment gradient descent with global
 gradient-norm clipping; runs are bitwise reproducible for a fixed seed.
 """
 
@@ -31,11 +33,13 @@ __all__ = [
 ]
 
 
-# rows (windows x history x segments) per no-tape batch, so a batch's
-# activations stay near cache size instead of page-faulting in fresh
-# memory; 4,096 balanced 4-, 50- and 200-segment networks in a sweep over
-# 1,200-9,600 rows
-INFER_ROWS = 4096
+# rows (windows x history x segments) per no-tape batch. With carried
+# embeddings a smaller batch re-embeds nothing and costs only more forward
+# calls, while a batch's transient (about six (rows, embed_dim) arrays)
+# shrinks with it; on a few-segment corridor that transient sets the
+# process's peak memory. Beyond 2,048 / history segments a batch is one
+# window.
+INFER_ROWS = 2048
 
 CLIP_NORM = 5.0  # global gradient-norm clip
 VAL_FRACTION = 0.2  # trailing share of windows held out for validation
@@ -52,13 +56,32 @@ def _slots(t_index: np.ndarray, history: int) -> np.ndarray:
     return t_index[:, None] + np.arange(1 - history, 1)
 
 
-def _batches(feats: np.ndarray, t_index: np.ndarray, history: int):
-    """No-tape batches of about INFER_ROWS rows: (window slice, the
-    distinct bins the batch reads, each window's indices into them)."""
-    step = max(1, INFER_ROWS // (history * feats.shape[1]))
+def _no_tape_passes(params, cfg: ModelConfig, a_hat, feats: np.ndarray, t_index: np.ndarray, anchor: np.ndarray):
+    """Forward passes over the windows ending at t_index, in batches of
+    about INFER_ROWS rows; yields (window slice, Prediction). Call it under
+    no_grad.
+
+    Each bin is embedded once: a batch embeds only the bins it reads that
+    are not among the previous batch's last history - 1 bins, whose
+    embeddings it carries, and looks every window's bins up through a
+    bin -> row map, so anchors may come unsorted, gapped or repeated.
+    """
+    h = cfg.history
+    step = max(1, INFER_ROWS // (h * feats.shape[1]))
+    row = np.zeros(len(feats), dtype=np.intp)
+    held = np.array([], dtype=np.intp)
+    carry = np.empty((0, feats.shape[1], cfg.embed_dim))
     for s in range(0, len(t_index), step):
-        used, inverse = np.unique(_slots(t_index[s : s + step], history), return_inverse=True)
-        yield slice(s, s + step), feats[used], inverse.reshape(-1, history)
+        sl = slice(s, s + step)
+        slots = _slots(t_index[sl], h)
+        read = np.unique(slots)
+        new = np.setdiff1d(read, held, assume_unique=True)
+        row[held] = np.arange(len(held))
+        row[new] = np.arange(len(held), len(held) + len(new))
+        pred = forward(params, cfg, a_hat, feats[new], row[slots], anchor[sl], carry=carry)
+        yield sl, pred
+        held = read[len(read) - (h - 1) :]
+        carry = pred.embedded[row[held]]
 
 
 @dataclass
@@ -176,10 +199,9 @@ class _Adam:
 def _evaluate(params, cfg, a_hat, windows: WindowSet, qmax) -> float:
     total = 0.0
     with no_grad():
-        for sl, bins, slots in _batches(windows.feats, windows.t_index, cfg.history):
-            pred = forward(params, cfg, a_hat, bins, slots, windows.anchor[sl])
+        for sl, pred in _no_tape_passes(params, cfg, a_hat, windows.feats, windows.t_index, windows.anchor):
             comps = loss_components(pred, windows.target[sl], cfg, qmax, windows.n_tot[sl])
-            total += comps["total"].item() * len(slots)
+            total += comps["total"].item() * len(pred.q_hat.data)
     return total / max(len(windows), 1)
 
 
@@ -228,8 +250,8 @@ def train(
         for p in params.values():
             p.zero_grad()
         # one slot per window bin, in window order and not shared as in
-        # _batches, so the rows the spatial layers see do not depend on
-        # which windows happen to overlap in a batch
+        # _no_tape_passes, so the rows the spatial layers see do not
+        # depend on which windows happen to overlap in a batch
         slots = _slots(train_w.t_index[idx], cfg.history)
         pred = forward(params, cfg, a_hat, train_w.feats[slots.ravel()],
                        np.arange(slots.size).reshape(slots.shape), train_w.anchor[idx])
@@ -281,8 +303,7 @@ def predict(
     q_hat = np.empty((len(t_indices), counts.shape[0], cfg.horizon))
     sigma = np.empty_like(q_hat)
     with no_grad():
-        for sl, bins, slots in _batches(_bin_major(tensor), t_indices, h):
-            pred = forward(params, cfg, a_hat, bins, slots, counts[:, t_indices[sl]].T)
+        for sl, pred in _no_tape_passes(params, cfg, a_hat, _bin_major(tensor), t_indices, counts[:, t_indices].T):
             q_hat[sl] = pred.q_hat.data
             sigma[sl] = pred.sigma.data
     return q_hat, sigma

@@ -22,6 +22,8 @@ from trafficfuse.model import (
     loss_components,
     normalized_adjacency,
 )
+from trafficfuse import model as model_module
+from trafficfuse import train as train_module
 from trafficfuse.network import CountMatrix
 from trafficfuse.train import (
     _evaluate,
@@ -289,11 +291,11 @@ def _adjacency(net):
     return a
 
 
-def _training_setup(t_bins=96, seed=0):
-    net = make_chain(3, boundary=(0, 2))
+def _training_setup(t_bins=96, seed=0, n=3):
+    net = make_chain(n, boundary=(0, n - 1))
     fd = default_fd_params(net)
     tt = np.arange(t_bins)
-    counts = np.stack([20 + 8 * np.sin(2 * np.pi * tt / 12.0 + i) for i in range(3)])
+    counts = np.stack([20 + 8 * np.sin(2 * np.pi * tt / 12.0 + i) for i in range(n)])
     cm = CountMatrix(counts, 900, dt.datetime(2024, 3, 4, 0, 0))
     speeds = np.full_like(counts, 10.0)
     tensor = build_tensor(net, fd, cm, speeds)
@@ -417,6 +419,111 @@ def test_predict_over_shared_bins_equals_per_window_forward():
             pred = forward(params, cfg, a_hat, hist, np.arange(cfg.history)[None], counts[None, :, t])
             assert np.array_equal(q_hat[j], pred.q_hat.data[0]), t
             assert np.array_equal(sigma[j], pred.sigma.data[0]), t
+
+
+@pytest.mark.parametrize("windows_per_batch", [1, 2, 5])
+def test_predict_over_unsorted_gapped_repeated_anchors_equals_per_window_forward(monkeypatch, windows_per_batch):
+    # small batches, so embeddings are carried across them; anchors that
+    # step back, jump, repeat and overlap the carried bins out of order.
+    # Four segments keep every row count a multiple of 4: BLAS mat-vec row
+    # sums (layer norm, softmax) can round a row differently when the
+    # count leaves a tail of 2 or 3 rows, and exact equality across
+    # batchings needs the same rounding
+    cfg, a_hat, _, _, tensor, counts = _training_setup(n=4)
+    monkeypatch.setattr(train_module, "INFER_ROWS", windows_per_batch * cfg.history * counts.shape[0])
+    params = _perturbed_params(cfg, 7)
+    t_idx = np.array([10, 11, 12, 40, 41, 7, 7, 8, 60, 59, 58, 3, 95, 12, 11, 50])
+    q_hat, sigma = predict(params, cfg, a_hat, tensor, counts, t_idx)
+    feats = tensor.normalized()
+    with no_grad():
+        for j, t in enumerate(t_idx):
+            hist = feats[:, t - cfg.history + 1 : t + 1].transpose(1, 0, 2)
+            pred = forward(params, cfg, a_hat, hist, np.arange(cfg.history)[None], counts[None, :, t])
+            assert np.array_equal(q_hat[j], pred.q_hat.data[0]), (j, t)
+            assert np.array_equal(sigma[j], pred.sigma.data[0]), (j, t)
+
+
+@pytest.mark.parametrize("windows_per_batch", [1, 3])
+def test_evaluate_over_a_dropped_window_equals_the_per_window_mean(monkeypatch, windows_per_batch):
+    # a missing count drops the windows that anchor on it or target it,
+    # so the validation anchors have a gap that carried bins must bridge
+    cfg, a_hat, _, qmax, tensor, counts = _training_setup(n=4)
+    counts = counts.copy()
+    counts[1, 30] = np.nan
+    windows = build_windows(tensor, counts, cfg)
+    assert 30 not in windows.t_index and 31 in windows.t_index
+    monkeypatch.setattr(train_module, "INFER_ROWS", windows_per_batch * cfg.history * counts.shape[0])
+    params = _perturbed_params(cfg, 8)
+    losses = []
+    with no_grad():
+        for j, t in enumerate(windows.t_index):
+            hist = windows.feats[t - cfg.history + 1 : t + 1]
+            pred = forward(params, cfg, a_hat, hist, np.arange(cfg.history)[None], windows.anchor[j : j + 1])
+            comps = loss_components(pred, windows.target[j : j + 1], cfg, qmax, windows.n_tot[j : j + 1])
+            losses.append(comps["total"].item())
+    assert _evaluate(params, cfg, a_hat, windows, qmax) == pytest.approx(np.mean(losses), rel=1e-12)
+
+
+def test_carried_embeddings_under_a_tape_raise():
+    params = init_params(TINY, np.random.default_rng(3))
+    a_hat, hist, anchor = _tiny_inputs(TINY, seed=3)
+    carry = np.zeros((0, 3, TINY.embed_dim))
+    with pytest.raises(ValueError, match="no_grad"):
+        forward(params, TINY, a_hat, *_stacked(hist), anchor, carry=carry)
+    with no_grad():
+        pred = forward(params, TINY, a_hat, *_stacked(hist), anchor, carry=carry)
+    assert pred.embedded.shape == (hist.shape[0] * TINY.history, 3, TINY.embed_dim)
+
+
+def test_predict_embeds_each_bin_once(monkeypatch):
+    # on a 200-segment mesh a batch holds one window of 1,200 rows, so
+    # without carried embeddings every bin would be embedded `history`
+    # times; count the rows through the input projection
+    cfg = ExperimentConfig().model
+    rows, cols, t_bins = 10, 20, 40
+    n = rows * cols
+    rng = np.random.default_rng(5)
+    tensor = make_feature_tensor(rng.normal(size=(n, t_bins, cfg.n_features)))
+    counts = rng.uniform(5.0, 20.0, size=(n, t_bins))
+    a_hat = normalized_adjacency(_mesh_adjacency(rows, cols))
+    params = init_params(cfg, rng)
+    projected = []
+    real_affine = model_module.affine
+
+    def counting_affine(x, w, b=None):
+        if w is params["w_in"]:
+            projected.append(x.shape[0] * x.shape[1])
+        return real_affine(x, w, b)
+
+    monkeypatch.setattr(model_module, "affine", counting_affine)
+    t_idx = np.arange(cfg.history - 1, t_bins - 1)
+    predict(params, cfg, a_hat, tensor, counts, t_idx)
+    assert len(projected) > 1
+    assert sum(projected) == (t_bins - 1) * n, sum(projected) / ((t_bins - 1) * n)
+
+
+def test_no_tape_forward_frees_each_activation_at_its_last_use():
+    # one no-tape batch of the pipeline's model on a 4-segment corridor,
+    # 170 windows over 175 bins, in units u of one (B, H, N, d) activation:
+    # 14.2u when the attention's locals lived through the feed-forward
+    # block and layer norm and GELU kept a second output array
+    cfg = ExperimentConfig().model
+    n, bsz = 4, 170
+    rng = np.random.default_rng(6)
+    params = _perturbed_params(cfg, 6)
+    bins = rng.normal(size=(bsz + cfg.history - 1, n, cfg.n_features))
+    windows = np.arange(bsz)[:, None] + np.arange(cfg.history)
+    anchor = rng.uniform(5.0, 20.0, size=(bsz, n))
+    a_hat = normalized_adjacency(np.eye(n, k=1))
+    u = bsz * cfg.history * n * cfg.embed_dim * 8
+    with no_grad():
+        tracemalloc.start()
+        try:
+            forward(params, cfg, a_hat, bins, windows, anchor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 10 * u, f"no-tape batch peaked at {peak / u:.1f}u"
 
 
 def test_predict_peak_memory_does_not_grow_with_anchors():

@@ -16,6 +16,7 @@ import trafficfuse
 from trafficfuse.ensrf import FilterConfig
 from trafficfuse.harness import ExperimentConfig, Pipeline, load_config
 from trafficfuse.model import ModelConfig
+from trafficfuse.train import INFER_ROWS
 
 PACKAGE = pathlib.Path(trafficfuse.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -131,8 +132,12 @@ def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch, tmp_path):
     forwards = Counter((stage(span), span["name"]) for span in rec.spans if span["name"].startswith("model.forward"))
     assert forwards[("harness.fit", "model.forward_tape")] == 2, forwards
     assert forwards[("harness.fit", "model.forward_notape")] >= 1, forwards
-    assert forwards[("harness.forecasts", "model.forward_notape")] >= 1, forwards
     assert forwards[("harness.forecasts", "model.forward_tape")] == 0, forwards
+    # one no-tape forward per batch of the row budget, so a loop that
+    # stopped calling train.forward would show here, not as zero metrics
+    anchors = pipe.truth.n_bins - model.history
+    per_batch = max(1, INFER_ROWS // (model.history * pipe.net.n_segments))
+    assert forwards[("harness.forecasts", "model.forward_notape")] == -(-anchors // per_batch), forwards
 
     # the observability layers are timed inside the one analyze call
     analyses = [k for k, span in enumerate(rec.spans) if span["name"] == "observability.analyze"]
