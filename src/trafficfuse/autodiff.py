@@ -99,14 +99,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _selects_once(idx) -> bool:
-    """True when idx cannot pick an element twice, so the gradient of a
-    selection can be scattered instead of accumulated with np.add.at."""
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    arrays = [np.asarray(p) for p in parts if not isinstance(p, (int, np.integer, slice, type(None), type(Ellipsis)))]
-    return not arrays or (len(arrays) == 1 and np.unique(arrays[0]).size == arrays[0].size)
-
-
 class _Node:
     """A tensor's place on the tape: its adjoint so far, the nodes it was
     computed from and the closure that passes its adjoint on to them."""
@@ -293,10 +285,7 @@ class Tensor:
 
         def backward(g):
             full = np.zeros(shape)
-            if _selects_once(idx):
-                full[idx] = g
-            else:
-                np.add.at(full, idx, g)
+            np.add.at(full, idx, g)
             na._accumulate(full)
 
         return _result(self.data[idx], (na,), backward)

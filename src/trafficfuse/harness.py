@@ -14,7 +14,6 @@ substreams, so a rerun with the same config is byte-identical.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import functools
 import json
@@ -48,7 +47,7 @@ from .propagation import (
     update_confidence,
 )
 from .train import build_windows, predict, save_checkpoint, train
-from .util import atomic_write_text, canonical_json, config_kwargs, substream
+from .util import config_kwargs, substream, write_csv, write_json
 
 __all__ = [
     "RATE_FLOOR",
@@ -253,20 +252,13 @@ def _band_crit(interval: float) -> float:
 # -- synthetic twins ---------------------------------------------------------
 
 GRID_CONNECTOR_COLS = (0, 3, 6)
+GRID_SOURCES = ((0, 0), (2, 0))  # (row, col) of the cells where demand enters
 EAST_SHARE = 0.8  # connector cells send the rest south
+# every twin segment: metres, lanes, free-flow speed in metres per second
+TWIN_LENGTH, TWIN_LANES, TWIN_VFREE = 500.0, 2, 10.0
 
 
-def grid_network(
-    rows: int = 5,
-    cols: int = 10,
-    length: float = 500.0,
-    lanes: int = 2,
-    capacity: float = 3600.0,
-    vfree: float = 10.0,
-    bottleneck=(2, 5),
-    bottleneck_capacity: float = 1700.0,
-    sources=((0, 0), (2, 0)),
-):
+def grid_network(rows: int = 5, cols: int = 10, bottleneck=(2, 5), bottleneck_capacity: float = 1700.0):
     """Directed grid: eastbound rows linked southward at connector columns.
 
     Returns (net, beta, source_ids). Demand enters at the source cells,
@@ -278,22 +270,14 @@ def grid_network(
     def sid(r, c):
         return r * cols + c
 
-    source_ids = [sid(r, c) for r, c in sources]
+    source_ids = [sid(r, c) for r, c in GRID_SOURCES]
     flagged = set(source_ids) | {sid(r, cols - 1) for r in range(rows)}
-    segs = []
-    for r in range(rows):
-        for c in range(cols):
-            cap = bottleneck_capacity if (r, c) == tuple(bottleneck) else capacity
-            segs.append(
-                Segment(
-                    id=sid(r, c),
-                    length_m=length,
-                    lanes=lanes,
-                    capacity_vph=cap,
-                    free_flow_mps=vfree,
-                    is_boundary=sid(r, c) in flagged,
-                )
-            )
+    segs = tuple(
+        Segment(id=sid(r, c), length_m=TWIN_LENGTH, lanes=TWIN_LANES,
+                capacity_vph=bottleneck_capacity if (r, c) == tuple(bottleneck) else 3600.0,
+                free_flow_mps=TWIN_VFREE, is_boundary=sid(r, c) in flagged)
+        for r in range(rows) for c in range(cols)
+    )
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -301,7 +285,7 @@ def grid_network(
                 edges.append((sid(r, c), sid(r, c + 1)))
             if r + 1 < rows and c in GRID_CONNECTOR_COLS:
                 edges.append((sid(r, c), sid(r + 1, c)))
-    net = RoadNetwork(tuple(segs), tuple(edges), tuple(f"g{r}_{c}" for r in range(rows) for c in range(cols)))
+    net = RoadNetwork(segs, tuple(edges), tuple(f"g{r}_{c}" for r in range(rows) for c in range(cols)))
 
     # a segment splits only east (the next id) and south
     src, dst = net.edge_from, net.edge_to
@@ -309,11 +293,11 @@ def grid_network(
     return net, TurnRatios(b, net), source_ids
 
 
-def chain_network(n: int = 4, length: float = 500.0, capacity: float = 2400.0, vfree: float = 10.0):
+def chain_network(n: int = 4):
     """Short boundary-fed chain; the small twin for fast end-to-end runs."""
     segs = tuple(
-        Segment(id=i, length_m=length, lanes=2, capacity_vph=capacity,
-                free_flow_mps=vfree, is_boundary=i in (0, n - 1))
+        Segment(id=i, length_m=TWIN_LENGTH, lanes=TWIN_LANES, capacity_vph=2400.0,
+                free_flow_mps=TWIN_VFREE, is_boundary=i in (0, n - 1))
         for i in range(n)
     )
     net = RoadNetwork(segs, tuple((i, i + 1) for i in range(n - 1)), tuple(f"c{i}" for i in range(n)))
@@ -338,20 +322,15 @@ def _daily_weight(hour_frac: np.ndarray) -> np.ndarray:
 
 
 DAY_FACTORS = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.8, 0.7])
+DEMAND_FLOOR = 0.12  # off-peak demand as a share of the peak
 
 
-def demand_profile(
-    net: RoadNetwork,
-    counts_like: CountMatrix,
-    sources,
-    peak: float,
-    floor_fraction: float = 0.12,
-) -> np.ndarray:
+def demand_profile(net: RoadNetwork, counts_like: CountMatrix, sources, peak: float) -> np.ndarray:
     """Daily two-peak demand at the source segments, damped on weekends."""
     t = counts_like.n_bins
     hour_frac = counts_like.hours() + counts_like.minutes() / 60.0
     days = counts_like.days()
-    shape = floor_fraction + (1.0 - floor_fraction) * _daily_weight(hour_frac)
+    shape = DEMAND_FLOOR + (1.0 - DEMAND_FLOOR) * _daily_weight(hour_frac)
     profile = np.zeros((net.n_segments, t))
     peaks = np.broadcast_to(np.atleast_1d(np.asarray(peak, dtype=float)), (len(sources),))
     for s, p in zip(sources, peaks):
@@ -676,7 +655,10 @@ class Pipeline:
 
         for k, t in enumerate(range(first, t_total)):
             ens = ensrf.forecast_step(ens, fcfg, rng, transition=self.trans)
+            # confidence is pinned only where a camera reported this bin
+            reported = ()
             if t < t_assim:
+                reported = [c for c, miss in zip(cams, missing[:, t].tolist()) if not miss]
                 obs = [
                     ensrf.CameraObservation(segment=c, t_index=t, count=y, missing=miss)
                     for c, y, miss in zip(cams, y_cams[:, t].tolist(), missing[:, t].tolist())
@@ -689,7 +671,7 @@ class Pipeline:
                 if far:
                     far_change = max(far_change, float(np.abs(ens.base[:, far] - before).max()))
             moments[k] = ensrf.member_moments(ens.effective_beta(hour_of[t], day_of[t], regimes[k]))
-            delta = update_confidence(delta, *moments[k, :2], cameras=self.calibration, decay=cfg.confidence_decay)
+            delta = update_confidence(delta, *moments[k, :2], cameras=reported, decay=cfg.confidence_decay)
             deltas[k] = delta
 
         # the blend, the counts and the bands over the whole run at once,
@@ -776,7 +758,7 @@ class Pipeline:
                 "diagnostics": self.diagnostics,
             }
             path = os.path.join(out_dir, "metrics.json")
-            atomic_write_text(path, canonical_json(payload))
+            write_json(path, payload)
         return {"metrics": path}
 
     def write_training(self, out_dir: str) -> dict:
@@ -795,15 +777,12 @@ class Pipeline:
         with _stage("write"):
             save_counts(self.calibrated, paths["calibrated_counts"], self.net.external_ids)
             final = self.alpha_path[:, self.t_assim - 1]
-            with open(paths["calibration_field"], "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["segment_id", "alpha", "delta", "localized"])
-                w.writerows(zip(
-                    self.net.external_ids,
-                    map(repr, final.tolist()),
-                    map(repr, self.delta.tolist()),
-                    self.reached.astype(int).tolist(),
-                ))
+            write_csv(paths["calibration_field"], ["segment_id", "alpha", "delta", "localized"], zip(
+                self.net.external_ids,
+                map(repr, final.tolist()),
+                map(repr, self.delta.tolist()),
+                self.reached.astype(int).tolist(),
+            ))
             export_transition(self.trans, self.net, paths["transition"])
             export_localization(self.localization, self.net, paths["localization"])
         return paths

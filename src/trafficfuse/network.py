@@ -13,10 +13,13 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .util import write_csv
 
 __all__ = [
     "Segment",
@@ -212,8 +215,6 @@ def load_network(path) -> RoadNetwork:
     external ids. Schema violations raise SchemaError with the offending
     file and line number.
     """
-    import os
-
     seg_path = os.path.join(path, "segments.csv")
     edge_path = os.path.join(path, "edges.csv")
     segments: list[Segment] = []
@@ -260,28 +261,12 @@ def load_network(path) -> RoadNetwork:
 
 def save_network(net: RoadNetwork, path) -> None:
     """Write segments.csv and edges.csv under path (canonical order)."""
-    import os
-
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "segments.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_SEGMENT_FIELDS)
-        for seg, ext in zip(net.segments, net.external_ids):
-            w.writerow(
-                [
-                    ext,
-                    _fmt(seg.length_m),
-                    seg.lanes,
-                    _fmt(seg.capacity_vph),
-                    _fmt(seg.free_flow_mps),
-                    int(seg.is_boundary),
-                ]
-            )
-    with open(os.path.join(path, "edges.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_EDGE_FIELDS)
-        for i, j in net.edges:
-            w.writerow([net.external_ids[i], net.external_ids[j]])
+    write_csv(os.path.join(path, "segments.csv"), _SEGMENT_FIELDS, (
+        [ext, _fmt(seg.length_m), seg.lanes, _fmt(seg.capacity_vph), _fmt(seg.free_flow_mps), int(seg.is_boundary)]
+        for seg, ext in zip(net.segments, net.external_ids)
+    ))
+    ids = net.external_ids
+    write_csv(os.path.join(path, "edges.csv"), _EDGE_FIELDS, ([ids[i], ids[j]] for i, j in net.edges))
 
 
 def _fmt(x: float) -> str:
@@ -295,11 +280,10 @@ def save_counts(cm: CountMatrix, path, segment_ids) -> None:
     The header is segment_id and each bin's ISO-8601 start; a NaN count is
     an empty cell.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["segment_id"] + [cm.bin_start(t).isoformat() for t in range(cm.n_bins)])
-        for ext, row in zip(segment_ids, cm.values, strict=True):
-            w.writerow([ext] + ["" if not np.isfinite(v) else _fmt(v) for v in row])
+    write_csv(path, ["segment_id"] + [cm.bin_start(t).isoformat() for t in range(cm.n_bins)], (
+        [ext] + ["" if not np.isfinite(v) else _fmt(v) for v in row]
+        for ext, row in zip(segment_ids, cm.values, strict=True)
+    ))
 
 
 def boundary_segments(net: RoadNetwork) -> list[int]:

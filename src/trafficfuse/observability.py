@@ -14,7 +14,6 @@ infinite-horizon Gramians are kept as references.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .ctm import FdParams, TurnRatios
 from .network import RoadNetwork, boundary_segments
-from .util import atomic_write_text, canonical_json
+from .util import write_csv, write_json
 
 __all__ = [
     "LinearSystem",
@@ -40,6 +39,7 @@ __all__ = [
 ]
 
 REGIMES = ("free", "congested")
+LYAPUNOV_ITERATIONS = 200_000
 
 
 @dataclass(frozen=True)
@@ -206,12 +206,12 @@ def _gramian_diagonal(sys: LinearSystem, horizon: int) -> np.ndarray:
     return diag
 
 
-def spectral_radius(a: np.ndarray, iterations: int = 500) -> float:
-    """Power-iteration estimate; exact enough for the stability gate."""
+def spectral_radius(a: np.ndarray) -> float:
+    """Power-iteration estimate (500 steps); exact enough for the stability gate."""
     a = np.asarray(a, dtype=float)
     x = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
     rho = 0.0
-    for _ in range(iterations):
+    for _ in range(500):
         y = a @ x
         norm = np.linalg.norm(y)
         if norm == 0.0:
@@ -221,21 +221,21 @@ def spectral_radius(a: np.ndarray, iterations: int = 500) -> float:
     return float(rho)
 
 
-def lyapunov_gramian(sys: LinearSystem, tol: float = 1e-10, max_iterations: int = 200_000) -> np.ndarray:
+def lyapunov_gramian(sys: LinearSystem, tol: float = 1e-10) -> np.ndarray:
     """Infinite-horizon Gramian as the fixed point of W <- A'WA + C'C."""
     rho = spectral_radius(sys.a)
     if rho >= 1.0 - 1e-12:
         raise ValueError(f"A is not Schur-stable (estimated spectral radius {rho:.6f})")
     q = sys.c.T @ sys.c
     w = q.copy()
-    for _ in range(max_iterations):
+    for _ in range(LYAPUNOV_ITERATIONS):
         w_next = sys.a.T @ w @ sys.a + q
         change = np.abs(w_next - w).max()
         w = w_next
         if change < tol:
             break
     else:
-        raise RuntimeError(f"Lyapunov iteration did not reach {tol} in {max_iterations} steps")
+        raise RuntimeError(f"Lyapunov iteration did not reach {tol} in {LYAPUNOV_ITERATIONS} steps")
     residual = np.abs(sys.a.T @ w @ sys.a + q - w).max()
     if residual >= 10 * tol:
         raise RuntimeError(f"Lyapunov residual {residual:.3e} exceeds 10 * tol")
@@ -310,12 +310,10 @@ def report_to_json(report: ObservabilityReport, net: RoadNetwork, path: str) -> 
             for i in range(len(report.obs))
         },
     }
-    atomic_write_text(path, canonical_json(payload))
+    write_json(path, payload)
 
 
 def report_to_csv(report: ObservabilityReport, net: RoadNetwork, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["segment_id", "obs", "conf"])
-        for i in range(len(report.obs)):
-            w.writerow([net.external_ids[i], repr(float(report.obs[i])), repr(float(report.conf[i]))])
+    write_csv(path, ["segment_id", "obs", "conf"], (
+        [net.external_ids[i], repr(float(report.obs[i])), repr(float(report.conf[i]))] for i in range(len(report.obs))
+    ))

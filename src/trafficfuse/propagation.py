@@ -10,12 +10,12 @@ all three and revert to the network prior.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .network import RoadNetwork
+from .util import write_csv
 
 __all__ = [
     "TransitionMatrix",
@@ -202,11 +202,9 @@ def calibrate_counts(q_hat: np.ndarray, alpha_c: np.ndarray) -> np.ndarray:
 
 def export_transition(t: TransitionMatrix, net: RoadNetwork, path: str) -> None:
     """Sparse triplets (from_id, to_id, p) using external segment ids."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["from_id", "to_id", "p"])
-        for i, j in np.argwhere(t.p > 0):
-            w.writerow([net.external_ids[i], net.external_ids[j], repr(float(t.p[i, j]))])
+    write_csv(path, ["from_id", "to_id", "p"], (
+        [net.external_ids[i], net.external_ids[j], repr(float(t.p[i, j]))] for i, j in np.argwhere(t.p > 0)
+    ))
 
 
 def export_localization(vectors: dict, net: RoadNetwork, path: str) -> None:
@@ -215,10 +213,7 @@ def export_localization(vectors: dict, net: RoadNetwork, path: str) -> None:
     Only the nonzero entries are written; a (camera, segment) pair with no
     row has rho 0.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["camera_id", "segment_id", "rho"])
-        for cam in sorted(vectors):
-            rho = vectors[cam]
-            for j in np.flatnonzero(rho):
-                w.writerow([net.external_ids[cam], net.external_ids[j], repr(float(rho[j]))])
+    write_csv(path, ["camera_id", "segment_id", "rho"], (
+        [net.external_ids[cam], net.external_ids[j], repr(float(vectors[cam][j]))]
+        for cam in sorted(vectors) for j in np.flatnonzero(vectors[cam])
+    ))

@@ -13,7 +13,6 @@ gradient-norm clipping; runs are bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .features import FeatureTensor
 from .model import ModelConfig, forward, init_params, loss_components
-from .util import canonical_json, substream
+from .util import substream, write_csv, write_json, write_npz
 
 __all__ = [
     "WindowSet",
@@ -160,11 +159,7 @@ class TrainResult:
     log: list = field(default_factory=list)
 
     def write_log(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "mae", "nll", "cons", "cap", "total", "val_total"])
-            for row in self.log:
-                w.writerow(row)
+        write_csv(path, ["step", "mae", "nll", "cons", "cap", "total", "val_total"], self.log)
 
 
 class _Adam:
@@ -311,6 +306,5 @@ def predict(
 
 def save_checkpoint(prefix: str, params: dict, cfg: ModelConfig) -> None:
     """One binary of named arrays plus a JSON config sidecar."""
-    np.savez(prefix + ".npz", **{k: v.data for k, v in params.items()})
-    with open(prefix + ".json", "w") as fh:
-        fh.write(canonical_json(cfg.to_dict()))
+    write_npz(prefix + ".npz", {k: v.data for k, v in params.items()})
+    write_json(prefix + ".json", cfg.to_dict())

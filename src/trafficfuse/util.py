@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
-import tempfile
 import zlib
 from dataclasses import fields
 
 import numpy as np
 
-__all__ = ["substream", "config_kwargs", "atomic_write_text", "canonical_json"]
+__all__ = ["substream", "config_kwargs", "atomic_write", "write_json", "write_csv", "write_npz"]
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -51,22 +52,42 @@ def config_kwargs(d: dict, cls, where: str) -> dict:
     return dict(d)
 
 
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+def atomic_write(path: str, data: bytes) -> None:
+    """Write data via temp file + rename so readers never see a partial file.
 
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via temp file + rename so readers never see a partial file."""
+    A failed write leaves the previous file and no temp file. The file gets
+    the mode a plain open gives it, 0o666 less the umask.
+    """
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(d, f".tmp-{os.urandom(6).hex()}-{os.path.basename(path)}")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
 
+
+def write_json(path: str, obj) -> None:
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
+    atomic_write(path, (json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": ")) + "\n").encode())
+
+
+def write_csv(path: str, header, rows) -> None:
+    """A header row, then rows, in the csv module's default dialect."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    atomic_write(path, buf.getvalue().encode())
+
+
+def write_npz(path: str, arrays: dict) -> None:
+    """np.savez's archive of the named arrays."""
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    atomic_write(path, buf.getvalue())

@@ -4,12 +4,13 @@ import ctypes
 import datetime as dt
 import json
 import os
+import stat
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trafficfuse import cli, ensrf, harness
+from trafficfuse import cli, ensrf, harness, propagation
 from trafficfuse.ctm import simulate
 from trafficfuse.harness import (
     CHAIN_CAMERAS,
@@ -29,7 +30,7 @@ from trafficfuse.harness import (
     thin_counts,
 )
 from trafficfuse.model import ModelConfig
-from trafficfuse.network import CountMatrix, boundary_segments
+from trafficfuse.network import CountMatrix, boundary_segments, save_network
 from trafficfuse.observability import analyze
 
 MONDAY = dt.datetime(2024, 3, 4)
@@ -554,6 +555,31 @@ class TestPipeline:
         assert np.isfinite(pipe.alpha_star) and pipe.alpha_star > 0
         assert np.isfinite(pipe.calibrated.values[:, pipe.first_bin :]).all()
 
+    def test_confidence_is_pinned_only_where_a_camera_reported(self, monkeypatch):
+        # delta is 1 at a camera in the bins the filter assimilated it, and
+        # decays through an outage and through the forecast day
+        pipe = Pipeline(small_config(forecast_days=1)).forecasts()
+        (cam,) = pipe.calibration
+        t_assim = pipe.cfg.days * pipe.bins_per_day
+        pipe.truth.values[cam, t_assim - 12 : t_assim - 6] = np.nan
+        at_cam = []
+
+        def record(*args, **kwargs):
+            delta = propagation.update_confidence(*args, **kwargs)
+            at_cam.append(delta[cam])
+            return delta
+
+        monkeypatch.setattr(harness, "update_confidence", record)
+        pipe.calibrate()
+        bins = np.arange(pipe.first_bin, pipe.truth.n_bins)
+        reported = (bins < t_assim) & np.isfinite(pipe.truth.values[cam, bins]) & np.isfinite(pipe.q_hat[cam, bins])
+        at_cam = np.array(at_cam)
+        assert at_cam.shape == bins.shape
+        assert (~reported).sum() >= 6 + pipe.bins_per_day
+        assert (at_cam[reported] == 1.0).all()
+        assert (at_cam[~reported] < 1.0).all()
+        assert pipe.delta[cam] < 1.0
+
     def test_camera_dark_for_the_whole_span_is_named(self):
         pipe = Pipeline(small_config()).forecasts()
         pipe.truth.values[list(pipe.calibration), :] = np.nan
@@ -655,6 +681,19 @@ class TestPipeline:
         for name in names.values():
             assert os.path.getsize(out / name) > 0
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_written_files_take_the_mode_a_plain_open_gives(self, chain_run, tmp_path):
+        # 0o666 less the umask, not a temp file's private 0o600
+        result, _ = chain_run
+        umask = os.umask(0o027)
+        try:
+            result.write_artifacts(str(tmp_path / "out"))
+            save_network(result.net, str(tmp_path / "net"))
+        finally:
+            os.umask(umask)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.rglob("*") if p.is_file()}
+        assert len(modes) == 12
+        assert modes == dict.fromkeys(modes, 0o640)
 
     def test_metrics_json_records_seed_and_config(self, chain_run):
         result, out = chain_run

@@ -275,3 +275,15 @@ def test_counts_roundtrip_with_missing(tmp_path):
     ]
     with pytest.raises(ValueError, match="longer"):
         save_counts(cm, tmp_path / "short.csv", ("north",))
+
+
+def test_failed_count_write_keeps_the_previous_file(tmp_path):
+    cm = CountMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), 900, T0)
+    p = tmp_path / "counts.csv"
+    save_counts(cm, p, ("north", "south"))
+    before = p.read_bytes()
+    # the id list runs out after the first row has been formatted
+    with pytest.raises(ValueError, match="longer"):
+        save_counts(CountMatrix(2.0 * cm.values, 900, T0), p, ("north",))
+    assert p.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["counts.csv"]

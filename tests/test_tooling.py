@@ -34,6 +34,33 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+# calls that write a file: csv.writer, numpy's savers, pathlib's writers;
+# open and os.open count unless their mode is a literal read-only one
+_WRITERS = {"writer", "DictWriter", "save", "savez", "savez_compressed", "savetxt", "tofile", "write_text", "write_bytes"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name in _WRITERS:
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+
+
+def test_only_util_writes_files():
+    # every file goes through util's atomic writer, so a failed write leaves
+    # the previous file, never a truncated one
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "util.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _writes_a_file(node)]
+    assert not found, f"files written outside util: {found}"
+
+
 def _loaded_after(imports: str, prefixes: tuple) -> list:
     """The sys.modules keys starting with one of prefixes after a fresh
     interpreter runs `import <imports>`."""
