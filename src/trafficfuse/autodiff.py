@@ -7,10 +7,13 @@ holds a value. Each closure captures at forward time exactly the arrays
 and shapes its backward pass reads, and only for the inputs that need a
 gradient: `+`, `reshape`, `swapaxes`, `sum` and indexing keep shapes or
 indices, `x * c` keeps c, `affine` keeps the weight for the input's
-gradient and the input for the weight's, and `layer_norm` and `softmax`
+gradient and the input for the weight's, `layer_norm` and `softmax`
 keep what they compute (the normalized input, the output), never their
-input. So an activation that no backward pass reads is freed as soon as
-the forward code drops it. backward() walks the tape in reverse
+input, and `gelu` keeps its input alone. A value that is cheap to
+rebuild is rebuilt in backward rather than kept (recomputation in the
+style of Chen et al. 2016): gelu's tanh value, and the a @ z of
+`neighbour_affine`. So an activation that no backward pass reads is
+freed as soon as the forward code drops it. backward() walks the tape in reverse
 topological order and accumulates exact gradients into the leaves.
 Broadcasting follows numpy semantics with gradients summed back over
 broadcast axes. Everything stays in float64, which is what lets the
@@ -23,18 +26,21 @@ dropped, so a tape can be walked only once and a training step holds
 at most one tape. The CLI keeps the freed pages in the process (see
 cli._keep_freed_memory), so the next step does not fault them in again.
 
-Affine maps, layer norm, softmax and GELU are fused nodes with analytic
-backward passes. The row sums of layer norm and softmax and the bias
-gradients' column sums are BLAS mat-vecs against a vector of ones, which
-beat ufunc.reduce over a short axis. No gradient is ever mutated in place, so
-a node stores the first gradient it is handed without copying it.
+Affine maps, the neighbour product (a @ z) @ w, layer norm, softmax and
+GELU are fused nodes with analytic backward passes. The row sums of layer
+norm and softmax and the bias gradients' column sums are BLAS mat-vecs
+against a vector of ones, which beat ufunc.reduce over a short axis. No
+gradient is ever mutated in place, so a node stores the first gradient it
+is handed without copying it.
 
 GELU is the tanh form of Hendrycks & Gimpel (2016), within 5e-4 of the
 exact x Phi(x); it needs only np.tanh, so the tape needs numpy alone. Its
-node keeps the input and the tanh value, and its backward overwrites the
-tanh value in place. Where no backward will read them (under no_grad),
-layer_norm and gelu write their outputs over their own temporaries, so
-each holds one output-sized array.
+node keeps the input alone; its backward rebuilds the tanh value with the
+forward's own operations, one fixed-size pass at a time, into the
+gradient array, so it allocates no other input-sized array. gelu always
+writes its output over its tanh temporary, and layer_norm does so where
+no backward will read the normalized input (under no_grad), so each
+holds one output-sized array.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "grad_enabled", "affine", "gelu", "layer_norm", "softmax"]
+__all__ = ["Tensor", "no_grad", "grad_enabled", "affine", "neighbour_affine", "gelu", "layer_norm", "softmax"]
 
 _GRAD_ENABLED = True
 
@@ -401,42 +407,60 @@ class Tensor:
 # the tanh form of GELU (Hendrycks & Gimpel 2016): 0.5 x (1 + tanh(c (x + a x^3)))
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
+# elements per pass of gelu's backward: its tanh scratch stays this size
+_GELU_CHUNK = 1 << 14
+
+
+def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh(c x (1 + a x^2)) into out, in place: a fresh temporary per
+    step costs more than the arithmetic at these sizes. gelu's forward and
+    backward both call this, so the backward rebuilds the forward's bits."""
+    np.multiply(x, x, out=out)
+    out *= _GELU_C * _GELU_A
+    out += _GELU_C
+    out *= x
+    return np.tanh(out, out=out)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit in its tanh form, within 5e-4 of x * Phi(x)."""
+    """Gaussian error linear unit in its tanh form, within 5e-4 of x * Phi(x).
+
+    The node keeps only the input. Its backward rebuilds the tanh value one
+    _GELU_CHUNK-element pass at a time, writing into the gradient array, so
+    neither pass holds more than its one output-sized array."""
     (nx,) = _tape(x)
     xd = x.data
-    # t = tanh(c x (1 + a x^2)), in place: a fresh temporary per step
-    # costs more than the arithmetic at these sizes
-    t = xd * xd
-    t *= _GELU_C * _GELU_A
-    t += _GELU_C
-    t *= xd
-    np.tanh(t, out=t)
-    # without a node the output overwrites t, which no backward reads
-    out_data = t + 1.0 if nx is not None else np.add(t, 1.0, out=t)
-    out_data *= xd
-    out_data *= 0.5
+    out = _gelu_tanh(xd, np.empty_like(xd))
+    out += 1.0
+    out *= xd
+    out *= 0.5
 
     def backward(g):
         # g * 0.5 (1 + t) (1 + (1 - t) c x (1 + 3 a x^2)), from 1 - t^2 =
-        # (1 - t)(1 + t); t is overwritten, which is safe because the tape
-        # is walked once
-        d = xd * xd
-        d *= 3.0 * _GELU_C * _GELU_A
-        d += _GELU_C
-        d *= xd
-        np.subtract(1.0, t, out=t)
-        d *= t
-        d += 1.0
-        np.subtract(2.0, t, out=t)
-        d *= t
-        d *= 0.5
-        d *= g
-        nx._accumulate(d)
+        # (1 - t)(1 + t)
+        grad = np.empty_like(xd)
+        scratch = np.empty(min(_GELU_CHUNK, xd.size))
+        passes = np.nditer(
+            (xd, g, grad), flags=("external_loop", "buffered", "zerosize_ok"),
+            op_flags=(["readonly"], ["readonly"], ["writeonly"]), order="K", buffersize=_GELU_CHUNK,
+        )
+        with passes:
+            for xc, gc, d in passes:
+                t = _gelu_tanh(xc, scratch[: xc.size])
+                np.multiply(xc, xc, out=d)
+                d *= 3.0 * _GELU_C * _GELU_A
+                d += _GELU_C
+                d *= xc
+                np.subtract(1.0, t, out=t)
+                d *= t
+                d += 1.0
+                np.subtract(2.0, t, out=t)
+                d *= t
+                d *= 0.5
+                d *= gc
+        nx._accumulate(grad)
 
-    return _result(out_data, (nx,), backward)
+    return _result(out, (nx,), backward)
 
 
 def _max_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
@@ -491,6 +515,30 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             nb._accumulate(_col_sums(g2))
 
     return _result(out.reshape(x_shape[:-1] + (n,)), (nx, nw, nb), backward)
+
+
+def neighbour_affine(a: np.ndarray, z: Tensor, w: Tensor) -> Tensor:
+    """(a @ z) @ w for a constant (N, N) a, a (..., N, k) z and a (k, n) w:
+    the neighbour term of a graph-convolution layer, one node on the tape.
+    The node keeps z and w, not a @ z: the weight's gradient rebuilds
+    a @ z with the forward's own call, and z's gradient is a.T @ (g @ w.T),
+    which is what the two ops (a @ z) and (. @ w) would give."""
+    nz, nw = _tape(z, w)
+    a = np.asarray(a, dtype=np.float64)
+    k, n = w.shape
+    out = (a @ z.data).reshape(-1, k) @ w.data
+    z_shape = z.shape
+    zd = z.data if nw is not None else None
+    wd = w.data if nz is not None else None
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        if nz is not None:
+            nz._accumulate(a.T @ (g2 @ wd.T).reshape(z_shape))
+        if nw is not None:
+            nw._accumulate((a @ zd).reshape(-1, k).T @ g2)
+
+    return _result(out.reshape(z_shape[:-1] + (n,)), (nz, nw), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:

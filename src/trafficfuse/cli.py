@@ -3,7 +3,9 @@
 Every subcommand reads the same experiment JSON (defaults apply when no
 config is given), reruns the deterministic stage chain up to its own
 stage, and writes that stage's artifacts into --out. `run` executes the
-whole chain and writes the full artifact set.
+whole chain and writes the full artifact set. A bad config or a failed
+stage prints one line, `trafficfuse: error: <stage>: <cause>`, to stderr
+and exits 1.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .harness import ExperimentConfig, Pipeline, load_config
+from .harness import ExperimentConfig, Pipeline, PipelineError, load_config
 
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -106,12 +108,27 @@ _COMMANDS = {
 }
 
 
+def _run(args) -> str:
+    """The command's summary line; a PipelineError names the failed stage."""
+    try:
+        cfg = _configure(args)
+    except (OSError, ValueError) as exc:
+        raise PipelineError("config", exc) from exc
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise PipelineError("write", exc) from exc
+    return _COMMANDS[args.command](Pipeline(cfg), args.out)
+
+
 def main(argv=None) -> int:
     _keep_freed_memory()
     args = build_parser().parse_args(argv)
-    pipe = Pipeline(_configure(args))
-    os.makedirs(args.out, exist_ok=True)
-    print(_COMMANDS[args.command](pipe, args.out))
+    try:
+        print(_run(args))
+    except PipelineError as exc:
+        print(f"trafficfuse: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

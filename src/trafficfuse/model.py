@@ -3,9 +3,11 @@
 Per time step, stacked graph-convolution layers mix each segment with its
 neighbours: H <- GELU(LN(A H W_n + H W_s)), with one self weight W_s
 (a second self matrix on the same operand would only get the same
-gradient). Per segment, pre-norm self-attention blocks mix the history
-axis; keys carry no bias, since softmax over keys ignores the per-query
-constant q . b_k it would add. GELU is the tanh form (autodiff.gelu). A
+gradient). The neighbour term is one autodiff.neighbour_affine node, which
+keeps H but not A H: W_n's gradient rebuilds A H in backward. Per
+segment, pre-norm self-attention blocks mix the history axis; keys carry
+no bias, since softmax over keys ignores the per-query constant q . b_k
+it would add. GELU is the tanh form (autodiff.gelu). A
 flattening layer and two small MLP heads emit a mean increment and a
 log-variance for each forecast horizon; predictions are anchored on the
 last observed count, q_hat = q(t) + mu. Heads are zero-initialized so the
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, gelu, grad_enabled, layer_norm, softmax
+from .autodiff import Tensor, affine, gelu, grad_enabled, layer_norm, neighbour_affine, softmax
 from .util import config_kwargs
 
 __all__ = ["ModelConfig", "Prediction", "init_params", "normalized_adjacency", "forward", "loss_components"]
@@ -164,7 +166,10 @@ def forward(
 
     Every temporal-block activation is dropped at its last use, so a
     no-tape batch holds about six (B, H, N, d) arrays at its peak; under
-    a tape, the tape keeps what backward reads either way.
+    a tape, the tape keeps what backward reads either way. a_hat stays a
+    plain array: neighbour_affine takes it as a constant, and rebuilds
+    a_hat @ z in backward rather than keeping it, as gelu rebuilds its
+    tanh value, so a taped step peaks at about 22 (B, H, N, d) arrays.
     """
     windows = np.asarray(windows)
     if windows.ndim != 2 or windows.shape[1] != cfg.history or bins.ndim != 3 or bins.shape[2] != cfg.n_features:
@@ -176,14 +181,13 @@ def forward(
     d = cfg.embed_dim
     if carry is not None and grad_enabled():
         raise ValueError("carried embeddings hold no tape; pass carry only under no_grad")
-    a_t = Tensor(a_hat)
 
     # one name for the running state: the tape keeps what backward reads,
     # and an array left bound to a name of its own would outlive its use
     z = affine(Tensor(bins), params["w_in"], params["b_in"])  # (U, N, d)
     for ell in range(cfg.spatial_layers):
         z = gelu(layer_norm(
-            (a_t @ z) @ params[f"sp{ell}_w_n"] + z @ params[f"sp{ell}_w_s"],
+            neighbour_affine(a_hat, z, params[f"sp{ell}_w_n"]) + z @ params[f"sp{ell}_w_s"],
             params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], cfg.ln_eps,
         ))
 

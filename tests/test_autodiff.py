@@ -7,7 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from trafficfuse.autodiff import Tensor, affine, gelu, layer_norm, no_grad, softmax
+from trafficfuse import autodiff
+from trafficfuse.autodiff import Tensor, affine, gelu, layer_norm, neighbour_affine, no_grad, softmax
 
 
 def rel_err(a, b):
@@ -146,6 +147,64 @@ def test_gelu_tanh_form_tracks_the_exact_form_and_keeps_one_scratch_array():
         tracemalloc.stop()
     assert big.grad.shape == big.shape
     assert peak <= 1.05 * big.data.nbytes, f"backward peaked at {peak} bytes"
+
+
+def _gelu_grad_one_pass(x, g):
+    """gelu's gradient as one whole-array pass, in the op order of the
+    backward's chunked passes."""
+    c, a = autodiff._GELU_C, autodiff._GELU_A
+    t = np.tanh((x * x * (c * a) + c) * x)
+    d = (x * x * (3.0 * c * a) + c) * x
+    d *= 1.0 - t
+    d += 1.0
+    d *= 2.0 - (1.0 - t)
+    d *= 0.5
+    return d * g
+
+
+@pytest.mark.parametrize("size", [1, autodiff._GELU_CHUNK - 1, autodiff._GELU_CHUNK, 3 * autodiff._GELU_CHUNK + 5])
+def test_gelu_chunked_backward_matches_one_pass_bit_for_bit(size):
+    x = RNG.normal(size=size) * 3.0
+    up = RNG.normal(size=size)
+    leaf = Tensor(x.copy(), requires_grad=True)
+    (gelu(leaf) * up).sum().backward()
+    assert np.array_equal(leaf.grad, _gelu_grad_one_pass(x, up))
+
+
+def test_gelu_chunked_backward_over_swapped_axes_matches_one_pass():
+    x = (RNG.normal(size=(5, 7, autodiff._GELU_CHUNK // 9)) * 3.0).swapaxes(0, 2)
+    up = RNG.normal(size=x.shape)
+    leaf = Tensor(x, requires_grad=True)
+    assert not leaf.data.flags.c_contiguous
+    (gelu(leaf) * up).sum().backward()
+    assert np.array_equal(leaf.grad, _gelu_grad_one_pass(x, up))
+
+
+def _in_degree_three():
+    """Row-normalized 5-node graph: node 0 averages three neighbours."""
+    a = np.zeros((5, 5))
+    a[0, [1, 2, 4]] = 1.0
+    a[1, 2] = a[2, 3] = a[3, 0] = 1.0
+    return a / np.maximum(a.sum(axis=1, keepdims=True), 1.0)
+
+
+def test_neighbour_affine_matches_the_two_op_form_bit_for_bit():
+    a = _in_degree_three()
+    x = RNG.normal(size=(4, 5, 3))
+    w = RNG.normal(size=(3, 2))
+    up = RNG.normal(size=(4, 5, 2))
+    v_op, g_op = _value_and_grads(lambda xx, ww: (neighbour_affine(a, xx, ww) * up).sum(), [x, w])
+    v_two, g_two = _value_and_grads(lambda xx, ww: (((Tensor(a) @ xx) @ ww) * up).sum(), [x, w])
+    assert np.array_equal(neighbour_affine(a, Tensor(x), Tensor(w)).data, ((Tensor(a) @ Tensor(x)) @ Tensor(w)).data)
+    assert v_op == v_two
+    assert np.array_equal(g_op[0], g_two[0]) and np.array_equal(g_op[1], g_two[1])
+
+
+def test_neighbour_affine_gradient():
+    a = _in_degree_three()
+    up = RNG.normal(size=(4, 5, 2))
+    gradcheck(lambda xx, ww: (neighbour_affine(a, xx, ww) * up).sum(),
+              RNG.normal(size=(4, 5, 3)), RNG.normal(size=(3, 2)))
 
 
 def test_softmax_gradient():

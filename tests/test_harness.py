@@ -749,6 +749,19 @@ def test_cli_stage_files_match_run(tmp_path, capsys):
             assert (outs[command] / name).read_bytes() == (outs["run"] / name).read_bytes(), (command, name)
 
 
+@pytest.mark.parametrize("edit, line", [
+    ({"train_stepz": 5}, "trafficfuse: error: config: unknown experiment config keys: train_stepz"),
+    ({"penetration_base": 1.5}, "trafficfuse: error: sample: base penetration rates must lie in (0, 1]"),
+])
+def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, edit, line):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({**small_config().to_dict(), **edit}))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
+    assert captured.out == ""
+
+
 def test_cli_runs_where_the_allocator_hook_finds_no_libc(tmp_path, monkeypatch):
     def no_libc(name, *args, **kwargs):
         raise OSError(f"{name}: cannot open shared object file")

@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -604,11 +605,9 @@ def _mesh_adjacency(rows, cols):
     return a
 
 
-def test_taped_step_keeps_only_what_backward_reads():
-    # one taped forward + loss on a 100-segment mesh batch with the
-    # pipeline's model, measured in units u of one (B, H, N, d) activation:
-    # 28.2u once dead activations are freed, 46.0u when the tape kept every
-    # value it was built from
+def _mesh_step_inputs():
+    """The pipeline's model on a 100-segment mesh batch, and the unit u of
+    one (B, H, N, d) activation."""
     cfg = ExperimentConfig().model
     rows, cols, bsz = 5, 20, 8
     n = rows * cols
@@ -620,16 +619,70 @@ def test_taped_step_keeps_only_what_backward_reads():
     target = anchor[:, :, None] + rng.normal(size=(bsz, n, cfg.horizon))
     a_hat = normalized_adjacency(_mesh_adjacency(rows, cols))
     u = bsz * cfg.history * n * cfg.embed_dim * 8
+
+    def loss():
+        pred = forward(params, cfg, a_hat, bins, windows, anchor)
+        return loss_components(pred, target, cfg, np.full(n, 1e3), target[:, :, 0].sum(axis=1))["total"]
+
+    return params, loss, u
+
+
+def test_taped_step_keeps_only_what_backward_reads():
+    # one taped forward + loss, in units u of one (B, H, N, d) activation:
+    # 22.2u with GELU keeping only its input and the spatial layers
+    # rebuilding A z in backward, 28.2u when both were kept, 46.0u when the
+    # tape kept every value it was built from
+    params, step_loss, u = _mesh_step_inputs()
     tracemalloc.start()
     try:
-        pred = forward(params, cfg, a_hat, bins, windows, anchor)
-        loss = loss_components(pred, target, cfg, np.full(n, 1e3), target[:, :, 0].sum(axis=1))["total"]
+        loss = step_loss()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 34 * u, f"taped step peaked at {peak / u:.1f}u"
+    assert peak < 24 * u, f"taped step peaked at {peak / u:.1f}u"
     loss.backward()
     assert all(p.grad is not None for p in params.values())
+
+
+def test_whole_taped_step_peak():
+    # forward, loss and backward together: 22.4u, against 28.3u when GELU
+    # kept its tanh value and each spatial layer kept A z for W_n's gradient
+    params, step_loss, u = _mesh_step_inputs()
+    tracemalloc.start()
+    try:
+        step_loss().backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * u, f"taped step peaked at {peak / u:.1f}u"
+    assert all(p.grad is not None for p in params.values())
+
+
+def test_no_backward_closure_keeps_a_neighbour_product():
+    # each spatial layer's W_n gradient rebuilds a_hat @ z in backward, so
+    # the tape holds z (the self term's affine keeps it anyway) but never
+    # a_hat @ z
+    cfg = replace(TINY, spatial_layers=2)
+    params = _perturbed_params(cfg, 5)
+    a_hat, hist, anchor = _tiny_inputs(cfg, seed=5)
+    target = anchor[:, :, None] + 1.0
+    pred = forward(params, cfg, a_hat, *_stacked(hist), anchor)
+    loss = loss_components(pred, target, cfg, np.full(3, 30.0), target[:, :, 0].sum(axis=1))["total"]
+    z_shape = (hist.shape[0] * cfg.history, 3, cfg.embed_dim)
+    kept, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            closure = node._backward.__closure__ if node._backward is not None else None
+            for cell in closure or ():
+                v = cell.cell_contents
+                if isinstance(v, np.ndarray) and v.size == math.prod(z_shape):
+                    kept.append(v.reshape(z_shape))
+            stack.extend(node._parents)
+    products = [a_hat @ z for z in kept]
+    assert len(kept) >= cfg.spatial_layers
+    assert not any(np.array_equal(v, p) for v in kept for p in products)
 
 
 def test_training_steps_hold_one_tape_at_a_time():
