@@ -84,7 +84,9 @@ def default_fd_params(net: RoadNetwork, bin_seconds: float = 900.0) -> FdParams:
 
 class TurnRatios:
     """Edge split fractions: edge_beta[k] is the share of segment i's outflow
-    sent to j over edge k = (i, j) of net.edges.
+    sent to j over edge k = (i, j) of net.edges, which the network keeps
+    sorted by (from, to): that may differ from the order the edges were
+    given in.
 
     Shares are finite and nonnegative, and each segment's outgoing shares
     sum to 1 within ROW_SUM_TOL.

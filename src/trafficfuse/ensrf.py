@@ -81,9 +81,9 @@ class FilterConfig:
             raise ValueError("mean-reversion rates must lie in (0, 1)")
         if self.lambda_base >= self.lambda_glob:
             raise ValueError("base reversion must be slower than global reversion")
-        if self.sigma_0 <= 0:
+        if not self.sigma_0 > 0:
             raise ValueError("sigma_0 must be positive")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
         for name in ("sigma_y", "q_base", "q_hour", "q_day", "q_regime", "init_base_sd", "init_glob_sd"):
             if not getattr(self, name) >= 0:

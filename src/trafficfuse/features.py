@@ -101,17 +101,6 @@ class FeatureTensor:
         return (self.values - self.mean) / self.scale
 
 
-def _neighbour_sums(src: np.ndarray, dst: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[i] = sum of x[j] over the edges (i, j), added in ascending j.
-
-    ufunc.at accumulates in index order, so the sort fixes each sum's order.
-    """
-    order = np.lexsort((dst, src))
-    out = np.zeros_like(x)
-    np.add.at(out, src[order], x[dst[order]])
-    return out
-
-
 def build_tensor(
     net: RoadNetwork,
     fd: FdParams,
@@ -126,7 +115,8 @@ def build_tensor(
     speeds is in m/s with NaN for missing bins; missing speeds impute free
     flow (b = 1) and missing counts impute 0, both counted on the result.
     train_cols bounds the columns used for n_max and the normalization
-    statistics (defaults to every column).
+    statistics (defaults to every column). The neighbour means sum over
+    net's edges in their (from, to) order, so in ascending neighbour id.
     """
     n, t = counts.values.shape
     if train_cols is None:
@@ -175,11 +165,14 @@ def build_tensor(
         q_bc[bset] = (bi[bset] - bo[bset]) / qmax[bset]
 
     # spatial means over the edges; empty sides fall back to own b
+    sum_ds, sum_us = np.zeros_like(b), np.zeros_like(b)
+    np.add.at(sum_ds, net.edge_from, b[net.edge_to])
+    np.add.at(sum_us, net.edge_to, b[net.edge_from])
     out_deg = net.out_degree[:, None]
     in_deg = net.in_degree[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_ds = np.where(out_deg > 0, _neighbour_sums(net.edge_from, net.edge_to, b) / out_deg, b)
-        mean_us = np.where(in_deg > 0, _neighbour_sums(net.edge_to, net.edge_from, b) / in_deg, b)
+        mean_ds = np.where(out_deg > 0, sum_ds / out_deg, b)
+        mean_us = np.where(in_deg > 0, sum_us / in_deg, b)
 
     x = np.empty((n, t, 22))
     x[:, :, 0] = q

@@ -89,13 +89,13 @@ class PenetrationModel:
 
     def __post_init__(self):
         base = np.atleast_1d(np.asarray(self.base, dtype=float))
-        if (base <= 0).any() or (base > 1).any():
+        if not ((base > 0) & (base <= 1)).all():
             raise ValueError("base penetration rates must lie in (0, 1]")
         for name, mult, k in (("hour", self.hour_mult, 24), ("day", self.day_mult, 7)):
             if mult is None:
                 continue
             m = np.asarray(mult, dtype=float)
-            if m.shape != (k,) or (m <= 0).any():
+            if m.shape != (k,) or not (m > 0).all():
                 raise ValueError(f"{name} multipliers must be {k} positive values")
 
     def effective(self, n_segments: int, hours: np.ndarray, days: np.ndarray) -> np.ndarray:
@@ -388,6 +388,15 @@ class ExperimentConfig:
         overlap = set(self.cameras_calibration) & set(self.cameras_validation)
         if overlap:
             raise ValueError(f"calibration and validation cameras overlap: {sorted(overlap)}")
+        if not 0 <= self.demand_peak < float("inf"):
+            raise ValueError(f"demand_peak {self.demand_peak} must be finite and >= 0")
+        if not 0 < self.penetration_base <= 1:
+            raise ValueError(f"penetration_base {self.penetration_base} must lie in (0, 1]")
+        # the hour multiplier 1 + a sin(...) falls to 1 - |a|
+        if not abs(self.penetration_hour_amplitude) < 1:
+            raise ValueError(f"penetration_hour_amplitude {self.penetration_hour_amplitude} must lie in (-1, 1)")
+        if not self.penetration_day_weekend > 0:
+            raise ValueError(f"penetration_day_weekend {self.penetration_day_weekend} must be positive")
         if self.days < 1 or self.forecast_days < 0:
             raise ValueError("days must be >= 1 and forecast_days >= 0")
         if not 0 <= self.burn_days < self.days:
@@ -574,7 +583,7 @@ class Pipeline:
         cfg = self.cfg
         h = cfg.model.history
         anchors = np.arange(h - 1, self.truth.n_bins - 1)
-        raw, _ = predict(
+        raw = predict(
             self.trained.params, cfg.model, self.a_hat, self.tensor,
             self.probe.values, anchors,
         )

@@ -129,8 +129,7 @@ class Prediction:
 
     q_hat: Tensor  # (B, N, F) anchored counts
     mu: Tensor  # (B, N, F) increments
-    sigma: Tensor  # (B, N, F) predictive std
-    log_var: Tensor  # (B, N, F)
+    log_var: Tensor  # (B, N, F) predictive log-variance
     # (K + U, N, d) carried then new embedded bins, only when forward was
     # given carried embeddings
     embedded: np.ndarray | None = None
@@ -226,9 +225,8 @@ def forward(
     del z
     mu = affine(gelu(affine(hv, params["mu_w1"], params["mu_b1"])), params["mu_w2"], params["mu_b2"])
     log_var = affine(gelu(affine(hv, params["lv_w1"], params["lv_b1"])), params["lv_w2"], params["lv_b2"])
-    sigma = (log_var * 0.5).exp()
     q_hat = Tensor(anchor[:, :, None]) + mu
-    return Prediction(q_hat=q_hat, mu=mu, sigma=sigma, log_var=log_var, embedded=embedded)
+    return Prediction(q_hat=q_hat, mu=mu, log_var=log_var, embedded=embedded)
 
 
 def loss_components(

@@ -80,9 +80,11 @@ class Segment:
 class RoadNetwork:
     """Immutable directed road network.
 
-    edges are (from_id, to_id) pairs over dense ids. edge_from/edge_to (per
-    edge) and in_degree/out_degree (per segment) are read-only int arrays
-    derived once at construction and left out of equality.
+    edges are (from_id, to_id) pairs over dense ids, checked in the order
+    given and then sorted by (from, to), so a sum over the edges adds each
+    segment's terms in ascending neighbour id. edge_from/edge_to (per edge)
+    and in_degree/out_degree (per segment) are read-only int arrays derived
+    once at construction and left out of equality.
     external_ids maps dense id -> id string from the source file.
     """
 
@@ -96,7 +98,7 @@ class RoadNetwork:
 
     def __post_init__(self):
         n = len(self.segments)
-        src, dst = np.array(self.edges, dtype=int).reshape(len(self.edges), 2).T.copy()
+        src, dst = np.array(self.edges, dtype=int).reshape(len(self.edges), 2).T
         bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
         if bad.size:
             k = bad[0]
@@ -109,6 +111,9 @@ class RoadNetwork:
         if not first.all():
             k = np.argmin(first)
             raise SchemaError(f"edge {k}: duplicate edge ({src[k]}, {dst[k]})")
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        object.__setattr__(self, "edges", tuple(zip(src.tolist(), dst.tolist())))
         degrees = (("in_degree", np.bincount(dst, minlength=n)), ("out_degree", np.bincount(src, minlength=n)))
         for name, arr in (("edge_from", src), ("edge_to", dst), *degrees):
             arr.flags.writeable = False
@@ -260,7 +265,7 @@ def load_network(path) -> RoadNetwork:
 
 
 def save_network(net: RoadNetwork, path) -> None:
-    """Write segments.csv and edges.csv under path (canonical order)."""
+    """Write segments.csv and edges.csv under path, the edges in (from, to) order."""
     write_csv(os.path.join(path, "segments.csv"), _SEGMENT_FIELDS, (
         [ext, _fmt(seg.length_m), seg.lanes, _fmt(seg.capacity_vph), _fmt(seg.free_flow_mps), int(seg.is_boundary)]
         for seg, ext in zip(net.segments, net.external_ids)

@@ -85,11 +85,8 @@ def selection_matrix(cameras, n: int) -> np.ndarray:
 
 def _inflow_shares(net: RoadNetwork, beta: TurnRatios) -> np.ndarray:
     """Per edge (i, j) of net.edges: fraction of segment j's inflow arriving from i."""
-    src, dst, ratio = beta.edge_from, beta.edge_to, beta.edge_beta
-    # each inflow adds its terms in upstream-id order, whatever the order of net.edges
-    by_row = np.argsort(src, kind="stable")
-    inflow = np.bincount(dst[by_row], weights=ratio[by_row], minlength=len(net.segments))
-    into = inflow[dst]
+    dst, ratio = beta.edge_to, beta.edge_beta
+    into = np.bincount(dst, weights=ratio, minlength=len(net.segments))[dst]
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(into > 0, ratio / into, 0.0)
 

@@ -288,7 +288,7 @@ def predict(
 ):
     """Rolling forecasts anchored at each index in t_indices.
 
-    Returns (q_hat, sigma), both (len(t_indices), N, F); q_hat[j, :, p-1]
+    Returns q_hat, shape (len(t_indices), N, F); q_hat[j, :, p-1]
     estimates the counts at bin t_indices[j] + p.
     """
     h = cfg.history
@@ -296,12 +296,10 @@ def predict(
     if (t_indices < h - 1).any() or (t_indices >= counts.shape[1]).any():
         raise ValueError("prediction index leaves an incomplete history window")
     q_hat = np.empty((len(t_indices), counts.shape[0], cfg.horizon))
-    sigma = np.empty_like(q_hat)
     with no_grad():
         for sl, pred in _no_tape_passes(params, cfg, a_hat, _bin_major(tensor), t_indices, counts[:, t_indices].T):
             q_hat[sl] = pred.q_hat.data
-            sigma[sl] = pred.sigma.data
-    return q_hat, sigma
+    return q_hat
 
 
 def save_checkpoint(prefix: str, params: dict, cfg: ModelConfig) -> None:

@@ -228,6 +228,21 @@ def vehicle_oracle(qmax, horizon, inflow0):
     return hist
 
 
+def test_a_merge_listed_in_two_orders_simulates_identically():
+    # three sources merge into segment 3; the network sorts its edges, so
+    # segment 3's inflow adds the same terms in the same order either way
+    listing = [(0, 3), (1, 3), (2, 3), (3, 4)]
+    profile = np.zeros((5, 120))
+    profile[:3] = np.random.default_rng(5).uniform(0.0, 200.0, size=(3, 120))
+    fd = FdParams(wave_speed=4.0, jam_density=1.0, crit_speed=7.0)
+    runs = []
+    for edges in (listing, [listing[k] for k in (3, 2, 0, 1)]):
+        net = make_network(edges, capacity=[1800.0, 1800.0, 1800.0, 3600.0, 3600.0])
+        runs.append(simulate(net, fd, TurnRatios.uniform(net), profile, BIN, T0))
+    assert np.array_equal(runs[0].counts.values, runs[1].counts.values)
+    assert np.array_equal(runs[0].link_flows, runs[1].link_flows)
+
+
 def _chain_sim(capacity, inflow, horizon):
     n = len(capacity)
     net = make_chain(n, capacity=capacity)

@@ -3,6 +3,7 @@
 import ctypes
 import datetime as dt
 import json
+import math
 import os
 import stat
 from dataclasses import replace
@@ -749,9 +750,39 @@ def test_cli_stage_files_match_run(tmp_path, capsys):
             assert (outs[command] / name).read_bytes() == (outs["run"] / name).read_bytes(), (command, name)
 
 
+def test_a_shuffled_edge_file_changes_no_artifact(tmp_path):
+    # the network sorts its edges, so the simulator's sums, the per-edge
+    # probe draws and every written file ignore the order of edges.csv
+    net, _, _ = grid_network()
+    save_network(net, str(tmp_path / "net"))
+    cfg = small_config(
+        twin=None, network_path=str(tmp_path / "net"), bin_seconds=3600, train_steps=5,
+        cameras_calibration=GRID_CAMERAS["calibration"], cameras_validation=GRID_CAMERAS["validation"],
+    )
+    run_pipeline(cfg, out_dir=str(tmp_path / "sorted"))
+    edges = tmp_path / "net" / "edges.csv"
+    header, *rows = edges.read_text().splitlines()
+    shuffled = list(np.random.default_rng(0).permutation(rows))
+    assert shuffled != rows
+    edges.write_text("\n".join([header, *shuffled]) + "\n")
+    run_pipeline(cfg, out_dir=str(tmp_path / "shuffled"))
+    names = sorted(p.name for p in (tmp_path / "sorted").iterdir())
+    assert len(names) == 10
+    for name in names:
+        assert (tmp_path / "shuffled" / name).read_bytes() == (tmp_path / "sorted" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("edit, line", [
     ({"train_stepz": 5}, "trafficfuse: error: config: unknown experiment config keys: train_stepz"),
-    ({"penetration_base": 1.5}, "trafficfuse: error: sample: base penetration rates must lie in (0, 1]"),
+    ({"penetration_base": 1.5}, "trafficfuse: error: config: penetration_base 1.5 must lie in (0, 1]"),
+    ({"penetration_base": math.nan}, "trafficfuse: error: config: penetration_base nan must lie in (0, 1]"),
+    ({"penetration_hour_amplitude": 1.5},
+     "trafficfuse: error: config: penetration_hour_amplitude 1.5 must lie in (-1, 1)"),
+    ({"penetration_day_weekend": 0}, "trafficfuse: error: config: penetration_day_weekend 0 must be positive"),
+    ({"demand_peak": -5}, "trafficfuse: error: config: demand_peak -5 must be finite and >= 0"),
+    ({"demand_peak": math.nan}, "trafficfuse: error: config: demand_peak nan must be finite and >= 0"),
+    ({"filter": {"sigma_0": math.nan}}, "trafficfuse: error: config: sigma_0 must be positive"),
+    ({"filter": {"eps": math.nan}}, "trafficfuse: error: config: eps must be positive"),
 ])
 def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, edit, line):
     config = tmp_path / "experiment.json"

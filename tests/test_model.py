@@ -100,13 +100,13 @@ def test_normalized_adjacency_rows():
 
 
 def test_untrained_model_is_persistence():
-    # zero-initialized head outputs: mu = 0, sigma = 1, q_hat = anchor
+    # zero-initialized head outputs: mu = 0, log_var = 0, q_hat = anchor
     cfg = TINY
     params = init_params(cfg, np.random.default_rng(3))
     a_hat, hist, anchor = _tiny_inputs(cfg)
     pred = forward(params, cfg, a_hat, *_stacked(hist), anchor)
     assert np.array_equal(pred.mu.data, np.zeros((2, 3, cfg.horizon)))
-    assert np.array_equal(pred.sigma.data, np.ones((2, 3, cfg.horizon)))
+    assert np.array_equal(pred.log_var.data, np.zeros((2, 3, cfg.horizon)))
     assert np.array_equal(pred.q_hat.data, np.broadcast_to(anchor[:, :, None], (2, 3, cfg.horizon)))
 
 
@@ -146,13 +146,13 @@ def test_forward_permutation_equivariance():
         anchor[:, perm],
     )
     assert np.allclose(shuf.q_hat.data, base.q_hat.data[:, perm, :], atol=1e-10)
-    assert np.allclose(shuf.sigma.data, base.sigma.data[:, perm, :], atol=1e-10)
+    assert np.allclose(shuf.log_var.data, base.log_var.data[:, perm, :], atol=1e-10)
 
 
 def _manual_prediction(q_hat, log_var=None):
     q = Tensor(np.asarray(q_hat, dtype=float))
     lv = Tensor(np.zeros_like(q.data) if log_var is None else np.asarray(log_var, dtype=float))
-    return Prediction(q_hat=q, mu=q, sigma=(lv * 0.5).exp(), log_var=lv)
+    return Prediction(q_hat=q, mu=q, log_var=lv)
 
 
 def test_capacity_hinge_frozen_value():
@@ -386,14 +386,13 @@ def test_predict_matches_forward():
     cfg, a_hat, windows, qmax, tensor, counts = _training_setup()
     params = init_params(cfg, np.random.default_rng(6))
     t_idx = np.array([5, 6, 9])
-    q_hat, sigma = predict(params, cfg, a_hat, tensor, counts, t_idx)
-    assert q_hat.shape == (3, 3, cfg.horizon) and sigma.shape == q_hat.shape
+    q_hat = predict(params, cfg, a_hat, tensor, counts, t_idx)
+    assert q_hat.shape == (3, 3, cfg.horizon)
     sel = np.searchsorted(windows.t_index, t_idx)
     slots = t_idx[:, None] + np.arange(1 - cfg.history, 1)
     with no_grad():
         pred = forward(params, cfg, a_hat, windows.feats, slots, windows.anchor[sel])
     assert np.array_equal(q_hat, pred.q_hat.data)
-    assert np.array_equal(sigma, pred.sigma.data)
 
 
 def _perturbed_params(cfg, seed):
@@ -412,14 +411,13 @@ def test_predict_over_shared_bins_equals_per_window_forward():
     cfg, a_hat, _, _, tensor, counts = _training_setup()
     params = _perturbed_params(cfg, 6)
     t_idx = np.arange(cfg.history - 1, 60)
-    q_hat, sigma = predict(params, cfg, a_hat, tensor, counts, t_idx)
+    q_hat = predict(params, cfg, a_hat, tensor, counts, t_idx)
     feats = tensor.normalized()
     with no_grad():
         for j, t in enumerate(t_idx):
             hist = feats[:, t - cfg.history + 1 : t + 1].transpose(1, 0, 2)
             pred = forward(params, cfg, a_hat, hist, np.arange(cfg.history)[None], counts[None, :, t])
             assert np.array_equal(q_hat[j], pred.q_hat.data[0]), t
-            assert np.array_equal(sigma[j], pred.sigma.data[0]), t
 
 
 @pytest.mark.parametrize("windows_per_batch", [1, 2, 5])
@@ -434,14 +432,13 @@ def test_predict_over_unsorted_gapped_repeated_anchors_equals_per_window_forward
     monkeypatch.setattr(train_module, "INFER_ROWS", windows_per_batch * cfg.history * counts.shape[0])
     params = _perturbed_params(cfg, 7)
     t_idx = np.array([10, 11, 12, 40, 41, 7, 7, 8, 60, 59, 58, 3, 95, 12, 11, 50])
-    q_hat, sigma = predict(params, cfg, a_hat, tensor, counts, t_idx)
+    q_hat = predict(params, cfg, a_hat, tensor, counts, t_idx)
     feats = tensor.normalized()
     with no_grad():
         for j, t in enumerate(t_idx):
             hist = feats[:, t - cfg.history + 1 : t + 1].transpose(1, 0, 2)
             pred = forward(params, cfg, a_hat, hist, np.arange(cfg.history)[None], counts[None, :, t])
             assert np.array_equal(q_hat[j], pred.q_hat.data[0]), (j, t)
-            assert np.array_equal(sigma[j], pred.sigma.data[0]), (j, t)
 
 
 @pytest.mark.parametrize("windows_per_batch", [1, 3])

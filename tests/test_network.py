@@ -98,6 +98,16 @@ def test_edge_errors_name_the_first_bad_edge(edges, match):
         RoadNetwork(tuple(seg(i) for i in range(3)), tuple(edges), ("a", "b", "c"))
 
 
+def test_two_listings_of_the_same_edges_are_one_network(tmp_path):
+    edges = [(2, 0), (0, 2), (1, 2), (0, 1)]
+    net = make_network(edges)
+    assert net == make_network(edges[::-1])
+    assert net.edges == ((0, 1), (0, 2), (1, 2), (2, 0))
+    assert net.edge_from.tolist() == [0, 0, 1, 2] and net.edge_to.tolist() == [1, 2, 2, 0]
+    save_network(net, str(tmp_path))
+    assert (tmp_path / "edges.csv").read_text().splitlines() == ["from_id,to_id", "s0,s1", "s0,s2", "s1,s2", "s2,s0"]
+
+
 def test_boundary_flags_returned_verbatim():
     net = make_network([(0, 1), (1, 2)], boundary=(1,))
     assert boundary_segments(net) == [1]

@@ -61,6 +61,42 @@ def test_only_util_writes_files():
     assert not found, f"files written outside util: {found}"
 
 
+_EDGE_ARRAYS = {"edge_from", "edge_to", "edges"}
+_SORTS = {"lexsort", "argsort", "sort", "sorted"}
+
+
+def _name(node: ast.AST):
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _edge_sorts(tree: ast.AST) -> list:
+    """Lines of the sort calls over the edge arrays or over a name bound to
+    one, by assignment (src = net.edge_from) or as a function's argument."""
+    params = {f.name: [a.arg for a in f.args.args] for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    edge_names = set(_EDGE_ARRAYS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                unpacked = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                pairs = zip(target.elts, node.value.elts) if unpacked else [(target, node.value)]
+                edge_names |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _name(v) in edge_names}
+        elif isinstance(node, ast.Call) and _name(node.func) in params:
+            edge_names |= {p for p, arg in zip(params[_name(node.func)], node.args) if _name(arg) in edge_names}
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _name(node.func) in _SORTS
+            and edge_names & {_name(n) for n in ast.walk(node)}]
+
+
+def test_only_the_network_orders_its_edges():
+    # RoadNetwork sorts its edges by (from, to) once, so every sum over
+    # them runs in ascending neighbour id; a second ordering elsewhere
+    # would let two consumers disagree about it
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "network.py":
+            found += [f"{path.name}:{line}" for line in _edge_sorts(ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, f"edge arrays sorted outside network: {found}"
+
+
 def _loaded_after(imports: str, prefixes: tuple) -> list:
     """The sys.modules keys starting with one of prefixes after a fresh
     interpreter runs `import <imports>`."""
