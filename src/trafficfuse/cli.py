@@ -1,11 +1,11 @@
-"""Command-line front end: one subcommand per pipeline stage that writes files.
+"""Command-line front end: `run` and `observability`.
 
-Every subcommand reads the same experiment JSON (defaults apply when no
-config is given), reruns the deterministic stage chain up to its own
-stage, and writes that stage's artifacts into --out. `run` executes the
-whole chain and writes the full artifact set. A bad config or a failed
-stage prints one line, `trafficfuse: error: <stage>: <cause>`, to stderr
-and exits 1.
+Both commands read the same experiment JSON (defaults apply when no
+config is given) and write into --out. `run` executes the whole chain
+and writes the full artifact set; `observability` builds the network and
+writes only the camera-placement analysis, training nothing. A bad config
+or a failed stage prints one line, `trafficfuse: error: <stage>: <cause>`,
+to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import ctypes
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .harness import ExperimentConfig, Pipeline, PipelineError, load_config
 
@@ -49,9 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Camera-calibrated traffic volume estimation from probe counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        blurb = ("full chain, complete artifact set" if name == "run"
-                 else f"run the chain through the {name} stage")
+    for name, (_, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="experiment JSON (defaults when omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -66,28 +62,10 @@ def _configure(args) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_train(pipe: Pipeline, out: str) -> str:
-    log = pipe.write_training(out)["training_log"]
-    return f"train: best validation loss {pipe.trained.best_val:.4f} -> {log}"
-
-
-def _cmd_calibrate(pipe: Pipeline, out: str) -> str:
-    path = pipe.write_calibration(out)["calibrated_counts"]
-    alpha = float(np.median(pipe.alpha_path[:, pipe.t_assim - 1]))
-    return f"calibrate: median multiplier {alpha:.3f} -> {path}"
-
-
 def _cmd_observability(pipe: Pipeline, out: str) -> str:
     path = pipe.write_observability(out)["observability"]
     ranks = ", ".join(f"{k}={v:.3f}" for k, v in sorted(pipe.obs_report.gamma_rank.items()))
     return f"observability: rank ratios {ranks} -> {path}"
-
-
-def _cmd_evaluate(pipe: Pipeline, out: str) -> str:
-    path = pipe.write_metrics(out)["metrics"]
-    pooled = pipe.report.pooled_r2
-    pooled_txt = "n/a" if pooled is None else f"{pooled:.4f}"
-    return f"evaluate: pooled r2 {pooled_txt} -> {path}"
 
 
 def _cmd_run(pipe: Pipeline, out: str) -> str:
@@ -100,11 +78,8 @@ def _cmd_run(pipe: Pipeline, out: str) -> str:
 
 
 _COMMANDS = {
-    "train": _cmd_train,
-    "calibrate": _cmd_calibrate,
-    "observability": _cmd_observability,
-    "evaluate": _cmd_evaluate,
-    "run": _cmd_run,
+    "run": (_cmd_run, "full chain, complete artifact set"),
+    "observability": (_cmd_observability, "camera-placement analysis of the network; trains nothing"),
 }
 
 
@@ -118,7 +93,7 @@ def _run(args) -> str:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise PipelineError("write", exc) from exc
-    return _COMMANDS[args.command](Pipeline(cfg), args.out)
+    return _COMMANDS[args.command][0](Pipeline(cfg), args.out)
 
 
 def main(argv=None) -> int:

@@ -397,6 +397,8 @@ class ExperimentConfig:
             raise ValueError(f"penetration_hour_amplitude {self.penetration_hour_amplitude} must lie in (-1, 1)")
         if not self.penetration_day_weekend > 0:
             raise ValueError(f"penetration_day_weekend {self.penetration_day_weekend} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
         if self.days < 1 or self.forecast_days < 0:
             raise ValueError("days must be >= 1 and forecast_days >= 0")
         if not 0 <= self.burn_days < self.days:
@@ -491,9 +493,8 @@ def _once(name: str):
 class Pipeline:
     """Stage-by-stage pipeline; each stage caches its output on self.
 
-    Stages recompute deterministically from the config, so a CLI
-    subcommand can run any prefix of the chain in a fresh process and
-    land on identical numbers.
+    Stages recompute deterministically from the config, so any prefix of
+    the chain, run in a fresh process, lands on identical numbers.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -611,6 +612,10 @@ class Pipeline:
 
     @_once("calibrate")
     def calibrate(self):
+        # fail before the predictor trains, not after
+        self.build()
+        if not self.calibration:
+            raise ValueError("no calibration cameras configured")
         self.forecasts()
         self.transition()
         self._assimilation_loop()
@@ -618,8 +623,6 @@ class Pipeline:
     def _assimilation_loop(self):
         cfg = self.cfg
         fcfg = cfg.filter
-        if not self.calibration:
-            raise ValueError("no calibration cameras configured")
         n = self.net.n_segments
         t_total = self.truth.n_bins
         t_assim = cfg.days * self.bins_per_day
@@ -754,7 +757,8 @@ class Pipeline:
     # - artifacts -
     # Each writer runs the stages it needs and writes their files into an
     # existing out_dir, returning {artifact key: path} for every file it
-    # writes; the CLI stage commands and write_artifacts share them.
+    # writes; write_artifacts calls them all, and the CLI's observability
+    # command calls write_observability alone.
 
     def write_metrics(self, out_dir: str) -> dict:
         self.metrics()

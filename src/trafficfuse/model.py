@@ -53,11 +53,11 @@ class ModelConfig:
     tau_b_coeff: float = 0.01
 
     def __post_init__(self):
-        if self.embed_dim % self.heads != 0:
-            raise ValueError("embed_dim must be divisible by heads")
         for name in ("embed_dim", "spatial_layers", "temporal_blocks", "heads", "history", "horizon", "ffn_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.embed_dim % self.heads != 0:
+            raise ValueError("embed_dim must be divisible by heads")
         for name in ("lambda_mae", "lambda_nll", "lambda_cons", "lambda_cap", "tau_b_coeff"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} {getattr(self, name)} must be >= 0")

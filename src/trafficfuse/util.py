@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import zlib
 from dataclasses import fields
@@ -34,11 +35,14 @@ def _is(value, types) -> bool:
 
 
 def config_kwargs(d: dict, cls, where: str) -> dict:
-    """A copy of d, once each key names a field of dataclass cls.
+    """A copy of d, once d is an object and each key names a field of dataclass cls.
 
     Any other key is a typo or a stale option, so it raises ValueError.
-    So does a value of the wrong JSON type, such as 900.0 or true for an int.
+    So does a value of the wrong JSON type, such as 900.0 or true for an
+    int, and a NaN or infinite number, which Python's json reads.
     """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} config must be a JSON object, not {type(d).__name__}")
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(d) - set(known))
     if unknown:
@@ -49,6 +53,8 @@ def config_kwargs(d: dict, cls, where: str) -> dict:
         ok = v is None and optional == "None" or _is(v, types) and (kind != "tuple" or all(_is(i, int) for i in v))
         if not ok:
             raise ValueError(f"{where} config key {k} must be {wanted}{' or null' * (optional == 'None')}, not {v!r}")
+        if kind == "float" and not math.isfinite(v):
+            raise ValueError(f"{where} config key {k} must be finite, not {v!r}")
     return dict(d)
 
 

@@ -6,7 +6,7 @@ import json
 import math
 import os
 import stat
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -731,23 +731,17 @@ class TestPipeline:
         assert (out / "metrics.json").read_bytes() != (other / "metrics.json").read_bytes()
 
 
-def test_cli_stage_files_match_run(tmp_path, capsys):
+def test_cli_observability_files_match_run(tmp_path, capsys):
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps(small_config().to_dict()))
     outs = {}
-    for command in ("run", "train", "calibrate", "observability", "evaluate"):
+    for command in ("run", "observability"):
         outs[command] = tmp_path / command
         assert cli.main([command, "--config", str(config), "--out", str(outs[command])]) == 0
-    expected = {
-        "train": {"training_log.csv", "model.npz", "model.json"},
-        "calibrate": {"calibrated_counts.csv", "calibration_field.csv", "transition.csv", "localization.csv"},
-        "observability": {"observability.json", "observability_conf.csv"},
-        "evaluate": {"metrics.json"},
-    }
-    for command, names in expected.items():
-        assert {p.name for p in outs[command].iterdir()} == names
-        for name in names:
-            assert (outs[command] / name).read_bytes() == (outs["run"] / name).read_bytes(), (command, name)
+    names = {"observability.json", "observability_conf.csv"}
+    assert {p.name for p in outs["observability"].iterdir()} == names
+    for name in names:
+        assert (outs["observability"] / name).read_bytes() == (outs["run"] / name).read_bytes(), name
 
 
 def test_a_shuffled_edge_file_changes_no_artifact(tmp_path):
@@ -775,14 +769,17 @@ def test_a_shuffled_edge_file_changes_no_artifact(tmp_path):
 @pytest.mark.parametrize("edit, line", [
     ({"train_stepz": 5}, "trafficfuse: error: config: unknown experiment config keys: train_stepz"),
     ({"penetration_base": 1.5}, "trafficfuse: error: config: penetration_base 1.5 must lie in (0, 1]"),
-    ({"penetration_base": math.nan}, "trafficfuse: error: config: penetration_base nan must lie in (0, 1]"),
+    ({"penetration_base": math.nan},
+     "trafficfuse: error: config: experiment config key penetration_base must be finite, not nan"),
     ({"penetration_hour_amplitude": 1.5},
      "trafficfuse: error: config: penetration_hour_amplitude 1.5 must lie in (-1, 1)"),
     ({"penetration_day_weekend": 0}, "trafficfuse: error: config: penetration_day_weekend 0 must be positive"),
     ({"demand_peak": -5}, "trafficfuse: error: config: demand_peak -5 must be finite and >= 0"),
-    ({"demand_peak": math.nan}, "trafficfuse: error: config: demand_peak nan must be finite and >= 0"),
-    ({"filter": {"sigma_0": math.nan}}, "trafficfuse: error: config: sigma_0 must be positive"),
-    ({"filter": {"eps": math.nan}}, "trafficfuse: error: config: eps must be positive"),
+    ({"demand_peak": math.nan}, "trafficfuse: error: config: experiment config key demand_peak must be finite, not nan"),
+    ({"filter": {"sigma_0": math.nan}}, "trafficfuse: error: config: filter config key sigma_0 must be finite, not nan"),
+    ({"filter": {"eps": math.nan}}, "trafficfuse: error: config: filter config key eps must be finite, not nan"),
+    ({"seed": -1}, "trafficfuse: error: config: seed -1 must be >= 0"),
+    ({"model": {"heads": 0}}, "trafficfuse: error: config: heads must be >= 1"),
 ])
 def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, edit, line):
     config = tmp_path / "experiment.json"
@@ -791,6 +788,55 @@ def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, edit, line):
     captured = capsys.readouterr()
     assert captured.err == line + "\n"
     assert captured.out == ""
+
+
+FLOAT_KEYS = [
+    (section, f.name)
+    for section, cls in ((None, ExperimentConfig), ("model", ModelConfig), ("filter", ensrf.FilterConfig))
+    for f in fields(cls) if f.type == "float"
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s or 'experiment'}.{k}" for s, k in FLOAT_KEYS])
+def test_cli_rejects_every_non_finite_number_at_load(tmp_path, capsys, monkeypatch, section, key, value):
+    # json writes and reads these as NaN, Infinity and -Infinity
+    monkeypatch.setattr(cli, "Pipeline", lambda cfg: pytest.fail(f"{key}={value} loaded"))
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("trafficfuse: error: config: ")
+    assert f" {key} " in err[0]
+
+
+@pytest.mark.parametrize("text, kind", [("[]", "list"), ("[1]", "list"), ("5", "int"), ("null", "NoneType"),
+                                        ('"abc"', "str")])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text, kind):
+    config = tmp_path / "experiment.json"
+    config.write_text(text)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"trafficfuse: error: config: experiment config must be a JSON object, not {kind}\n"
+    assert captured.out == ""
+
+
+def test_cli_rejects_a_negative_seed_flag(tmp_path, capsys):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(small_config().to_dict()))
+    assert cli.main(["run", "--config", str(config), "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "trafficfuse: error: config: seed -1 must be >= 0\n"
+
+
+def test_a_run_without_calibration_cameras_fails_before_training(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "train", lambda *args, **kwargs: calls.append(args))
+    save_network(chain_network()[0], str(tmp_path / "net"))
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({"twin": None, "network_path": str(tmp_path / "net")}))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "trafficfuse: error: calibrate: no calibration cameras configured\n"
+    assert calls == []
 
 
 def test_cli_runs_where_the_allocator_hook_finds_no_libc(tmp_path, monkeypatch):
