@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from trafficfuse.harness import ExperimentConfig, Pipeline
+from trafficfuse.harness import PENETRATION_BASE, PENETRATION_HOUR_AMPLITUDE, ExperimentConfig, Pipeline
 
 
 def main():
@@ -13,12 +13,12 @@ def main():
     # land near 1 / 0.10
     diag = pipe.diagnostics
     print(f"warm-start multiplier {diag['alpha_star']:.2f} "
-          f"(true scale-up {1.0 / cfg.penetration_base:.1f})")
+          f"(true scale-up {1.0 / PENETRATION_BASE:.1f})")
 
     # hour-of-day globals should mirror the penetration modulation: probes
     # over-sample the evening, so the multiplier must dip there
     hours = np.arange(24)
-    true_pat = -np.log(1.0 + cfg.penetration_hour_amplitude * np.sin(2 * np.pi * (hours - 16) / 24.0))
+    true_pat = -np.log(1.0 + PENETRATION_HOUR_AMPLITUDE * np.sin(2 * np.pi * (hours - 16) / 24.0))
     true_pat -= true_pat.mean()
     learned = pipe.ensemble.hour.mean(axis=0)
     learned -= learned.mean()

@@ -26,7 +26,7 @@ def main():
     flows[beta.edge_from, beta.edge_to] = moves
     print(f"{len(moves)} edges, {flows.sum():.0f} observed moves")
 
-    trans = build_transition(flows, gamma_pd=0.8, s=0.1)
+    trans = build_transition(flows)
     moving = trans.p.sum(axis=1) > 0
     print(f"row-stochastic on {moving.sum()} of {net.n_segments} segments; "
           f"diffusion row sums max deviation "

@@ -41,6 +41,7 @@ REGIME_FREE = 0
 REGIME_TRANSITIONAL = 1
 REGIME_CONGESTED = 2
 N_REGIMES = 3
+EPS = 1.0  # added to counts in log space, so that a zero count has a finite log
 
 
 def regime_index(b):
@@ -62,7 +63,6 @@ class FilterConfig:
     n_members: int = 128
     sigma_0: float = 0.25  # log-space noise floor
     sigma_y: float = 5.0  # camera count noise, vehicles
-    eps: float = 1.0
     lambda_base: float = 1e-4
     lambda_glob: float = 3e-4
     q_base: float = 1e-4
@@ -83,8 +83,6 @@ class FilterConfig:
             raise ValueError("base reversion must be slower than global reversion")
         if not self.sigma_0 > 0:
             raise ValueError("sigma_0 must be positive")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
         for name in ("sigma_y", "q_base", "q_hour", "q_day", "q_regime", "init_base_sd", "init_glob_sd"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -175,36 +173,34 @@ class CameraObservation:
     missing: bool = False
 
 
-def log_ratio(y, q_hat, eps: float = 1.0):
-    """Observed log-calibration z = log(y + eps) - log(q_hat + eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def log_ratio(y, q_hat):
+    """Observed log-calibration z = log(y + EPS) - log(q_hat + EPS)."""
     y = np.asarray(y, dtype=float)
     q_hat = np.asarray(q_hat, dtype=float)
     if (y < 0).any() or (q_hat < 0).any():
         raise ValueError("counts must be nonnegative")
-    out = np.log(y + eps) - np.log(q_hat + eps)
+    out = np.log(y + EPS) - np.log(q_hat + EPS)
     return out if out.ndim else float(out)
 
 
 def obs_variance(y, config: FilterConfig):
-    """Delta-method log-space variance with floor: sigma_0^2 + sigma_y^2/(y+eps)^2.
+    """Delta-method log-space variance with floor: sigma_0^2 + sigma_y^2/(y+EPS)^2.
 
     The square is one multiply, so a scalar count and the same count in an
     array round alike (a scalar ** 2 goes through libm pow).
     """
-    d = np.asarray(y, dtype=float) + config.eps
+    d = np.asarray(y, dtype=float) + EPS
     out = config.sigma_0**2 + config.sigma_y**2 / (d * d)
     return out if out.ndim else float(out)
 
 
-def warmup_alpha(y, q_hat, eps: float = 1.0) -> float:
+def warmup_alpha(y, q_hat) -> float:
     """Median count ratio over a warm-up window; the initial alpha guess."""
     y = np.asarray(y, dtype=float).ravel()
     q_hat = np.asarray(q_hat, dtype=float).ravel()
     if y.size == 0 or y.size != q_hat.size:
         raise ValueError("warm-up needs matched, nonempty count arrays")
-    return float(np.median((y + eps) / (q_hat + eps)))
+    return float(np.median((y + EPS) / (q_hat + EPS)))
 
 
 def init_ensemble(n_segments: int, config: FilterConfig, rng: np.random.Generator,
@@ -315,7 +311,7 @@ def analysis_step(
     gain = np.full(state.shape[1], config.global_gain_scale)  # the row [rho | gs * 1]
     for j, obs in enumerate(todo):
         i = obs.segment
-        z_obs = log_ratio(obs.count, q_hat[i], config.eps)
+        z_obs = log_ratio(obs.count, q_hat[i])
         r_z = obs_variance(obs.count, config)
         z = out.base[:, i] + out.hour[:, hour] + out.day[:, day] + out.regime[:, regimes[i]]
         z_bar = z.mean()

@@ -2,11 +2,12 @@
 
 Everything the pipeline needs to rehearse the full workflow at desk
 scale lives here: probe thinning at a heterogeneous penetration rate,
-time-of-week pooling, two built-in ground-truth twins (a short chain and
-a 5x10 grid with a bottleneck), metric computation, and run_pipeline,
-which chains simulate -> thin -> features -> train -> predict ->
-assimilate -> calibrate -> evaluate and writes every artifact with the
-seed embedded in its metadata.
+two built-in ground-truth twins (a short chain and a 5x10 grid with a
+bottleneck), metric computation, and run_pipeline, which chains
+simulate -> thin -> features -> train -> predict -> assimilate ->
+calibrate -> evaluate and writes every artifact with the seed embedded
+in its metadata. The pipeline draws one probe sample; pool_windows sums
+independent samples of the same weeks, for callers that have several.
 
 All randomness descends from one experiment seed through named
 substreams, so a rerun with the same config is byte-identical.
@@ -68,6 +69,13 @@ __all__ = [
 ]
 
 RATE_FLOOR = 1e-6
+START = dt.datetime(2024, 3, 4)  # a Monday: where the simulated clock starts
+# the probe fleet's share of traffic: the base, times 1 + a sin(2 pi (h - 16) / 24)
+# at hour h and the weekend factor on Saturday and Sunday
+PENETRATION_BASE = 0.10
+PENETRATION_HOUR_AMPLITUDE = 0.4
+PENETRATION_DAY_WEEKEND = 0.85
+BURN_DAYS = 1  # days of assimilation left out of scoring while the filter settles
 
 
 # -- probe sampling ----------------------------------------------------------
@@ -114,9 +122,14 @@ def thin_counts(truth: CountMatrix, pen: PenetrationModel) -> CountMatrix:
         raise ValueError("true counts must be nonnegative")
     rate = pen.effective(values.shape[0], truth.hours(), truth.days())
     missing = np.isnan(values)
-    n = np.rint(np.where(missing, 0.0, values)).astype(np.int64)
+    n = np.rint(np.where(missing, 0.0, values))
+    # an int64 holds counts below 2**63; casting a larger one wraps
+    too_big = np.argwhere(n >= 2.0**63)
+    if too_big.size:
+        i, t = too_big[0]
+        raise ValueError(f"segment row {i}, bin {t}: count {values[i, t]} is too large to sample (>= 2**63)")
     rng = substream(pen.seed, "thinning")
-    probe = rng.binomial(n, rate).astype(float)
+    probe = rng.binomial(n.astype(np.int64), rate).astype(float)
     probe[missing] = np.nan
     return CountMatrix(probe, truth.bin_seconds, truth.start_time)
 
@@ -347,7 +360,10 @@ class ExperimentConfig:
 
     twin names a built-in network; a network of one's own needs twin None
     and network_path. The model and filter take their field defaults from
-    ModelConfig and FilterConfig.
+    ModelConfig and FilterConfig. Values no experiment varies live in
+    code: START, PENETRATION_* and BURN_DAYS here, and the defaults of
+    train, build_transition and update_confidence. The predictor trains
+    on the first 70% of the days, rounded.
     """
 
     twin: str | None = "grid"
@@ -355,24 +371,14 @@ class ExperimentConfig:
     days: int = 14
     forecast_days: int = 0
     bin_seconds: int = 900
-    start: str = "2024-03-04T00:00:00"  # a Monday
     demand_peak: float = 700.0
-    penetration_base: float = 0.10
-    penetration_hour_amplitude: float = 0.4
-    penetration_day_weekend: float = 0.85
     cameras_calibration: tuple = ()
     cameras_validation: tuple = ()
     model: ModelConfig = field(default_factory=ModelConfig)
     train_steps: int = 400
     train_batch: int = 8
-    train_lr: float = 1e-3
-    train_days: int | None = None  # defaults to ~70% of days
     filter: ensrf.FilterConfig = field(default_factory=ensrf.FilterConfig)
-    gamma_pd: float = 0.8
-    diffusion_s: float = 0.1
-    confidence_decay: float = 0.999
     interval: float = 0.95
-    burn_days: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -390,32 +396,14 @@ class ExperimentConfig:
             raise ValueError(f"calibration and validation cameras overlap: {sorted(overlap)}")
         if not 0 <= self.demand_peak < float("inf"):
             raise ValueError(f"demand_peak {self.demand_peak} must be finite and >= 0")
-        if not 0 < self.penetration_base <= 1:
-            raise ValueError(f"penetration_base {self.penetration_base} must lie in (0, 1]")
-        # the hour multiplier 1 + a sin(...) falls to 1 - |a|
-        if not abs(self.penetration_hour_amplitude) < 1:
-            raise ValueError(f"penetration_hour_amplitude {self.penetration_hour_amplitude} must lie in (-1, 1)")
-        if not self.penetration_day_weekend > 0:
-            raise ValueError(f"penetration_day_weekend {self.penetration_day_weekend} must be positive")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be >= 0")
-        if self.days < 1 or self.forecast_days < 0:
-            raise ValueError("days must be >= 1 and forecast_days >= 0")
-        if not 0 <= self.burn_days < self.days:
-            raise ValueError(f"burn_days {self.burn_days} must lie in [0, days={self.days})")
-        if self.train_days is not None and not 1 <= self.train_days <= self.days:
-            raise ValueError(f"train_days {self.train_days} must lie in [1, days={self.days}]")
+        # a day to train on, and one to score after the BURN_DAYS day
+        if self.days < 2 or self.forecast_days < 0:
+            raise ValueError("days must be >= 2 and forecast_days >= 0")
         for name in ("train_steps", "train_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
-        if not self.train_lr > 0:
-            raise ValueError(f"train_lr {self.train_lr} must be positive")
-        if not 0 <= self.confidence_decay <= 1:
-            raise ValueError(f"confidence_decay {self.confidence_decay} must lie in [0, 1]")
-        if not 0 < self.gamma_pd < 1:
-            raise ValueError(f"gamma_pd {self.gamma_pd} must lie in (0, 1)")
-        if not 0 <= self.diffusion_s < 1:
-            raise ValueError(f"diffusion_s {self.diffusion_s} must lie in [0, 1)")
         if not 0 < self.interval < 1:
             raise ValueError("interval must lie in (0, 1)")
         if self.bin_seconds <= 0 or 86400 % self.bin_seconds:
@@ -530,31 +518,28 @@ class Pipeline:
     def simulate(self):
         self.build()
         cfg = self.cfg
-        start = dt.datetime.fromisoformat(cfg.start)
         n_bins = (cfg.days + cfg.forecast_days) * self.bins_per_day
-        shell = CountMatrix(np.zeros((1, n_bins)), cfg.bin_seconds, start)
+        shell = CountMatrix(np.zeros((1, n_bins)), cfg.bin_seconds, START)
         profile = demand_profile(self.net, shell, self.sources, cfg.demand_peak)
-        self.sim = simulate(self.net, self.fd, self.beta, profile, cfg.bin_seconds, start)
+        self.sim = simulate(self.net, self.fd, self.beta, profile, cfg.bin_seconds, START)
         self.truth = self.sim.counts
 
     @_once("sample")
     def sample(self):
         self.simulate()
-        cfg = self.cfg
         hours = np.arange(24)
-        hour_mult = 1.0 + cfg.penetration_hour_amplitude * np.sin(2 * np.pi * (hours - 16) / 24.0)
-        day_mult = np.where(np.arange(7) >= 5, cfg.penetration_day_weekend, 1.0)
+        hour_mult = 1.0 + PENETRATION_HOUR_AMPLITUDE * np.sin(2 * np.pi * (hours - 16) / 24.0)
+        day_mult = np.where(np.arange(7) >= 5, PENETRATION_DAY_WEEKEND, 1.0)
         self.penetration = PenetrationModel(
-            base=cfg.penetration_base, hour_mult=hour_mult, day_mult=day_mult,
-            seed=int(substream(cfg.seed, "penetration").integers(2**31)),
+            base=PENETRATION_BASE, hour_mult=hour_mult, day_mult=day_mult,
+            seed=int(substream(self.cfg.seed, "penetration").integers(2**31)),
         )
-        self.probe = pool_windows(thin_counts(self.truth, self.penetration))
+        self.probe = thin_counts(self.truth, self.penetration)
 
     @_once("features")
     def features(self):
         self.sample()
-        train_days = max(1, round(0.7 * self.cfg.days)) if self.cfg.train_days is None else self.cfg.train_days
-        self.train_bins = train_days * self.bins_per_day
+        self.train_bins = round(0.7 * self.cfg.days) * self.bins_per_day
         self.tensor = build_tensor(
             self.net, self.fd, self.probe, self.sim.speeds, train_cols=self.train_bins
         )
@@ -574,8 +559,7 @@ class Pipeline:
         )
         self.trained = train(
             cfg.model, self.a_hat, windows, self.qmax,
-            seed=cfg.seed, steps=cfg.train_steps,
-            batch_size=cfg.train_batch, lr=cfg.train_lr,
+            seed=cfg.seed, steps=cfg.train_steps, batch_size=cfg.train_batch,
         )
 
     @_once("predict")
@@ -596,14 +580,13 @@ class Pipeline:
     @_once("transition")
     def transition(self):
         self.simulate()
-        cfg = self.cfg
         # the probe fleet reports a binomial share of each edge's simulated moves
         totals = self.sim.link_flows.sum(axis=1)
-        moves = substream(cfg.seed, "transitions").binomial(np.rint(totals).astype(np.int64), cfg.penetration_base)
+        moves = substream(self.cfg.seed, "transitions").binomial(np.rint(totals).astype(np.int64), PENETRATION_BASE)
         n = self.net.n_segments
         flows = np.zeros((n, n))
         flows[self.beta.edge_from, self.beta.edge_to] = moves
-        self.trans = build_transition(flows, gamma_pd=cfg.gamma_pd, s=cfg.diffusion_s)
+        self.trans = build_transition(flows)
         self.localization = localization_vectors(self.trans, self.calibration)
         # a segment no camera's localization vector reaches is far; the zero
         # row keeps the mask's shape when there are no cameras
@@ -640,7 +623,7 @@ class Pipeline:
             raise ValueError("no calibration camera has a finite count and predictor estimate in the assimilation span")
         warm = slice(paired[0], paired[0] + self.bins_per_day)
         ok = finite[:, warm]
-        self.alpha_star = ensrf.warmup_alpha(y_span[:, warm][ok], q_span[:, warm][ok], eps=fcfg.eps)
+        self.alpha_star = ensrf.warmup_alpha(y_span[:, warm][ok], q_span[:, warm][ok])
 
         leaked = [c for c in cams if c in valid_set]
         if leaked:
@@ -683,7 +666,7 @@ class Pipeline:
                 if far:
                     far_change = max(far_change, float(np.abs(ens.base[:, far] - before).max()))
             moments[k] = ensrf.member_moments(ens.effective_beta(hour_of[t], day_of[t], regimes[k]))
-            delta = update_confidence(delta, *moments[k, :2], cameras=reported, decay=cfg.confidence_decay)
+            delta = update_confidence(delta, *moments[k, :2], cameras=reported)
             deltas[k] = delta
 
         # the blend, the counts and the bands over the whole run at once,
@@ -729,8 +712,7 @@ class Pipeline:
     @_once("evaluate")
     def metrics(self):
         self.calibrate()
-        cfg = self.cfg
-        t0 = max(self.first_bin, cfg.burn_days * self.bins_per_day)
+        t0 = max(self.first_bin, BURN_DAYS * self.bins_per_day)
         window = slice(t0, self.t_assim)
         locs = list(self.validation) or list(self.calibration)
         truth = self.truth.values[:, window]

@@ -26,15 +26,19 @@ from .util import config_kwargs
 
 __all__ = ["ModelConfig", "Prediction", "init_params", "normalized_adjacency", "forward", "loss_components"]
 
+LN_EPS = 1e-5  # layer-norm variance floor
+# the conservation hinge's tolerance per window, as a fraction of that
+# window's total vehicle count
+TAU_B_COEFF = 0.01
+
 
 @dataclass
 class ModelConfig:
-    """Architecture and loss weights.
+    """Architecture.
 
-    tau_b_coeff sets the conservation tolerance per window as a fraction
-    of that window's total vehicle count. ffn_width is the temporal
-    blocks' feed-forward width, a fixed 48 by default (twice the default
-    embed_dim; it does not follow embed_dim).
+    ffn_width is the temporal blocks' feed-forward width, a fixed 48 by
+    default (twice the default embed_dim; it does not follow embed_dim).
+    The loss weighs its four terms equally (loss_components).
     """
 
     n_features: int = 22
@@ -45,12 +49,6 @@ class ModelConfig:
     history: int = 6
     horizon: int = 2
     ffn_width: int = 48
-    ln_eps: float = 1e-5
-    lambda_mae: float = 1.0
-    lambda_nll: float = 1.0
-    lambda_cons: float = 1.0
-    lambda_cap: float = 1.0
-    tau_b_coeff: float = 0.01
 
     def __post_init__(self):
         for name in ("embed_dim", "spatial_layers", "temporal_blocks", "heads", "history", "horizon", "ffn_width"):
@@ -58,11 +56,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.embed_dim % self.heads != 0:
             raise ValueError("embed_dim must be divisible by heads")
-        for name in ("lambda_mae", "lambda_nll", "lambda_cons", "lambda_cap", "tau_b_coeff"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} {getattr(self, name)} must be >= 0")
-        if not self.ln_eps > 0:
-            raise ValueError(f"ln_eps {self.ln_eps} must be positive")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -187,7 +180,7 @@ def forward(
     for ell in range(cfg.spatial_layers):
         z = gelu(layer_norm(
             neighbour_affine(a_hat, z, params[f"sp{ell}_w_n"]) + z @ params[f"sp{ell}_w_s"],
-            params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], cfg.ln_eps,
+            params[f"sp{ell}_ln_g"], params[f"sp{ell}_ln_b"], LN_EPS,
         ))
 
     embedded = None
@@ -201,7 +194,7 @@ def forward(
     nh, dh = cfg.heads, d // cfg.heads
     inv_sqrt = 1.0 / np.sqrt(dh)
     for k in range(cfg.temporal_blocks):
-        y = layer_norm(z, params[f"tb{k}_ln1_g"], params[f"tb{k}_ln1_b"], cfg.ln_eps)
+        y = layer_norm(z, params[f"tb{k}_ln1_g"], params[f"tb{k}_ln1_b"], LN_EPS)
         qs = affine(y, params[f"tb{k}_w_q"], params[f"tb{k}_b_q"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
         ks = affine(y, params[f"tb{k}_w_k"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
         vs = affine(y, params[f"tb{k}_w_v"], params[f"tb{k}_b_v"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
@@ -215,7 +208,7 @@ def forward(
         z = z + affine(ctx, params[f"tb{k}_w_o"], params[f"tb{k}_b_o"])
         del ctx
         ffn = gelu(affine(
-            layer_norm(z, params[f"tb{k}_ln2_g"], params[f"tb{k}_ln2_b"], cfg.ln_eps),
+            layer_norm(z, params[f"tb{k}_ln2_g"], params[f"tb{k}_ln2_b"], LN_EPS),
             params[f"tb{k}_w_f1"], params[f"tb{k}_b_f1"],
         ))
         z = z + affine(ffn, params[f"tb{k}_w_f2"], params[f"tb{k}_b_f2"])
@@ -232,7 +225,6 @@ def forward(
 def loss_components(
     pred: Prediction,
     target: np.ndarray,
-    cfg: ModelConfig,
     qmax: np.ndarray,
     n_tot: np.ndarray,
 ) -> dict[str, Tensor]:
@@ -241,22 +233,16 @@ def loss_components(
     target is (B, N, F) future counts; qmax per-segment per-bin capacity;
     n_tot the per-window conserved total (last observed total plus net
     boundary flow over the first forecast step). Components: MAE, Gaussian
-    NLL, a one-step conservation hinge with tolerance tau_b_coeff * n_tot
-    averaged over the batch, and a capacity hinge. The weighted sum uses
-    the lambda_* config weights.
+    NLL, a one-step conservation hinge with tolerance TAU_B_COEFF * n_tot
+    averaged over the batch, and a capacity hinge. The total is their
+    unweighted sum.
     """
     t = Tensor(target)
     resid = t - pred.q_hat
     mae = resid.abs().mean()
     nll = (0.5 * (pred.log_var + (resid * resid) * (-pred.log_var).exp())).mean()
     total_next = pred.q_hat[:, :, 0].sum(axis=1)  # (B,)
-    drift = (total_next - Tensor(n_tot)).abs() - Tensor(cfg.tau_b_coeff * n_tot)
+    drift = (total_next - Tensor(n_tot)).abs() - Tensor(TAU_B_COEFF * n_tot)
     cons = drift.relu().mean()
     cap = (pred.q_hat - Tensor(qmax[None, :, None])).relu().mean()
-    total = (
-        cfg.lambda_mae * mae
-        + cfg.lambda_nll * nll
-        + cfg.lambda_cons * cons
-        + cfg.lambda_cap * cap
-    )
-    return {"mae": mae, "nll": nll, "cons": cons, "cap": cap, "total": total}
+    return {"mae": mae, "nll": nll, "cons": cons, "cap": cap, "total": mae + nll + cons + cap}

@@ -195,7 +195,7 @@ def _evaluate(params, cfg, a_hat, windows: WindowSet, qmax) -> float:
     total = 0.0
     with no_grad():
         for sl, pred in _no_tape_passes(params, cfg, a_hat, windows.feats, windows.t_index, windows.anchor):
-            comps = loss_components(pred, windows.target[sl], cfg, qmax, windows.n_tot[sl])
+            comps = loss_components(pred, windows.target[sl], qmax, windows.n_tot[sl])
             total += comps["total"].item() * len(pred.q_hat.data)
     return total / max(len(windows), 1)
 
@@ -250,7 +250,7 @@ def train(
         slots = _slots(train_w.t_index[idx], cfg.history)
         pred = forward(params, cfg, a_hat, train_w.feats[slots.ravel()],
                        np.arange(slots.size).reshape(slots.shape), train_w.anchor[idx])
-        comps = loss_components(pred, train_w.target[idx], cfg, qmax, train_w.n_tot[idx])
+        comps = loss_components(pred, train_w.target[idx], qmax, train_w.n_tot[idx])
         loss = comps["total"]
         if not np.isfinite(loss.data):
             raise RuntimeError(f"training diverged at step {step}: loss is not finite")

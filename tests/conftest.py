@@ -157,7 +157,7 @@ def model_grad_fd_err(cfg, n_segments=3, batch=2, seed=7, h_rel=1e-5, shared=Fal
 
     def loss_value():
         pred = forward(params, cfg, a_hat, bins, windows, anchor)
-        return loss_components(pred, target, cfg, qmax, n_tot)["total"]
+        return loss_components(pred, target, qmax, n_tot)["total"]
 
     loss = loss_value()
     loss.backward()

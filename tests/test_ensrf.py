@@ -52,17 +52,15 @@ def test_regime_banding():
 
 def test_log_ratio_basics():
     assert log_ratio(7.0, 7.0) == 0.0
-    assert log_ratio(0.0, 0.0, eps=0.3) == 0.0
+    assert log_ratio(0.0, 0.0) == 0.0
     big = 1e7
     assert log_ratio(math.e * big, big) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError, match="nonnegative"):
         log_ratio(-1.0, 2.0)
-    with pytest.raises(ValueError, match="eps"):
-        log_ratio(1.0, 2.0, eps=0.0)
 
 
 def test_obs_variance_frozen_and_limits():
-    cfg = FilterConfig(sigma_0=0.05, sigma_y=2.0, eps=1.0)
+    cfg = FilterConfig(sigma_0=0.05, sigma_y=2.0)
     assert obs_variance(0.0, cfg) == pytest.approx(4.0025, abs=1e-12)
     assert obs_variance(1e9, cfg) == pytest.approx(0.05**2, rel=1e-6)
     cfg0 = FilterConfig(sigma_y=0.0)
@@ -162,7 +160,7 @@ ORACLE_MEMBERS = np.array([-0.1, 0.0, 0.1])
 def _oracle_setup(rho=None, n=1):
     # sigma_y = 0 pins R_z to sigma_0^2 = 0.01; q_hat and y chosen so the
     # observed log ratio is 0.2
-    cfg = FilterConfig(n_members=3, sigma_0=0.1, sigma_y=0.0, eps=1.0)
+    cfg = FilterConfig(n_members=3, sigma_0=0.1, sigma_y=0.0)
     ens = _bare_ensemble(ORACLE_MEMBERS, n_segments=n)
     q_hat = np.full(n, 100.0)
     y = math.exp(0.2) * 101.0 - 1.0
@@ -197,7 +195,7 @@ def test_localization_zero_blocks_update():
 
 
 def test_zero_innovation_keeps_mean_shrinks_spread():
-    cfg = FilterConfig(n_members=3, sigma_0=0.1, sigma_y=0.0, eps=1.0)
+    cfg = FilterConfig(n_members=3, sigma_0=0.1, sigma_y=0.0)
     ens = _bare_ensemble(ORACLE_MEMBERS)
     q_hat = np.array([50.0])
     y = 51.0 * math.exp(0.0) - 1.0  # log ratio exactly the prior mean 0
@@ -372,7 +370,7 @@ def _four_array_analysis(parts, observations, q_hat, localization, config, hour,
     n_global = 0
     for obs in sorted(observations, key=lambda o: o.segment):
         i = obs.segment
-        z_obs = log_ratio(obs.count, q_hat[i], config.eps)
+        z_obs = log_ratio(obs.count, q_hat[i])
         r_z = obs_variance(obs.count, config)
         z = base[:, i] + hour_c[:, hour] + day_c[:, day] + regime[:, regimes[i]]
         z_anom = z - z.mean()

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import stat
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -111,6 +112,13 @@ class TestThinCounts:
     def test_negative_truth_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             thin_counts(make_counts([[-1.0]]), PenetrationModel())
+
+    def test_a_count_too_large_to_sample_is_named(self):
+        # an int64 count stops below 2**63; the largest float under it samples
+        top = 2.0**63 - 1024
+        assert thin_counts(make_counts([[top]]), PenetrationModel(base=1.0)).values[0, 0] == top
+        with pytest.raises(ValueError, match=r"^segment row 1, bin 2: count 1e\+19 is too large to sample"):
+            thin_counts(make_counts([[0.0, 1.0, 2.0], [3.0, 4.0, 1e19]]), PenetrationModel())
 
     def test_same_seed_reproduces_sample(self):
         truth = flat_counts(4, 96, 300)
@@ -419,11 +427,11 @@ class TestExperimentConfig:
             ({"days": "14"}, "^experiment config key days must be an integer"),
             ({"model": None}, "^experiment config key model must be an object, not None"),
             ({"train_batch": 0}, "^train_batch 0 must be >= 1"),
-            ({"train_lr": -1}, "^train_lr -1 must be positive"),
-            ({"confidence_decay": 2.0}, r"^confidence_decay 2.0 must lie in \[0, 1\]"),
-            # these two used to fail only in the transition stage, after training
-            ({"gamma_pd": 1.5}, r"^gamma_pd 1.5 must lie in \(0, 1\)"),
-            ({"diffusion_s": 1.0}, r"^diffusion_s 1.0 must lie in \[0, 1\)"),
+            # these four are fixed in code now, so their keys are unknown
+            ({"train_lr": -1}, "^unknown experiment config keys: train_lr$"),
+            ({"confidence_decay": 2.0}, "^unknown experiment config keys: confidence_decay$"),
+            ({"gamma_pd": 1.5}, "^unknown experiment config keys: gamma_pd$"),
+            ({"diffusion_s": 1.0}, "^unknown experiment config keys: diffusion_s$"),
         ],
         ids=["seed_str", "seed_bool", "camera_float", "bin_seconds_float", "days_str", "model_null",
              "train_batch_0", "train_lr_negative", "confidence_decay_2", "gamma_pd_1.5", "diffusion_s_1"],
@@ -434,13 +442,13 @@ class TestExperimentConfig:
 
     def test_value_types_in_every_section(self):
         # a float field takes an int, and null where the field allows it
-        cfg = ExperimentConfig.from_dict({"twin": "chain", "demand_peak": 500, "train_days": None,
-                                          "filter": {"sigma_y": 4}, "model": {"ln_eps": 1}})
-        assert (cfg.demand_peak, cfg.train_days, cfg.filter.sigma_y, cfg.model.ln_eps) == (500, None, 4, 1)
+        cfg = ExperimentConfig.from_dict({"twin": "chain", "demand_peak": 500, "network_path": None,
+                                          "filter": {"sigma_y": 4}, "model": {"history": 3}})
+        assert (cfg.demand_peak, cfg.network_path, cfg.filter.sigma_y, cfg.model.history) == (500, None, 4, 3)
         with pytest.raises(ValueError, match="^filter config key n_members must be an integer"):
             ExperimentConfig.from_dict({"filter": {"n_members": 64.0}})
-        with pytest.raises(ValueError, match="^model config key lambda_mae must be a number, not '1'"):
-            ExperimentConfig.from_dict({"model": {"lambda_mae": "1"}})
+        with pytest.raises(ValueError, match="^filter config key sigma_y must be a number, not '1'"):
+            ExperimentConfig.from_dict({"filter": {"sigma_y": "1"}})
         with pytest.raises(ValueError, match="^experiment config key twin must be a string or null"):
             ExperimentConfig.from_dict({"twin": 3})
 
@@ -460,17 +468,16 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("train_steps", 0), ("burn_days", 2), ("burn_days", -1), ("train_days", 0), ("train_days", 3)],
+        [("train_steps", 0), ("days", 1)],
     )
     def test_run_length_bounds(self, name, value):
-        # small_config runs 2 days; each of these used to fail only deep in
-        # the run (or, for train_days=0, fell back to the default)
+        # days=1 leaves no day to score after the filter's settling day
         with pytest.raises(ValueError, match=f"^{name} "):
             small_config(**{name: value})
 
     def test_run_length_bounds_are_inclusive_where_stated(self):
-        cfg = small_config(burn_days=0, train_days=2, train_steps=1)
-        assert (cfg.burn_days, cfg.train_days, cfg.train_steps) == (0, 2, 1)
+        cfg = small_config(days=2, train_steps=1)
+        assert (cfg.days, cfg.train_steps) == (2, 1)
 
     @pytest.mark.parametrize("bin_seconds", [700, 0])
     def test_bin_width_must_divide_a_day(self, bin_seconds):
@@ -768,16 +775,19 @@ def test_a_shuffled_edge_file_changes_no_artifact(tmp_path):
 
 @pytest.mark.parametrize("edit, line", [
     ({"train_stepz": 5}, "trafficfuse: error: config: unknown experiment config keys: train_stepz"),
-    ({"penetration_base": 1.5}, "trafficfuse: error: config: penetration_base 1.5 must lie in (0, 1]"),
+    # the penetration settings and filter.eps are fixed in code now, so
+    # their keys are unknown
+    ({"penetration_base": 1.5}, "trafficfuse: error: config: unknown experiment config keys: penetration_base"),
     ({"penetration_base": math.nan},
-     "trafficfuse: error: config: experiment config key penetration_base must be finite, not nan"),
+     "trafficfuse: error: config: unknown experiment config keys: penetration_base"),
     ({"penetration_hour_amplitude": 1.5},
-     "trafficfuse: error: config: penetration_hour_amplitude 1.5 must lie in (-1, 1)"),
-    ({"penetration_day_weekend": 0}, "trafficfuse: error: config: penetration_day_weekend 0 must be positive"),
+     "trafficfuse: error: config: unknown experiment config keys: penetration_hour_amplitude"),
+    ({"penetration_day_weekend": 0},
+     "trafficfuse: error: config: unknown experiment config keys: penetration_day_weekend"),
     ({"demand_peak": -5}, "trafficfuse: error: config: demand_peak -5 must be finite and >= 0"),
     ({"demand_peak": math.nan}, "trafficfuse: error: config: experiment config key demand_peak must be finite, not nan"),
     ({"filter": {"sigma_0": math.nan}}, "trafficfuse: error: config: filter config key sigma_0 must be finite, not nan"),
-    ({"filter": {"eps": math.nan}}, "trafficfuse: error: config: filter config key eps must be finite, not nan"),
+    ({"filter": {"eps": math.nan}}, "trafficfuse: error: config: unknown filter config keys: eps"),
     ({"seed": -1}, "trafficfuse: error: config: seed -1 must be >= 0"),
     ({"model": {"heads": 0}}, "trafficfuse: error: config: heads must be >= 1"),
 ])
@@ -790,15 +800,31 @@ def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, edit, line):
     assert captured.out == ""
 
 
+# the keys of the values no experiment varies, each with the value it held
+# as a config field; each now lives in one place in the code
+FIXED_KEYS = [
+    (None, "start", "2024-03-04T00:00:00"), (None, "penetration_base", 0.1),
+    (None, "penetration_hour_amplitude", 0.4), (None, "penetration_day_weekend", 0.85),
+    (None, "train_lr", 1e-3), (None, "train_days", 10), (None, "gamma_pd", 0.8), (None, "diffusion_s", 0.1),
+    (None, "confidence_decay", 0.999), (None, "burn_days", 1), ("model", "ln_eps", 1e-5),
+    ("model", "tau_b_coeff", 0.01), ("model", "lambda_mae", 1.0), ("model", "lambda_nll", 1.0),
+    ("model", "lambda_cons", 1.0), ("model", "lambda_cap", 1.0), ("filter", "eps", 1.0),
+]
+
+
 FLOAT_KEYS = [
     (section, f.name)
     for section, cls in ((None, ExperimentConfig), ("model", ModelConfig), ("filter", ensrf.FilterConfig))
     for f in fields(cls) if f.type == "float"
 ]
+# the float fields since fixed in code keep their cases, as the explicit
+# cases above do: a config that sets one now fails at load as an unknown key
+FIXED_FLOAT_KEYS = [(s, k) for s, k, v in FIXED_KEYS if isinstance(v, float)]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s or 'experiment'}.{k}" for s, k in FLOAT_KEYS])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS + FIXED_FLOAT_KEYS,
+                         ids=[f"{s or 'experiment'}.{k}" for s, k in FLOAT_KEYS + FIXED_FLOAT_KEYS])
 def test_cli_rejects_every_non_finite_number_at_load(tmp_path, capsys, monkeypatch, section, key, value):
     # json writes and reads these as NaN, Infinity and -Infinity
     monkeypatch.setattr(cli, "Pipeline", lambda cfg: pytest.fail(f"{key}={value} loaded"))
@@ -807,7 +833,34 @@ def test_cli_rejects_every_non_finite_number_at_load(tmp_path, capsys, monkeypat
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("trafficfuse: error: config: ")
-    assert f" {key} " in err[0]
+    if (section, key) in FIXED_FLOAT_KEYS:
+        assert err[0].endswith(f": unknown {section or 'experiment'} config keys: {key}")
+    else:
+        assert f" {key} " in err[0]
+
+
+@pytest.mark.parametrize("section, key, value", FIXED_KEYS, ids=[f"{s or 'experiment'}.{k}" for s, k, _ in FIXED_KEYS])
+def test_cli_rejects_a_fixed_value_as_an_unknown_key(tmp_path, capsys, monkeypatch, section, key, value):
+    monkeypatch.setattr(cli, "Pipeline", lambda cfg: pytest.fail(f"{key}={value} loaded"))
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    where = section or "experiment"
+    assert capsys.readouterr().err == f"trafficfuse: error: config: unknown {where} config keys: {key}\n"
+
+
+def test_cli_reports_a_count_too_large_to_sample_in_one_line(tmp_path, capsys):
+    # 1e300 vehicles at the peak overflow an int64 count: sample names the
+    # cell before a cast that would warn and wrap
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({**small_config().to_dict(), "demand_peak": 1e300}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("trafficfuse: error: sample: "), err
+    assert "too large to sample" in err[0]
 
 
 @pytest.mark.parametrize("text, kind", [("[]", "list"), ("[1]", "list"), ("5", "int"), ("null", "NoneType"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import check_transition_invariants, make_chain
-from trafficfuse.harness import ExperimentConfig, Pipeline
+from trafficfuse.harness import PENETRATION_BASE, ExperimentConfig, Pipeline
 from trafficfuse.propagation import (
     TransitionMatrix,
     _effective_rows,
@@ -246,14 +246,14 @@ def test_pipeline_kernel_matches_the_per_edge_loop(twin):
     rng = substream(cfg.seed, "transitions")
     flows = np.zeros((net.n_segments, net.n_segments))
     for (i, j), tot in zip(net.edges, totals):
-        flows[i, j] += float(rng.binomial(int(round(tot)), cfg.penetration_base))
-    want = build_transition(flows, gamma_pd=cfg.gamma_pd, s=cfg.diffusion_s)
+        flows[i, j] += float(rng.binomial(int(round(tot)), PENETRATION_BASE))
+    want = build_transition(flows)
     assert same_bits(pipe.trans.p, want.p)
     assert same_bits(pipe.trans.w, want.w)
     assert same_bits(pipe.trans.w_eff, effective_rows_loop(want.w)[0])
     # the one array draw leaves the stream where the per-edge draws did
     array_rng = substream(cfg.seed, "transitions")
-    array_rng.binomial(np.rint(totals).astype(np.int64), cfg.penetration_base)
+    array_rng.binomial(np.rint(totals).astype(np.int64), PENETRATION_BASE)
     assert array_rng.bit_generator.state == rng.bit_generator.state
     # far segments are those no calibration camera's vector reaches
     far = [i for i in range(net.n_segments) if all(v[i] == 0.0 for v in pipe.localization.values())]

@@ -210,6 +210,24 @@ def test_benchmark_spans_resolve_and_record_the_filter(monkeypatch, tmp_path):
         assert inside[name] == 2, inside  # one per regime
 
 
+def test_config_fields_are_pinned():
+    # Every field is one more configuration that tests must cover. A new
+    # field needs two existing callers that need different values; a value
+    # every caller shares is a constant next to the code that reads it.
+    pinned = {
+        ExperimentConfig: {"twin", "network_path", "days", "forecast_days", "bin_seconds", "demand_peak",
+                           "cameras_calibration", "cameras_validation", "model", "train_steps", "train_batch",
+                           "filter", "interval", "seed"},
+        ModelConfig: {"n_features", "embed_dim", "spatial_layers", "temporal_blocks", "heads", "history",
+                      "horizon", "ffn_width"},
+        FilterConfig: {"n_members", "sigma_0", "sigma_y", "lambda_base", "lambda_glob", "q_base", "q_hour",
+                       "q_day", "q_regime", "global_gain_scale", "max_global_obs", "init_base_sd", "init_glob_sd"},
+    }
+    # 33 settable fields: 12 + 8 + 13, not counting the two sections
+    for cls, names in pinned.items():
+        assert set(cls.__dataclass_fields__) == names, cls.__name__
+
+
 def test_readme_configs_load(tmp_path):
     # every config README shows must load, so the documented schema cannot drift
     blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
