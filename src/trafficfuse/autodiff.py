@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over numpy float64 arrays.
+"""Reverse-mode automatic differentiation over numpy float32 or float64 arrays.
 
 A Tensor wraps an ndarray; when a gradient flows to it, it also has a
 node on the tape. A node keeps only gradient routing: the adjoint
@@ -16,9 +16,16 @@ style of Chen et al. 2016): gelu's tanh value, and the a @ z of
 freed as soon as the forward code drops it. backward() walks the tape in reverse
 topological order and accumulates exact gradients into the leaves.
 Broadcasting follows numpy semantics with gradients summed back over
-broadcast axes. Everything stays in float64, which is what lets the
-gradient checks hold to 1e-4 relative against central finite
-differences.
+broadcast axes.
+
+The dtype follows the input. A Tensor keeps a float32 array as float32
+and makes anything else float64; every op allocates its values and
+gradients in its input's dtype, and a plain number or array that meets
+a tensor in an op takes that tensor's dtype, since NumPy 2 lets a 0-d
+float64 array promote a float32 one. So a float32 input gives a float32
+tape end to end (the predictor's, model.DTYPE), and a float64 input runs
+every op in float64. The gradient checks build float64 inputs: that is
+what lets them hold to 1e-4 relative against central finite differences.
 
 backward() frees the tape as it walks it: once an interior node has
 passed its gradient on, its gradient, parents and backward closure are
@@ -46,6 +53,7 @@ holds one output-sized array.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -77,7 +85,7 @@ def _axis_sums(a: np.ndarray, axis: int = -1) -> np.ndarray:
     rows where the swapped array is C-contiguous, numpy's stacked product
     elsewhere, which needs no copy of a."""
     a = a.swapaxes(axis, -1)
-    ones = np.ones(a.shape[-1])
+    ones = np.ones(a.shape[-1], dtype=a.dtype)
     if a.flags.c_contiguous:
         s = (a.reshape(-1, a.shape[-1]) @ ones).reshape(a.shape[:-1] + (1,))
     else:
@@ -87,7 +95,7 @@ def _axis_sums(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _col_sums(a2: np.ndarray) -> np.ndarray:
     """a2.sum(axis=0) for a 2-D a2, as one BLAS mat-vec."""
-    return np.ones(a2.shape[0]) @ a2
+    return np.ones(a2.shape[0], dtype=a2.dtype) @ a2
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -144,17 +152,19 @@ def _result(data, nodes, backward) -> "Tensor":
 
 
 class Tensor:
-    """An array and, when a gradient flows to it, its node on the tape."""
+    """An array and, when a gradient flows to it, its node on the tape.
+    A float32 array stays float32; anything else becomes float64."""
 
     __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self._node = _Node() if requires_grad else None
 
-    @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
+    def _lift(self, x) -> "Tensor":
+        """x as a Tensor; a number or array takes this tensor's dtype."""
+        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.data.dtype))
 
     @property
     def requires_grad(self) -> bool:
@@ -184,7 +194,7 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        b = Tensor._lift(other)
+        b = self._lift(other)
         na, nb = _tape(self, b)
         sa, sb = self.shape, b.shape
 
@@ -207,13 +217,13 @@ class Tensor:
         return _result(-self.data, (na,), backward)
 
     def __sub__(self, other):
-        return self + (-Tensor._lift(other))
+        return self + (-self._lift(other))
 
     def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
+        return self._lift(other) + (-self)
 
     def __mul__(self, other):
-        b = Tensor._lift(other)
+        b = self._lift(other)
         na, nb = _tape(self, b)
         sa, sb = self.shape, b.shape
         ad = self.data if nb is not None else None
@@ -230,7 +240,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = Tensor._lift(other)
+        b = self._lift(other)
         na, nb = _tape(self, b)
         sa, sb = self.shape, b.shape
         ad = self.data if nb is not None else None
@@ -245,10 +255,10 @@ class Tensor:
         return _result(self.data / b.data, (na, nb), backward)
 
     def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
+        return self._lift(other) / self
 
     def __matmul__(self, other):
-        b = Tensor._lift(other)
+        b = self._lift(other)
         if b.ndim == 2:
             return affine(self, b)
         na, nb = _tape(self, b)
@@ -290,7 +300,7 @@ class Tensor:
         shape = self.shape
 
         def backward(g):
-            full = np.zeros(shape)
+            full = np.zeros(shape, dtype=g.dtype)
             np.add.at(full, idx, g)
             na._accumulate(full)
 
@@ -405,7 +415,7 @@ class Tensor:
 
 
 # the tanh form of GELU (Hendrycks & Gimpel 2016): 0.5 x (1 + tanh(c (x + a x^3)))
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)  # a Python float, so a float32 pass stays float32
 _GELU_A = 0.044715
 # elements per pass of gelu's backward: its tanh scratch stays this size
 _GELU_CHUNK = 1 << 14
@@ -439,7 +449,7 @@ def gelu(x: Tensor) -> Tensor:
         # g * 0.5 (1 + t) (1 + (1 - t) c x (1 + 3 a x^2)), from 1 - t^2 =
         # (1 - t)(1 + t)
         grad = np.empty_like(xd)
-        scratch = np.empty(min(_GELU_CHUNK, xd.size))
+        scratch = np.empty(min(_GELU_CHUNK, xd.size), dtype=xd.dtype)
         passes = np.nditer(
             (xd, g, grad), flags=("external_loop", "buffered", "zerosize_ok"),
             op_flags=(["readonly"], ["readonly"], ["writeonly"]), order="K", buffersize=_GELU_CHUNK,
@@ -520,11 +530,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 def neighbour_affine(a: np.ndarray, z: Tensor, w: Tensor) -> Tensor:
     """(a @ z) @ w for a constant (N, N) a, a (..., N, k) z and a (k, n) w:
     the neighbour term of a graph-convolution layer, one node on the tape.
-    The node keeps z and w, not a @ z: the weight's gradient rebuilds
-    a @ z with the forward's own call, and z's gradient is a.T @ (g @ w.T),
-    which is what the two ops (a @ z) and (. @ w) would give."""
+    a is cast to z's dtype. The node keeps z and w, not a @ z: the
+    weight's gradient rebuilds a @ z with the forward's own call, and z's
+    gradient is a.T @ (g @ w.T), which is what the two ops (a @ z) and
+    (. @ w) would give."""
     nz, nw = _tape(z, w)
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a, dtype=z.data.dtype)
     k, n = w.shape
     out = (a @ z.data).reshape(-1, k) @ w.data
     z_shape = z.shape

@@ -13,6 +13,7 @@ cameras cannot whip the shared temporal patterns around.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,11 @@ class FilterConfig:
         for name in ("sigma_y", "q_base", "q_hour", "q_day", "q_regime", "init_base_sd", "init_glob_sd"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for name in ("sigma_0", "sigma_y"):
+            # obs_variance squares both
+            v = getattr(self, name)
+            if not math.isfinite(v * v):
+                raise ValueError(f"{name} {v} squared is not a finite float")
         if not 0.0 <= self.global_gain_scale <= 1.0:
             raise ValueError(f"global_gain_scale {self.global_gain_scale} must lie in [0, 1]")
         if self.max_global_obs < 0:

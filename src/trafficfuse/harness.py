@@ -28,7 +28,7 @@ import numpy as np
 from . import ensrf
 from .ctm import FdArrays, TurnRatios, default_fd_params, simulate
 from .features import FEATURE_NAMES, build_tensor
-from .model import ModelConfig, normalized_adjacency
+from .model import DTYPE, ModelConfig, normalized_adjacency
 from .network import (
     CountMatrix,
     RoadNetwork,
@@ -551,7 +551,7 @@ class Pipeline:
         # the model's dense message-passing operand, scattered from the edges
         a = np.zeros((self.net.n_segments, self.net.n_segments))
         a[self.net.edge_from, self.net.edge_to] = 1.0
-        self.a_hat = normalized_adjacency(a)
+        self.a_hat = normalized_adjacency(a).astype(DTYPE)
         self.qmax = FdArrays.build(self.net.segments, self.fd, cfg.bin_seconds).qmax
         windows = build_windows(
             self.tensor, self.probe.values, cfg.model,

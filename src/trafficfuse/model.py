@@ -13,10 +13,19 @@ log-variance for each forecast horizon; predictions are anchored on the
 last observed count, q_hat = q(t) + mu. Heads are zero-initialized so the
 untrained model reproduces last-value persistence with unit predictive
 variance.
+
+The predictor runs in single precision, DTYPE (float32): its parameters,
+its input features and its message-passing matrix are float32, so its
+tape and its optimizer are too (mixed-precision training in the sense of
+Micikevicius et al. 2018). Everything around it stays float64: the
+anchor, the targets and the loss constants are cast to the prediction's
+dtype, and predictions leave as float64. Given float64 parameters and
+inputs, the same code runs in float64, as the gradient checks do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +35,7 @@ from .util import config_kwargs
 
 __all__ = ["ModelConfig", "Prediction", "init_params", "normalized_adjacency", "forward", "loss_components"]
 
+DTYPE = np.float32  # the predictor's parameters, features and message-passing matrix
 LN_EPS = 1e-5  # layer-norm variance floor
 # the conservation hinge's tolerance per window, as a fraction of that
 # window's total vehicle count
@@ -105,7 +115,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
     p["lv_b1"] = np.zeros(d)
     p["lv_w2"] = np.zeros((d, cfg.horizon))
     p["lv_b2"] = np.zeros(cfg.horizon)
-    return {k: Tensor(v, requires_grad=True) for k, v in p.items()}
+    return {k: Tensor(v.astype(DTYPE), requires_grad=True) for k, v in p.items()}
 
 
 def normalized_adjacency(a: np.ndarray) -> np.ndarray:
@@ -192,7 +202,7 @@ def forward(
     z = z.reshape(bsz, hh, n, d) if _is_identity(windows, z.shape[0]) else z[windows]
     z = z.swapaxes(1, 2)  # (B, N, H, d)
     nh, dh = cfg.heads, d // cfg.heads
-    inv_sqrt = 1.0 / np.sqrt(dh)
+    inv_sqrt = 1.0 / math.sqrt(dh)
     for k in range(cfg.temporal_blocks):
         y = layer_norm(z, params[f"tb{k}_ln1_g"], params[f"tb{k}_ln1_b"], LN_EPS)
         qs = affine(y, params[f"tb{k}_w_q"], params[f"tb{k}_b_q"]).reshape(bsz, n, hh, nh, dh).swapaxes(2, 3)
@@ -218,7 +228,7 @@ def forward(
     del z
     mu = affine(gelu(affine(hv, params["mu_w1"], params["mu_b1"])), params["mu_w2"], params["mu_b2"])
     log_var = affine(gelu(affine(hv, params["lv_w1"], params["lv_b1"])), params["lv_w2"], params["lv_b2"])
-    q_hat = Tensor(anchor[:, :, None]) + mu
+    q_hat = Tensor(anchor[:, :, None].astype(mu.data.dtype)) + mu
     return Prediction(q_hat=q_hat, mu=mu, log_var=log_var, embedded=embedded)
 
 
@@ -235,8 +245,10 @@ def loss_components(
     boundary flow over the first forecast step). Components: MAE, Gaussian
     NLL, a one-step conservation hinge with tolerance TAU_B_COEFF * n_tot
     averaged over the batch, and a capacity hinge. The total is their
-    unweighted sum.
+    unweighted sum. The arrays are cast to the prediction's dtype.
     """
+    dtype = pred.q_hat.data.dtype
+    target, qmax, n_tot = (np.asarray(a, dtype=dtype) for a in (target, qmax, n_tot))
     t = Tensor(target)
     resid = t - pred.q_hat
     mae = resid.abs().mean()

@@ -13,13 +13,14 @@ gradient-norm clipping; runs are bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .features import FeatureTensor
-from .model import ModelConfig, forward, init_params, loss_components
+from .model import DTYPE, ModelConfig, forward, init_params, loss_components
 from .util import substream, write_csv, write_json, write_npz
 
 __all__ = [
@@ -46,8 +47,9 @@ PATIENCE = 8  # evaluations without improvement before stopping early
 
 
 def _bin_major(tensor: FeatureTensor) -> np.ndarray:
-    """Normalized features as one C-ordered (T, N, n_features) array."""
-    return np.ascontiguousarray(tensor.normalized().transpose(1, 0, 2))
+    """Normalized features as one C-ordered (T, N, n_features) array in
+    the predictor's DTYPE."""
+    return np.ascontiguousarray(tensor.normalized().transpose(1, 0, 2), dtype=DTYPE)
 
 
 def _slots(t_index: np.ndarray, history: int) -> np.ndarray:
@@ -69,7 +71,7 @@ def _no_tape_passes(params, cfg: ModelConfig, a_hat, feats: np.ndarray, t_index:
     step = max(1, INFER_ROWS // (h * feats.shape[1]))
     row = np.zeros(len(feats), dtype=np.intp)
     held = np.array([], dtype=np.intp)
-    carry = np.empty((0, feats.shape[1], cfg.embed_dim))
+    carry = np.empty((0, feats.shape[1], cfg.embed_dim), dtype=feats.dtype)
     for s in range(0, len(t_index), step):
         sl = slice(s, s + step)
         slots = _slots(t_index[sl], h)
@@ -177,7 +179,8 @@ class _Adam:
             if p.grad is not None:
                 norm_sq += float((p.grad * p.grad).sum())
         scale = 1.0
-        norm = np.sqrt(norm_sq)
+        # a Python float: an np.float64 scale would promote float32 weights
+        norm = math.sqrt(norm_sq)
         if norm > CLIP_NORM:
             scale = CLIP_NORM / norm
         for k, p in params.items():

@@ -790,6 +790,9 @@ def test_a_shuffled_edge_file_changes_no_artifact(tmp_path):
     ({"filter": {"eps": math.nan}}, "trafficfuse: error: config: unknown filter config keys: eps"),
     ({"seed": -1}, "trafficfuse: error: config: seed -1 must be >= 0"),
     ({"model": {"heads": 0}}, "trafficfuse: error: config: heads must be >= 1"),
+    # obs_variance squares both noise levels
+    ({"filter": {"sigma_0": 1e300}}, "trafficfuse: error: config: sigma_0 1e+300 squared is not a finite float"),
+    ({"filter": {"sigma_y": 1e300}}, "trafficfuse: error: config: sigma_y 1e+300 squared is not a finite float"),
 ])
 def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, edit, line):
     config = tmp_path / "experiment.json"

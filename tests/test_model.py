@@ -23,6 +23,7 @@ from trafficfuse.model import (
     loss_components,
     normalized_adjacency,
 )
+from trafficfuse import autodiff
 from trafficfuse import model as model_module
 from trafficfuse import train as train_module
 from trafficfuse.network import CountMatrix
@@ -283,7 +284,9 @@ def test_build_windows_alignment():
     w = build_windows(tensor, counts, cfg)
     assert len(w) == 8  # t = 2 .. 9
     assert np.array_equal(w.t_index, np.arange(2, 10))
-    assert np.array_equal(w.feats, values.transpose(1, 0, 2))
+    # the predictor reads its features in model.DTYPE
+    assert w.feats.dtype == model_module.DTYPE
+    assert np.array_equal(w.feats, values.transpose(1, 0, 2).astype(model_module.DTYPE))
     assert w.feats.flags.c_contiguous
     assert np.array_equal(w.anchor[0], counts[:, 2])
     assert np.array_equal(w.target[0], counts[:, 3:5])
@@ -359,12 +362,12 @@ def test_predict_matches_forward():
     assert np.array_equal(q_hat, pred.q_hat.data)
 
 
-def _perturbed_params(cfg, seed):
+def _perturbed_params(cfg, seed, dtype=np.float64):
     # random heads too, so the forecasts depend on every layer
     rng = np.random.default_rng(seed)
     params = init_params(cfg, rng)
     for p in params.values():
-        p.data = p.data + rng.normal(scale=0.1, size=p.data.shape)
+        p.data = (p.data + rng.normal(scale=0.1, size=p.data.shape)).astype(dtype)
     return params
 
 
@@ -373,13 +376,14 @@ def test_predict_over_shared_bins_equals_per_window_forward():
     # one batch, so each bin's spatial embedding is computed once and read
     # by up to `history` windows
     cfg, a_hat, _, _, tensor, counts = _training_setup()
-    params = _perturbed_params(cfg, 6)
+    params = _perturbed_params(cfg, 6, model_module.DTYPE)
     t_idx = np.arange(cfg.history - 1, 60)
     q_hat = predict(params, cfg, a_hat, tensor, counts, t_idx)
-    feats = tensor.normalized()
+    # the parameters and the bins predict reads, in the predictor's dtype
+    feats = train_module._bin_major(tensor)
     with no_grad():
         for j, t in enumerate(t_idx):
-            hist = feats[:, t - cfg.history + 1 : t + 1].transpose(1, 0, 2)
+            hist = feats[t - cfg.history + 1 : t + 1]
             pred = forward(params, cfg, a_hat, hist, np.arange(cfg.history)[None], counts[None, :, t])
             assert np.array_equal(q_hat[j], pred.q_hat.data[0]), t
 
@@ -394,13 +398,14 @@ def test_predict_over_unsorted_gapped_repeated_anchors_equals_per_window_forward
     # batchings needs the same rounding
     cfg, a_hat, _, _, tensor, counts = _training_setup(n=4)
     monkeypatch.setattr(train_module, "INFER_ROWS", windows_per_batch * cfg.history * counts.shape[0])
-    params = _perturbed_params(cfg, 7)
+    params = _perturbed_params(cfg, 7, model_module.DTYPE)
     t_idx = np.array([10, 11, 12, 40, 41, 7, 7, 8, 60, 59, 58, 3, 95, 12, 11, 50])
     q_hat = predict(params, cfg, a_hat, tensor, counts, t_idx)
-    feats = tensor.normalized()
+    # the parameters and the bins predict reads, in the predictor's dtype
+    feats = train_module._bin_major(tensor)
     with no_grad():
         for j, t in enumerate(t_idx):
-            hist = feats[:, t - cfg.history + 1 : t + 1].transpose(1, 0, 2)
+            hist = feats[t - cfg.history + 1 : t + 1]
             pred = forward(params, cfg, a_hat, hist, np.arange(cfg.history)[None], counts[None, :, t])
             assert np.array_equal(q_hat[j], pred.q_hat.data[0]), (j, t)
 
@@ -566,19 +571,28 @@ def _mesh_adjacency(rows, cols):
     return a
 
 
-def _mesh_step_inputs():
-    """The pipeline's model on a 100-segment mesh batch, and the unit u of
-    one (B, H, N, d) activation."""
+def _mesh_inputs(dtype=np.float64):
+    """The pipeline's model and its forward inputs on a 100-segment mesh
+    batch, features in dtype: (cfg, params, a_hat, bins, windows, anchor,
+    target)."""
     cfg = ExperimentConfig().model
     rows, cols, bsz = 5, 20, 8
     n = rows * cols
     rng = np.random.default_rng(4)
     params = init_params(cfg, rng)
-    bins = rng.normal(size=(bsz * cfg.history, n, cfg.n_features))
+    bins = rng.normal(size=(bsz * cfg.history, n, cfg.n_features)).astype(dtype)
     windows = np.arange(bsz * cfg.history).reshape(bsz, cfg.history)
     anchor = rng.uniform(5.0, 20.0, size=(bsz, n))
     target = anchor[:, :, None] + rng.normal(size=(bsz, n, cfg.horizon))
     a_hat = normalized_adjacency(_mesh_adjacency(rows, cols))
+    return cfg, params, a_hat, bins, windows, anchor, target
+
+
+def _mesh_step_inputs(dtype=np.float64):
+    """The mesh batch's parameters, its loss as a closure, and the unit u
+    of one float64 (B, H, N, d) activation."""
+    cfg, params, a_hat, bins, windows, anchor, target = _mesh_inputs(dtype)
+    bsz, n = anchor.shape
     u = bsz * cfg.history * n * cfg.embed_dim * 8
 
     def loss():
@@ -644,6 +658,63 @@ def test_no_backward_closure_keeps_a_neighbour_product():
     products = [a_hat @ z for z in kept]
     assert len(kept) >= cfg.spatial_layers
     assert not any(np.array_equal(v, p) for v in kept for p in products)
+
+
+def test_a_float32_tape_and_its_optimizer_stay_float32(monkeypatch):
+    # every tape value is made in autodiff._result. A plain number lifted
+    # as a 0-d float64 array (attention's 1/sqrt(d), mean's 1/count) or an
+    # np.float64 clip scale in Adam would silently promote the tape, the
+    # gradients or the weights to float64
+    made = []
+    real_result = autodiff._result
+
+    def recording_result(data, nodes, backward):
+        made.append(np.asarray(data).dtype)
+        return real_result(data, nodes, backward)
+
+    monkeypatch.setattr(autodiff, "_result", recording_result)
+    params, step_loss, _ = _mesh_step_inputs(model_module.DTYPE)
+    assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+    step_loss().backward()
+    assert len(made) > 50 and set(made) == {np.dtype(np.float32)}
+    assert {p.grad.dtype for p in params.values()} == {np.dtype(np.float32)}
+
+    # a few training steps with every step clipped, validation included
+    optimizers = []
+
+    class RecordingAdam(train_module._Adam):
+        def __init__(self, params, lr):
+            super().__init__(params, lr)
+            optimizers.append(self)
+
+    monkeypatch.setattr(train_module, "_Adam", RecordingAdam)
+    monkeypatch.setattr(train_module, "CLIP_NORM", 1e-6)
+    cfg, a_hat, windows, qmax, _, _ = _training_setup()
+    made.clear()
+    res = train(cfg, a_hat, windows, qmax, seed=0, steps=4, batch_size=4, eval_every=2)
+    (opt,) = optimizers
+    assert opt.t == 4
+    assert made and set(made) == {np.dtype(np.float32)}
+    for name, p in res.params.items():
+        assert p.data.dtype == np.float32, name
+        assert opt.m[name].dtype == np.float32 and opt.v[name].dtype == np.float32, name
+
+
+def test_float32_forward_stays_close_to_the_float64_forward():
+    # the mesh batch with random heads, so q_hat depends on every layer;
+    # the float64 pass reads the same parameters, features and a_hat, cast.
+    # The gap is 2.3e-6 vehicles on counts of 5-22 (mu up to 2.0), and at
+    # most that over parameter seeds 9-14
+    cfg, _, a_hat, bins, windows, anchor, _ = _mesh_inputs(model_module.DTYPE)
+    params32 = _perturbed_params(cfg, 9, model_module.DTYPE)
+    params64 = {k: Tensor(p.data.astype(np.float64)) for k, p in params32.items()}
+    with no_grad():
+        q32 = forward(params32, cfg, a_hat.astype(model_module.DTYPE), bins, windows, anchor).q_hat.data
+        q64 = forward(params64, cfg, a_hat, bins.astype(np.float64), windows, anchor).q_hat.data
+    assert q32.dtype == np.float32 and q64.dtype == np.float64
+    assert np.abs(q64 - anchor[:, :, None]).max() > 1.0
+    gap = np.abs(q32 - q64).max()
+    assert gap < 1e-5, gap
 
 
 def test_training_steps_hold_one_tape_at_a_time():
