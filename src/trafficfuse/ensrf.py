@@ -43,6 +43,9 @@ REGIME_TRANSITIONAL = 1
 REGIME_CONGESTED = 2
 N_REGIMES = 3
 EPS = 1.0  # added to counts in log space, so that a zero count has a finite log
+# the largest log-space standard deviation (sqrt(q_*) or init_*_sd) whose
+# 40-sigma draw still has a finite exp, about 17.7
+MAX_LOG_SD = math.log(np.finfo(float).max) / 40
 
 
 def regime_index(b):
@@ -92,6 +95,11 @@ class FilterConfig:
             v = getattr(self, name)
             if not math.isfinite(v * v):
                 raise ValueError(f"{name} {v} squared is not a finite float")
+        spreads = {q: math.sqrt(getattr(self, q)) for q in ("q_base", "q_hour", "q_day", "q_regime")}
+        spreads.update(init_base_sd=self.init_base_sd, init_glob_sd=self.init_glob_sd)
+        for name, sd in spreads.items():
+            if not sd <= MAX_LOG_SD:
+                raise ValueError(f"{name} {getattr(self, name)}: log-space spread {sd:.4g} exceeds {MAX_LOG_SD:.4g}")
         if not 0.0 <= self.global_gain_scale <= 1.0:
             raise ValueError(f"global_gain_scale {self.global_gain_scale} must lie in [0, 1]")
         if self.max_global_obs < 0:

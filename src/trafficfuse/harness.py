@@ -561,6 +561,7 @@ class Pipeline:
             cfg.model, self.a_hat, windows, self.qmax,
             seed=cfg.seed, steps=cfg.train_steps, batch_size=cfg.train_batch,
         )
+        self.feats = windows.feats  # the bin-major features, read once more by forecasts
 
     @_once("predict")
     def forecasts(self):
@@ -569,9 +570,10 @@ class Pipeline:
         h = cfg.model.history
         anchors = np.arange(h - 1, self.truth.n_bins - 1)
         raw = predict(
-            self.trained.params, cfg.model, self.a_hat, self.tensor,
+            self.trained.params, cfg.model, self.a_hat, self.feats,
             self.probe.values, anchors,
         )
+        del self.feats
         # q_hat[:, b] is the one-step-ahead probe-scale estimate of bin b
         self.q_hat = np.full((self.net.n_segments, self.truth.n_bins), np.nan)
         self.q_hat[:, anchors + 1] = np.maximum(raw[:, :, 0], 0.0).T

@@ -7,15 +7,18 @@ and dissipates at downstream exits; in congestion the influence pattern
 is transposed (spillback moves upstream) and dissipates at entries. Rank
 of the stacked observability matrix and the Gramian diagonal then score
 how well each segment is seen by a set of cameras. Both come from the
-blocks C A^k, built over the nonzeros of A, so scoring forms neither
-the N x N Gramian nor the stacked Nm x N matrix; the dense finite- and
-infinite-horizon Gramians are kept as references.
+blocks C A^k, built over the nonzeros of A that LinearSystem finds once,
+so scoring forms neither the N x N Gramian nor the stacked Nm x N
+matrix; the dense finite- and infinite-horizon Gramians are kept as
+references. The rank takes one SVD per block: row and Frobenius norms
+bracket its tolerance, and the block's exact 2-norm is computed only for
+a singular value inside the bracket.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,12 +47,18 @@ LYAPUNOV_ITERATIONS = 200_000
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """One-regime linear surrogate of the network dynamics."""
+    """One-regime linear surrogate of the network dynamics.
+
+    a_nonzeros holds the (rows, cols, values) of A's nonzeros in row-major
+    order as read-only arrays, found once at construction and left out of
+    equality; every product with A sums over them in that order.
+    """
 
     a: np.ndarray  # (N, N)
     b: np.ndarray  # (N, p)
     c: np.ndarray  # (m, N) stacked basis rows
     regime: str
+    a_nonzeros: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, c = np.asarray(self.a), np.asarray(self.c)
@@ -59,9 +68,14 @@ class LinearSystem:
             raise ValueError("A must be finite")
         if c.ndim != 2 or c.shape[1] != a.shape[0]:
             raise ValueError("C must be (m, N)")
-        for r, row in enumerate(c):
-            if not (np.count_nonzero(row) == 1 and row.max() == 1.0):
-                raise ValueError(f"C row {r} is not a standard basis vector")
+        bad = np.flatnonzero((np.count_nonzero(c, axis=1) != 1) | ~(c == 1.0).any(axis=1))
+        if bad.size:
+            raise ValueError(f"C row {bad[0]} is not a standard basis vector")
+        rows, cols = np.nonzero(a)
+        nonzeros = (rows, cols, a[rows, cols])
+        for arr in nonzeros:
+            arr.flags.writeable = False
+        object.__setattr__(self, "a_nonzeros", nonzeros)
 
     @property
     def n(self) -> int:
@@ -137,8 +151,7 @@ def _markov_blocks(sys: LinearSystem, horizon: int):
     first all-zero block, since every later block is then zero too.
     """
     n, m = sys.n, sys.c.shape[0]
-    rows, cols = np.nonzero(sys.a)
-    weights = sys.a[rows, cols]
+    rows, cols, weights = sys.a_nonzeros
     # (blk @ A)[r, j] = sum over nonzeros (i, j) of blk[r, i] * A[i, j]
     slots = (np.arange(m)[:, None] * n + cols).ravel()
     blk = sys.c
@@ -155,8 +168,14 @@ def observability_rank(sys: LinearSystem):
     Deflated block Krylov: an orthonormal basis of the row space grows one
     block at a time. Each block is projected off the basis twice, and the
     right singular vectors of the m x N residual above
-    max(N*m, N) * eps * max(1, ||block||_2) join it. Once a block adds no
-    direction, the row space is A-invariant and no later block can add one.
+    tol = max(N*m, N) * eps * max(1, ||block||_2) join it. Once a block adds
+    no direction, the row space is A-invariant and no later block can add
+    one.
+
+    max row norm <= ||block||_2 <= ||block||_F brackets tol, so the 2-norm
+    (an SVD of its own) is computed only when a singular value of the
+    residual falls inside that bracket; the bracket is widened by a
+    relative 1e-12 so that rounding in the bounds cannot flip a decision.
     """
     n = sys.n
     basis = np.empty((n, n))
@@ -166,7 +185,11 @@ def observability_rank(sys: LinearSystem):
         resid = blk - (blk @ q.T) @ q
         resid -= (resid @ q.T) @ q
         _, sv, vt = np.linalg.svd(resid, full_matrices=False)
-        tol = max(n * blk.shape[0], n) * np.finfo(float).eps * max(1.0, np.linalg.norm(blk, 2))
+        scale = max(n * blk.shape[0], n) * np.finfo(float).eps
+        row_sq = (blk * blk).sum(axis=1)
+        lo = scale * max(1.0, np.sqrt(row_sq.max())) * (1.0 - 1e-12)
+        hi = scale * max(1.0, np.sqrt(row_sq.sum())) * (1.0 + 1e-12)
+        tol = scale * max(1.0, np.linalg.norm(blk, 2)) if ((sv > lo) & (sv <= hi)).any() else lo
         new = vt[sv > tol]
         if not len(new):
             break

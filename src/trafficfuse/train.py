@@ -285,22 +285,26 @@ def predict(
     params: dict,
     cfg: ModelConfig,
     a_hat: np.ndarray,
-    tensor: FeatureTensor,
+    feats: np.ndarray,
     counts: np.ndarray,
     t_indices: np.ndarray,
 ):
     """Rolling forecasts anchored at each index in t_indices.
 
-    Returns q_hat, shape (len(t_indices), N, F); q_hat[j, :, p-1]
-    estimates the counts at bin t_indices[j] + p.
+    feats are the bin-major (T, N, n_features) features that
+    build_windows keeps as WindowSet.feats. Returns q_hat, shape
+    (len(t_indices), N, F); q_hat[j, :, p-1] estimates the counts at bin
+    t_indices[j] + p.
     """
     h = cfg.history
+    if feats.shape[:2] != counts.shape[::-1]:
+        raise ValueError("features do not align with counts")
     t_indices = np.asarray(t_indices, dtype=int)
     if (t_indices < h - 1).any() or (t_indices >= counts.shape[1]).any():
         raise ValueError("prediction index leaves an incomplete history window")
     q_hat = np.empty((len(t_indices), counts.shape[0], cfg.horizon))
     with no_grad():
-        for sl, pred in _no_tape_passes(params, cfg, a_hat, _bin_major(tensor), t_indices, counts[:, t_indices].T):
+        for sl, pred in _no_tape_passes(params, cfg, a_hat, feats, t_indices, counts[:, t_indices].T):
             q_hat[sl] = pred.q_hat.data
     return q_hat
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trafficfuse.ensrf import (
+    MAX_LOG_SD,
     N_REGIMES,
     REGIME_CONGESTED,
     REGIME_FREE,
@@ -91,6 +92,21 @@ def test_config_validation():
         with pytest.raises(ValueError, match="^global_gain_scale .* must lie in"):
             FilterConfig(global_gain_scale=gain)
     FilterConfig(global_gain_scale=1.0, init_base_sd=0.0, init_glob_sd=0.0)
+
+
+def test_config_bounds_every_log_space_spread():
+    # the bound is inclusive and applies to sqrt(q_*) and to init_*_sd
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.exp(40 * MAX_LOG_SD)) and not np.isfinite(np.exp(40.01 * MAX_LOG_SD))
+    above = np.nextafter(MAX_LOG_SD, np.inf)
+    for name in ("init_base_sd", "init_glob_sd"):
+        FilterConfig(**{name: MAX_LOG_SD})
+        with pytest.raises(ValueError, match=f"^{name} .*: log-space spread .* exceeds 17.74$"):
+            FilterConfig(**{name: above})
+    for name in ("q_base", "q_hour", "q_day", "q_regime"):
+        FilterConfig(**{name: 314.0})  # sqrt 17.72
+        with pytest.raises(ValueError, match=f"^{name} .*: log-space spread .* exceeds 17.74$"):
+            FilterConfig(**{name: 315.0})
 
 
 def test_effective_beta_is_component_sum():

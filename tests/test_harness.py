@@ -793,6 +793,16 @@ def test_a_shuffled_edge_file_changes_no_artifact(tmp_path):
     # obs_variance squares both noise levels
     ({"filter": {"sigma_0": 1e300}}, "trafficfuse: error: config: sigma_0 1e+300 squared is not a finite float"),
     ({"filter": {"sigma_y": 1e300}}, "trafficfuse: error: config: sigma_y 1e+300 squared is not a finite float"),
+    # a log-space spread whose 40-sigma draw overflows exp is rejected
+    ({"filter": {"q_base": 1e300}}, "trafficfuse: error: config: q_base 1e+300: log-space spread 1e+150 exceeds 17.74"),
+    ({"filter": {"q_hour": 1e300}}, "trafficfuse: error: config: q_hour 1e+300: log-space spread 1e+150 exceeds 17.74"),
+    ({"filter": {"q_day": 1e300}}, "trafficfuse: error: config: q_day 1e+300: log-space spread 1e+150 exceeds 17.74"),
+    ({"filter": {"q_regime": 1e300}},
+     "trafficfuse: error: config: q_regime 1e+300: log-space spread 1e+150 exceeds 17.74"),
+    ({"filter": {"init_base_sd": 1e300}},
+     "trafficfuse: error: config: init_base_sd 1e+300: log-space spread 1e+300 exceeds 17.74"),
+    ({"filter": {"init_glob_sd": 1e300}},
+     "trafficfuse: error: config: init_glob_sd 1e+300: log-space spread 1e+300 exceeds 17.74"),
 ])
 def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, edit, line):
     config = tmp_path / "experiment.json"

@@ -353,7 +353,7 @@ def test_predict_matches_forward():
     cfg, a_hat, windows, qmax, tensor, counts = _training_setup()
     params = init_params(cfg, np.random.default_rng(6))
     t_idx = np.array([5, 6, 9])
-    q_hat = predict(params, cfg, a_hat, tensor, counts, t_idx)
+    q_hat = predict(params, cfg, a_hat, train_module._bin_major(tensor), counts, t_idx)
     assert q_hat.shape == (3, 3, cfg.horizon)
     sel = np.searchsorted(windows.t_index, t_idx)
     slots = t_idx[:, None] + np.arange(1 - cfg.history, 1)
@@ -378,7 +378,7 @@ def test_predict_over_shared_bins_equals_per_window_forward():
     cfg, a_hat, _, _, tensor, counts = _training_setup()
     params = _perturbed_params(cfg, 6, model_module.DTYPE)
     t_idx = np.arange(cfg.history - 1, 60)
-    q_hat = predict(params, cfg, a_hat, tensor, counts, t_idx)
+    q_hat = predict(params, cfg, a_hat, train_module._bin_major(tensor), counts, t_idx)
     # the parameters and the bins predict reads, in the predictor's dtype
     feats = train_module._bin_major(tensor)
     with no_grad():
@@ -400,7 +400,7 @@ def test_predict_over_unsorted_gapped_repeated_anchors_equals_per_window_forward
     monkeypatch.setattr(train_module, "INFER_ROWS", windows_per_batch * cfg.history * counts.shape[0])
     params = _perturbed_params(cfg, 7, model_module.DTYPE)
     t_idx = np.array([10, 11, 12, 40, 41, 7, 7, 8, 60, 59, 58, 3, 95, 12, 11, 50])
-    q_hat = predict(params, cfg, a_hat, tensor, counts, t_idx)
+    q_hat = predict(params, cfg, a_hat, train_module._bin_major(tensor), counts, t_idx)
     # the parameters and the bins predict reads, in the predictor's dtype
     feats = train_module._bin_major(tensor)
     with no_grad():
@@ -464,7 +464,7 @@ def test_predict_embeds_each_bin_once(monkeypatch):
 
     monkeypatch.setattr(model_module, "affine", counting_affine)
     t_idx = np.arange(cfg.history - 1, t_bins - 1)
-    predict(params, cfg, a_hat, tensor, counts, t_idx)
+    predict(params, cfg, a_hat, train_module._bin_major(tensor), counts, t_idx)
     assert len(projected) > 1
     assert sum(projected) == (t_bins - 1) * n, sum(projected) / ((t_bins - 1) * n)
 
@@ -509,7 +509,7 @@ def test_predict_peak_memory_does_not_grow_with_anchors():
         t_idx = np.arange(cfg.history - 1, cfg.history - 1 + n_anchors)
         tracemalloc.start()
         try:
-            predict(params, cfg, a_hat, tensor, counts, t_idx)
+            predict(params, cfg, a_hat, train_module._bin_major(tensor), counts, t_idx)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -741,7 +741,17 @@ def test_training_steps_hold_one_tape_at_a_time():
 def test_predict_rejects_short_history():
     cfg, a_hat, _, _, tensor, counts = _training_setup()
     with pytest.raises(ValueError, match="history"):
-        predict(init_params(cfg, np.random.default_rng(0)), cfg, a_hat, tensor, counts, np.array([1]))
+        predict(init_params(cfg, np.random.default_rng(0)), cfg, a_hat, train_module._bin_major(tensor), counts,
+                np.array([1]))
+
+
+def test_predict_rejects_features_that_do_not_align_with_counts():
+    cfg, a_hat, _, _, tensor, counts = _training_setup()
+    feats = train_module._bin_major(tensor)
+    params = init_params(cfg, np.random.default_rng(0))
+    for bad in (feats[:-1], feats.transpose(1, 0, 2)):
+        with pytest.raises(ValueError, match="align"):
+            predict(params, cfg, a_hat, bad, counts, np.array([cfg.history]))
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -19,6 +19,7 @@ from trafficfuse.observability import (
     REGIMES,
     LinearSystem,
     _gramian_diagonal,
+    _markov_blocks,
     analyze,
     gramian,
     linearize,
@@ -59,6 +60,40 @@ def stacked_rank(sys):
     sv = np.linalg.svd(obs, compute_uv=False)
     tol = max(obs.shape) * sv[0] * np.finfo(float).eps if sv.size else 0.0
     return int((sv > tol).sum())
+
+
+def exact_norm_rank(sys):
+    """The rank loop with the exact 2-norm of every block in its tolerance:
+    the oracle that observability_rank's bracketed tolerance must match."""
+    n = sys.n
+    basis = np.empty((n, n))
+    rank = 0
+    for blk in _markov_blocks(sys, n):
+        q = basis[:rank]
+        resid = blk - (blk @ q.T) @ q
+        resid -= (resid @ q.T) @ q
+        _, sv, vt = np.linalg.svd(resid, full_matrices=False)
+        tol = max(n * blk.shape[0], n) * np.finfo(float).eps * max(1.0, np.linalg.norm(blk, 2))
+        new = vt[sv > tol]
+        if not len(new):
+            break
+        basis[rank:rank + len(new)] = new
+        rank += len(new)
+    return rank, rank / n
+
+
+def count_two_norms(monkeypatch) -> list:
+    """Record every np.linalg.norm(x, 2) call from now on; returns the record."""
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(x, ord=None, **kw):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord, **kw)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
 
 
 def mesh_edges(rows, cols):
@@ -159,6 +194,15 @@ def test_linearize_rejects_bad_inputs(chain3):
         linearize(chain3, fd, "free", cameras=(7,))
 
 
+def test_linear_system_keeps_the_nonzeros_of_a_in_row_major_order():
+    a = np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 4.0], [0.0, 5.0, 0.0]])
+    sys = LinearSystem(a=a, b=np.zeros((3, 0)), c=selection_matrix([0], 3), regime="free")
+    rows, cols, values = sys.a_nonzeros
+    assert rows.tolist() == [0, 1, 1, 2] and cols.tolist() == [1, 0, 2, 1]
+    assert values.tolist() == [2.0, 3.0, 4.0, 5.0]
+    assert not any(arr.flags.writeable for arr in sys.a_nonzeros)
+
+
 def test_linear_system_validation():
     with pytest.raises(ValueError, match="square"):
         LinearSystem(a=np.zeros((2, 3)), b=np.zeros((2, 0)), c=np.eye(2), regime="free")
@@ -167,6 +211,10 @@ def test_linear_system_validation():
             a=np.zeros((3, 3)), b=np.zeros((3, 0)),
             c=np.array([[0.5, 0.5, 0.0]]), regime="free",
         )
+    # the first bad row is named: a scaled row, then an empty one
+    for c in ([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 0]], [[1.0, 0, 0], [0, 0, 0], [0, 2.0, 0]]):
+        with pytest.raises(ValueError, match="C row 1 is not"):
+            LinearSystem(a=np.zeros((3, 3)), b=np.zeros((3, 0)), c=np.array(c), regime="free")
     bad = np.zeros((2, 2))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -224,11 +272,13 @@ def test_krylov_rank_matches_stacked_svd_on_random_systems():
         rank, gamma = observability_rank(sys)
         assert rank == stacked_rank(sys)
         assert gamma == rank / n
+        assert (rank, gamma) == exact_norm_rank(sys)
 
 
 def test_krylov_rank_matches_stacked_svd_on_twins():
     for sys in twin_systems():
         assert observability_rank(sys)[0] == stacked_rank(sys), sys.regime
+        assert observability_rank(sys) == exact_norm_rank(sys), sys.regime
 
 
 def test_krylov_rank_matches_stacked_svd_on_a_mesh():
@@ -237,6 +287,38 @@ def test_krylov_rank_matches_stacked_svd_on_a_mesh():
     for regime in REGIMES:
         sys = linearize(net, default_fd_params(net), regime, cameras=cams)
         assert observability_rank(sys)[0] == stacked_rank(sys), regime
+        assert observability_rank(sys) == exact_norm_rank(sys), regime
+
+
+def test_mesh_analysis_needs_no_exact_two_norm(monkeypatch):
+    # every singular value of the 10 x 25 mesh's residuals lies outside the
+    # bracket, so no block pays for the SVD behind np.linalg.norm(blk, 2)
+    net = make_network(mesh_edges(10, 25))
+    cams = np.random.default_rng(2).choice(net.n_segments, 22, replace=False)
+    calls = count_two_norms(monkeypatch)
+    report = analyze(net, default_fd_params(net), cams)
+    assert calls == []
+    assert report.gamma_rank["free"] > 22 / net.n_segments
+
+
+@pytest.mark.parametrize("offset, rank", [(11.0, 2), (13.0, 3)])
+def test_a_singular_value_inside_the_bracket_takes_the_exact_norm(monkeypatch, offset, rank):
+    # cameras on 0 and 1 make the second block C A = A[[0, 1]], with rows
+    # 10 e0 + d e2 and 10 (e0 / 2 + e1 sqrt(3) / 2): max row norm 10,
+    # 2-norm sqrt(150) ~ 12.25 and Frobenius norm sqrt(200) ~ 14.14. Its
+    # residual off the basis {e0, e1} is d e2, and d = offset * scale sits
+    # inside the bracket, below (11) or above (13) the exact tolerance, so
+    # the lower bound alone would keep it at 11 and the upper bound alone
+    # would drop it at 13
+    scale = 6 * np.finfo(float).eps  # max(N * m, N) * eps with N = 3, m = 2
+    a = np.zeros((3, 3))
+    a[0] = [10.0, 0.0, offset * scale]
+    a[1] = [5.0, 5.0 * np.sqrt(3.0), 0.0]
+    sys = LinearSystem(a=a, b=np.zeros((3, 0)), c=selection_matrix([0, 1], 3), regime="free")
+    want = exact_norm_rank(sys)
+    calls = count_two_norms(monkeypatch)
+    assert observability_rank(sys) == want == (rank, rank / 3)
+    assert (2, 3) in calls
 
 
 def test_two_way_ring_is_cyclic_not_nilpotent():
@@ -245,6 +327,7 @@ def test_two_way_ring_is_cyclic_not_nilpotent():
     sys = linearize(net, default_fd_params(net), "free", cameras=(0,))
     assert np.linalg.matrix_power(sys.a, 12).any()
     assert observability_rank(sys)[0] == stacked_rank(sys)
+    assert observability_rank(sys) == exact_norm_rank(sys)
 
 
 def test_equal_weight_diamond_has_rank_below_its_structure():

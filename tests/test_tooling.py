@@ -97,6 +97,18 @@ def test_only_the_network_orders_its_edges():
     assert not found, f"edge arrays sorted outside network: {found}"
 
 
+def test_only_the_linear_system_scans_a():
+    # LinearSystem finds A's nonzeros once, in row-major order; a scan of A
+    # anywhere else in observability repeats an N x N pass on every call
+    tree = ast.parse((PACKAGE / "observability.py").read_text())
+    owned = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "LinearSystem"
+             for node in ast.walk(cls)}
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _name(node.func) in {"nonzero", "flatnonzero", "argwhere"}
+             and id(node) not in owned and any(_name(n) == "a" for arg in node.args for n in ast.walk(arg))]
+    assert not found, f"A scanned for nonzeros outside LinearSystem, observability.py lines {found}"
+
+
 def _loaded_after(imports: str, prefixes: tuple) -> list:
     """The sys.modules keys starting with one of prefixes after a fresh
     interpreter runs `import <imports>`."""
