@@ -42,7 +42,8 @@ class FdParams:
     wave_speed is the congestion wave speed v_w (m/s), jam_density is per
     lane-metre (veh/m), crit_speed is the free/congested branch threshold
     speed v_crit (m/s). Both speeds must stay below every segment's free
-    flow speed; use validate() against a network.
+    flow speed: FdArrays.build checks that per segment, naming the first
+    that fails, and validate() checks it against a network.
     """
 
     wave_speed: float
@@ -283,7 +284,6 @@ def simulate(
         raise ValueError("demand profile must be (n_segments, n_bins)")
     if (profile < 0).any():
         raise ValueError("demand profile must be nonnegative")
-    fd.validate(net)
     bset = set(boundary_segments(net))
     bad = [int(i) for i in np.nonzero(profile.max(axis=1))[0] if int(i) not in bset]
     if bad:

@@ -241,21 +241,17 @@ def forecast_step(
     ens: CalibrationEnsemble,
     config: FilterConfig,
     rng: np.random.Generator,
-    beta_star: float | None = None,
-    transition: TransitionMatrix | None = None,
+    transition: TransitionMatrix,
 ) -> CalibrationEnsemble:
     """OU forecast: pull the base toward the network prior, globals toward 0.
 
-    The base component is first diffused along the flow kernel (when a
-    transition matrix is supplied), then relaxed toward beta_star, the
-    median of the baseline ensemble mean unless given explicitly. Draw
-    order (base, hour, day, regime) is fixed for reproducibility.
+    The base component is first diffused along the flow kernel, then
+    relaxed toward beta_star, the median over segments of the base's
+    ensemble mean before diffusion. Draw order (base, hour, day, regime)
+    is fixed for reproducibility.
     """
-    if beta_star is None:
-        beta_star = _median(ens.base.sum(axis=0) / ens.n_members)  # bits of base.mean(axis=0)
-    base = ens.base
-    if transition is not None:
-        base = diffuse(base, transition)
+    beta_star = _median(ens.base.sum(axis=0) / ens.n_members)  # bits of base.mean(axis=0)
+    base = diffuse(ens.base, transition)
     m, n = ens.n_members, ens.n_segments
     lb, lg = config.lambda_base, config.lambda_glob
     noise = np.concatenate([

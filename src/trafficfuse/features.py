@@ -105,7 +105,7 @@ def build_tensor(
     net: RoadNetwork,
     fd: FdParams,
     counts: CountMatrix,
-    speeds: np.ndarray | None,
+    speeds: np.ndarray,
     boundary_in: np.ndarray | None = None,
     boundary_out: np.ndarray | None = None,
     train_cols: int | None = None,
@@ -123,7 +123,6 @@ def build_tensor(
         train_cols = t
     if not 0 < train_cols <= t:
         raise ValueError("train_cols must lie in (0, n_bins]")
-    fd.validate(net)
 
     q = counts.values.copy()
     n_imp_count = int(np.isnan(q).sum())
@@ -131,15 +130,11 @@ def build_tensor(
 
     fdk = FdArrays.build(net.segments, fd, counts.bin_seconds)
     vf = fdk.v_free[:, None]
-    if speeds is None:
-        b = np.ones((n, t))
-        n_imp_speed = n * t
-    else:
-        speeds = np.asarray(speeds, dtype=float)
-        if speeds.shape != (n, t):
-            raise ValueError("speeds must align with counts")
-        n_imp_speed = int(np.isnan(speeds).sum())
-        b = np.clip(np.where(np.isnan(speeds), vf, speeds) / vf, 0.0, 1.0)
+    speeds = np.asarray(speeds, dtype=float)
+    if speeds.shape != (n, t):
+        raise ValueError("speeds must align with counts")
+    n_imp_speed = int(np.isnan(speeds).sum())
+    b = np.clip(np.where(np.isnan(speeds), vf, speeds) / vf, 0.0, 1.0)
 
     # the FD methods broadcast over a trailing segment axis
     rho = fdk.density(b.T)

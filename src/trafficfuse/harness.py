@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ensrf
 from .ctm import FdArrays, TurnRatios, default_fd_params, simulate
-from .features import FEATURE_NAMES, build_tensor
+from .features import FEATURE_NAMES, WEEKEND_DAYS, build_tensor
 from .model import DTYPE, ModelConfig, normalized_adjacency
 from .network import (
     CountMatrix,
@@ -271,14 +271,16 @@ EAST_SHARE = 0.8  # connector cells send the rest south
 TWIN_LENGTH, TWIN_LANES, TWIN_VFREE = 500.0, 2, 10.0
 
 
-def grid_network(rows: int = 5, cols: int = 10, bottleneck=(2, 5), bottleneck_capacity: float = 1700.0):
-    """Directed grid: eastbound rows linked southward at connector columns.
+def grid_network():
+    """The 5 x 10 grid twin: eastbound rows linked southward at connector
+    columns; GRID_CAMERAS is laid out on it.
 
     Returns (net, beta, source_ids). Demand enters at the source cells,
-    each row drains at its eastern end, and one reduced-capacity cell in
-    the middle queues up during peaks so both fundamental-diagram
-    branches are exercised.
+    each row drains at its eastern end, and one 1700 veh/h cell in the
+    middle, (row 2, column 5), queues up during peaks so both
+    fundamental-diagram branches are exercised.
     """
+    rows, cols = 5, 10
 
     def sid(r, c):
         return r * cols + c
@@ -287,7 +289,7 @@ def grid_network(rows: int = 5, cols: int = 10, bottleneck=(2, 5), bottleneck_ca
     flagged = set(source_ids) | {sid(r, cols - 1) for r in range(rows)}
     segs = tuple(
         Segment(id=sid(r, c), length_m=TWIN_LENGTH, lanes=TWIN_LANES,
-                capacity_vph=bottleneck_capacity if (r, c) == tuple(bottleneck) else 3600.0,
+                capacity_vph=1700.0 if (r, c) == (2, 5) else 3600.0,
                 free_flow_mps=TWIN_VFREE, is_boundary=sid(r, c) in flagged)
         for r in range(rows) for c in range(cols)
     )
@@ -306,8 +308,10 @@ def grid_network(rows: int = 5, cols: int = 10, bottleneck=(2, 5), bottleneck_ca
     return net, TurnRatios(b, net), source_ids
 
 
-def chain_network(n: int = 4):
-    """Short boundary-fed chain; the small twin for fast end-to-end runs."""
+def chain_network():
+    """The 4-segment boundary-fed chain twin, for fast end-to-end runs;
+    CHAIN_CAMERAS is laid out on it."""
+    n = 4
     segs = tuple(
         Segment(id=i, length_m=TWIN_LENGTH, lanes=TWIN_LANES, capacity_vph=2400.0,
                 free_flow_mps=TWIN_VFREE, is_boundary=i in (0, n - 1))
@@ -361,8 +365,9 @@ class ExperimentConfig:
     twin names a built-in network; a network of one's own needs twin None
     and network_path. The model and filter take their field defaults from
     ModelConfig and FilterConfig. Values no experiment varies live in
-    code: START, PENETRATION_* and BURN_DAYS here, and the defaults of
-    train, build_transition and update_confidence. The predictor trains
+    code: START, PENETRATION_* and BURN_DAYS here, train.LR and
+    train.EVAL_EVERY, propagation.CONFIDENCE_DECAY and the defaults of
+    build_transition. The predictor trains
     on the first 70% of the days, rounded.
     """
 
@@ -529,7 +534,7 @@ class Pipeline:
         self.simulate()
         hours = np.arange(24)
         hour_mult = 1.0 + PENETRATION_HOUR_AMPLITUDE * np.sin(2 * np.pi * (hours - 16) / 24.0)
-        day_mult = np.where(np.arange(7) >= 5, PENETRATION_DAY_WEEKEND, 1.0)
+        day_mult = np.array([PENETRATION_DAY_WEEKEND if d in WEEKEND_DAYS else 1.0 for d in range(7)])
         self.penetration = PenetrationModel(
             base=PENETRATION_BASE, hour_mult=hour_mult, day_mult=day_mult,
             seed=int(substream(self.cfg.seed, "penetration").integers(2**31)),
@@ -655,11 +660,11 @@ class Pipeline:
             # confidence is pinned only where a camera reported this bin
             reported = ()
             if t < t_assim:
-                reported = [c for c, miss in zip(cams, missing[:, t].tolist()) if not miss]
                 obs = [
-                    ensrf.CameraObservation(segment=c, t_index=t, count=y, missing=miss)
-                    for c, y, miss in zip(cams, y_cams[:, t].tolist(), missing[:, t].tolist())
+                    ensrf.CameraObservation(segment=c, t_index=t, count=y)
+                    for c, y, miss in zip(cams, y_cams[:, t].tolist(), missing[:, t].tolist()) if not miss
                 ]
+                reported = [o.segment for o in obs]
                 before = ens.base[:, far] if far else None
                 ens = ensrf.analysis_step(
                     ens, obs, self.q_hat[:, t], self.localization, fcfg,
@@ -678,10 +683,7 @@ class Pipeline:
         calibrated = np.full((n, t_total), np.nan)
         lo = np.full((n, t_total), np.nan)
         hi = np.full((n, t_total), np.nan)
-        alpha_path = np.full((n, t_total), np.nan)
-        alpha_width = np.full((n, t_total), np.nan)
         alpha_c = shrink_blend(mean, deltas.T, self.alpha_star)
-        alpha_path[:, run] = alpha_c
         calibrated[:, run] = calibrate_counts(q_run, alpha_c)
         # Predictive band: posterior log-ratio spread convolved with the
         # filter's own count-noise model, moment-matched in log space.
@@ -690,23 +692,23 @@ class Pipeline:
         half = crit * np.sqrt(z_var + r_z)
         lo[:, run] = q_run * np.exp(z_mean - half)
         hi[:, run] = q_run * np.exp(z_mean + half)
-        # calibration-band width on the log-multiplier scale: pure
-        # parameter spread, immune to level shifts from the learned
-        # weekday/hour pattern and free of the count-noise floor
-        alpha_width[:, run] = 2.0 * crit * np.sqrt(z_var)
 
         self.ensemble = ens
         self.delta = delta
         self.calibrated = CountMatrix(calibrated, cfg.bin_seconds, self.truth.start_time)
         self.intervals = (lo, hi)
-        self.alpha_path = alpha_path
+        # the blended field at the last assimilated bin (the warm-up found
+        # a camera pair before t_assim, so first < t_assim)
+        self.alpha_final = alpha_c[:, t_assim - 1 - first].copy()
         self.far_base_change = far_change
         self.t_assim = t_assim
-        self.alpha_width = alpha_width
         if cfg.forecast_days > 0 and far:
-            # multiplier-scale width of the camera-disconnected region,
-            # day-averaged so the daily demand cycle drops out
-            aw = alpha_width[far, t_assim:].mean(axis=0)
+            # calibration-band width on the log-multiplier scale (pure
+            # parameter spread, immune to level shifts from the learned
+            # weekday/hour pattern and free of the count-noise floor) over
+            # the camera-disconnected region, day-averaged so the daily
+            # demand cycle drops out
+            aw = (2.0 * crit * np.sqrt(z_var[far, t_assim - first:])).mean(axis=0)
             self.far_alpha_width_daily = aw.reshape(cfg.forecast_days, self.bins_per_day).mean(axis=1)
         else:
             self.far_alpha_width_daily = np.zeros(0)
@@ -728,7 +730,7 @@ class Pipeline:
         mae_unc = float(np.mean([m.mae for m in self.uncal_report.per_location.values()]))
         self.diagnostics = {
             "alpha_star": self.alpha_star,
-            "alpha_final_median": float(np.median(self.alpha_path[:, self.t_assim - 1])),
+            "alpha_final_median": float(np.median(self.alpha_final)),
             "far_segments": list(self.far_segments),
             "far_base_change": self.far_base_change,
             "far_width_daily": [float(v) for v in self.far_alpha_width_daily],
@@ -773,10 +775,9 @@ class Pipeline:
                  for k in ("calibrated_counts", "calibration_field", "transition", "localization")}
         with _stage("write"):
             save_counts(self.calibrated, paths["calibrated_counts"], self.net.external_ids)
-            final = self.alpha_path[:, self.t_assim - 1]
             write_csv(paths["calibration_field"], ["segment_id", "alpha", "delta", "localized"], zip(
                 self.net.external_ids,
-                map(repr, final.tolist()),
+                map(repr, self.alpha_final.tolist()),
                 map(repr, self.delta.tolist()),
                 self.reached.astype(int).tolist(),
             ))

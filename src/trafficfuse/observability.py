@@ -296,26 +296,24 @@ def analyze(
     net: RoadNetwork,
     fd: FdParams,
     cameras,
-    regimes=REGIMES,
-    horizon: int | None = None,
     beta: TurnRatios | None = None,
     bin_seconds: int = 900,
 ) -> ObservabilityReport:
-    """Rank index, Gramian scores, and stability estimates for a placement."""
+    """Rank index, Gramian scores, and stability estimates for a placement,
+    in both regimes and over the full horizon N (the segment count)."""
     n = len(net.segments)
-    horizon = n if horizon is None else horizon
     diagonals: dict = {}
     gamma: dict = {}
     radius: dict = {}
-    for regime in regimes:
+    for regime in REGIMES:
         sys = linearize(net, fd, regime, beta=beta, bin_seconds=bin_seconds, cameras=cameras)
         _, gamma[regime] = observability_rank(sys)
         radius[regime] = spectral_radius(sys.a)
-        diagonals[regime] = _gramian_diagonal(sys, horizon)
+        diagonals[regime] = _gramian_diagonal(sys, n)
     obs, conf = segment_scores(diagonals)
     return ObservabilityReport(
         obs=obs, conf=conf, gamma_rank=gamma, spectral_radius=radius,
-        horizon=horizon, cameras=tuple(int(i) for i in cameras),
+        horizon=n, cameras=tuple(int(i) for i in cameras),
     )
 
 

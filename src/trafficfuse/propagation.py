@@ -30,6 +30,8 @@ __all__ = [
     "export_localization",
 ]
 
+CONFIDENCE_DECAY = 0.999  # per-step decay of a segment's running confidence
+
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -127,17 +129,14 @@ def localization_vectors(t: TransitionMatrix, cameras) -> dict:
     return {int(i): localization_vector(t, int(i)) for i in cameras}
 
 
-def diffuse(beta: np.ndarray, t: TransitionMatrix, s: float | None = None) -> np.ndarray:
-    """One diffusion step, (1-s) * beta + s * W_eff beta, per member.
+def diffuse(beta: np.ndarray, t: TransitionMatrix) -> np.ndarray:
+    """One diffusion step, (1-s) * beta + s * W_eff beta, per member, at
+    the kernel's own smoothing coefficient s = t.s.
 
     Written in difference form beta_i + s * sum_j w_ij (beta_j - beta_i),
     summed over the nonzero entries of W_eff only (the edge list kept on
     t), so a spatially constant field passes through bitwise unchanged.
     """
-    if s is None:
-        s = t.s
-    if not 0.0 <= s < 1.0:
-        raise ValueError("smoothing coefficient must lie in [0, 1)")
     beta = np.asarray(beta, dtype=float)
     squeeze = beta.ndim == 1
     b = beta[None, :] if squeeze else beta
@@ -149,28 +148,22 @@ def diffuse(beta: np.ndarray, t: TransitionMatrix, s: float | None = None) -> np
     terms = b.T[cols] - b.T[rows]
     terms *= weights[:, None]
     pulled = np.bincount(t.member_slots(m), weights=terms.ravel(), minlength=m * n).reshape(m, n)
-    out = b + s * pulled
+    out = b + t.s * pulled
     return out[0] if squeeze else out
 
 
-def update_confidence(
-    delta_prev: np.ndarray,
-    alpha_mean: np.ndarray,
-    alpha_var: np.ndarray,
-    cameras=(),
-    decay: float = 0.999,
-) -> np.ndarray:
+def update_confidence(delta_prev: np.ndarray, alpha_mean: np.ndarray, alpha_var: np.ndarray, cameras=()) -> np.ndarray:
     """Confidence rises as the ensemble coefficient of variation falls.
 
-    delta = max(decay * previous, 1 / (1 + cv)), pinned to 1 on segments a
-    camera observed this step.
+    delta = max(CONFIDENCE_DECAY * previous, 1 / (1 + cv)), pinned to 1 on
+    segments a camera observed this step.
     """
     alpha_mean = np.asarray(alpha_mean, dtype=float)
     alpha_var = np.asarray(alpha_var, dtype=float)
     if (alpha_mean <= 0).any():
         raise ValueError("alpha mean must be positive")
     cv = np.sqrt(np.maximum(alpha_var, 0.0)) / alpha_mean
-    delta = np.maximum(decay * np.asarray(delta_prev, dtype=float), 1.0 / (1.0 + cv))
+    delta = np.maximum(CONFIDENCE_DECAY * np.asarray(delta_prev, dtype=float), 1.0 / (1.0 + cv))
     # clip to [0, 1] in place
     np.minimum(np.maximum(delta, 0.0, out=delta), 1.0, out=delta)
     cams = list(cameras)
@@ -186,17 +179,14 @@ def shrink_blend(alpha_mean: np.ndarray, delta: np.ndarray, alpha_star: float) -
 
 
 def calibrate_counts(q_hat: np.ndarray, alpha_c: np.ndarray) -> np.ndarray:
-    """Scale predictor counts by the blended calibration field.
-
-    alpha_c is one factor per segment, or per segment and bin when it has
-    q_hat's shape.
-    """
+    """Scale predictor counts by the blended calibration field, one factor
+    per segment and bin (alpha_c has q_hat's shape)."""
     alpha_c = np.asarray(alpha_c, dtype=float)
     if (alpha_c <= 0).any():
         raise ValueError("calibration factors must be positive")
     q_hat = np.asarray(q_hat, dtype=float)
-    if alpha_c.ndim < q_hat.ndim:
-        alpha_c = alpha_c[:, None]
+    if alpha_c.shape != q_hat.shape:
+        raise ValueError(f"calibration factors {alpha_c.shape} do not match counts {q_hat.shape}")
     return alpha_c * q_hat
 
 

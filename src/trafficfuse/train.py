@@ -44,6 +44,8 @@ INFER_ROWS = 2048
 CLIP_NORM = 5.0  # global gradient-norm clip
 VAL_FRACTION = 0.2  # trailing share of windows held out for validation
 PATIENCE = 8  # evaluations without improvement before stopping early
+LR = 1e-3  # Adam learning rate
+EVAL_EVERY = 25  # training steps between validation passes
 
 
 def _bin_major(tensor: FeatureTensor) -> np.ndarray:
@@ -211,15 +213,15 @@ def train(
     seed: int = 0,
     steps: int = 500,
     batch_size: int = 8,
-    lr: float = 1e-3,
-    eval_every: int = 25,
 ) -> TrainResult:
     """Optimize the predictor on a window set.
 
     Windows are split chronologically (the trailing VAL_FRACTION is the
-    validation span). Early stopping keeps the parameters with the best
-    validation loss; training aborts with a step-indexed error if the
-    loss or any parameter stops being finite.
+    validation span). Adam runs at learning rate LR and the validation
+    loss is taken every EVAL_EVERY steps and at the last; early stopping
+    keeps the parameters with the best validation loss. Training aborts
+    with a step-indexed error if the loss or any parameter stops being
+    finite.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -232,7 +234,7 @@ def train(
     train_w = windows.subset(np.arange(n_train))
     val_w = windows.subset(np.arange(n_train, len(windows))) if n_val else train_w
 
-    opt = _Adam(params, lr)
+    opt = _Adam(params, LR)
     best = {k: v.data.copy() for k, v in params.items()}
     best_val = np.inf
     bad_evals = 0
@@ -262,7 +264,7 @@ def train(
         for name, p in params.items():
             if not np.isfinite(p.data).all():
                 raise RuntimeError(f"training diverged at step {step}: parameter {name} is not finite")
-        if step % eval_every == 0 or step == steps:
+        if step % EVAL_EVERY == 0 or step == steps:
             val = _evaluate(params, cfg, a_hat, val_w, qmax)
             log.append(
                 [step]

@@ -23,7 +23,8 @@ from trafficfuse.ctm import (
     simulate,
     supply,
 )
-from trafficfuse.network import Segment, max_storage
+from trafficfuse.features import build_tensor
+from trafficfuse.network import CountMatrix, Segment, max_storage
 
 from conftest import make_chain, make_network, make_ring
 
@@ -114,6 +115,18 @@ def test_fd_validation_against_network():
         FdParams(wave_speed=2.0, jam_density=1.0, crit_speed=10.0).validate(net)
     with pytest.raises(ValueError):
         FdParams(wave_speed=0.0, jam_density=1.0, crit_speed=1.0)
+
+
+@pytest.mark.parametrize("entry", ["simulate", "build_tensor"])
+def test_fd_speeds_above_a_segments_free_flow_fail_naming_it(entry):
+    # FdArrays.build checks the rule once per call, per segment
+    net = make_chain(3, vfree=[10.0, 10.0, 5.0], boundary=(0, 2))
+    fd = FdParams(wave_speed=2.0, jam_density=1.0, crit_speed=7.0)
+    with pytest.raises(ValueError, match=r"^segment 2: fd speeds must stay below free flow 5\.0$"):
+        if entry == "simulate":
+            simulate(net, fd, TurnRatios.uniform(net), np.zeros((3, 4)), BIN, T0)
+        else:
+            build_tensor(net, fd, CountMatrix(np.ones((3, 4)), 900, T0), np.full((3, 4), 8.0))
 
 
 def test_default_fd_params_supply_reaches_capacity():

@@ -120,18 +120,31 @@ def test_effective_beta_is_component_sum():
     assert z[0, 1] == pytest.approx(0.55, abs=1e-12)
 
 
+def _still(n):
+    """The kernel of n flow-isolated segments: W_eff is the identity."""
+    return build_transition(np.zeros((n, n)))
+
+
+def test_an_identity_kernel_diffuses_nothing():
+    # the forecast tests that need no spatial spread run on this kernel
+    t = _still(4)
+    assert np.array_equal(t.w_eff, np.eye(4))
+    base = np.random.default_rng(2).normal(size=(5, 4))
+    assert np.array_equal(diffuse(base, t).view(np.uint64), base.view(np.uint64))
+
+
 def test_forecast_fixed_point_and_contraction():
     cfg = FilterConfig(n_members=4, q_base=0.0, q_hour=0.0, q_day=0.0, q_regime=0.0,
                        lambda_base=0.1, lambda_glob=0.2)
     rng = substream(0, "forecast")
     star = 0.37
     ens = _bare_ensemble(np.full((4, 3), star))
-    out = forecast_step(ens, cfg, rng, beta_star=star)
+    out = forecast_step(ens, cfg, rng, _still(3))
     assert np.allclose(out.base, star, atol=1e-15)
-    # deviation of 1 contracts to 1 - lambda_base
-    ens2 = _bare_ensemble(np.full((4, 3), 1.0))
-    out2 = forecast_step(ens2, cfg, rng, beta_star=0.0)
-    assert np.array_equal(out2.base, np.full((4, 3), 0.9))
+    # deviation of 1 from a prior of 0 (the median of 1, 0, 0) contracts to 1 - lambda_base
+    ens2 = _bare_ensemble(np.tile([1.0, 0.0, 0.0], (4, 1)))
+    out2 = forecast_step(ens2, cfg, rng, _still(3))
+    assert np.array_equal(out2.base, np.tile([0.9, 0.0, 0.0], (4, 1)))
 
 
 def test_forecast_globals_decay_geometrically():
@@ -141,7 +154,7 @@ def test_forecast_globals_decay_geometrically():
     ens.hour[:] = 1.0
     rng = substream(0, "decay")
     for k in range(1, 6):
-        ens = forecast_step(ens, cfg, rng, beta_star=0.0)
+        ens = forecast_step(ens, cfg, rng, _still(1))
         assert np.allclose(ens.hour, 0.8**k, rtol=1e-12)
 
 
@@ -150,7 +163,7 @@ def test_forecast_default_prior_is_median_of_base_means():
                        lambda_base=0.5, lambda_glob=0.6)
     base = np.array([[0.0, 1.0, 5.0], [0.0, 1.0, 5.0]])
     ens = _bare_ensemble(base)
-    out = forecast_step(ens, cfg, substream(0, "x"))
+    out = forecast_step(ens, cfg, substream(0, "x"), _still(3))
     # beta_star = median(0, 1, 5) = 1; segment 0 moves halfway toward it
     assert np.allclose(out.base[:, 0], 0.5)
     assert np.allclose(out.base[:, 1], 1.0)
@@ -164,10 +177,11 @@ def test_forecast_consumes_diffused_base():
     cfg = FilterConfig(n_members=2, q_base=0.0, q_hour=0.0, q_day=0.0, q_regime=0.0,
                        lambda_base=0.01, lambda_glob=0.2)
     ens = _bare_ensemble(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    out = forecast_step(ens, cfg, substream(0, "d"), beta_star=0.0, transition=t)
+    out = forecast_step(ens, cfg, substream(0, "d"), t)
     # diffusion moves both segments toward each other before the OU pull
-    assert out.base[0, 0] < 1.0
-    assert out.base[0, 1] > 0.0
+    # toward their prior 0.5 (the median of 1 and 0), and by more than it
+    assert out.base[0, 0] < 0.99 * 1.0 + 0.01 * 0.5
+    assert out.base[0, 1] > 0.99 * 0.0 + 0.01 * 0.5
 
 
 ORACLE_MEMBERS = np.array([-0.1, 0.0, 0.1])
@@ -304,8 +318,10 @@ def test_ou_stationary_variance():
                        q_hour=0.0, q_day=0.0, q_regime=0.0)
     rng = substream(1, "ou")
     ens = _bare_ensemble(np.zeros((4000, 1)))
+    # one segment: the prior is its own ensemble mean, so the spread about
+    # that mean contracts by 1 - lambda_base each step
     for _ in range(300):
-        ens = forecast_step(ens, cfg, rng, beta_star=0.0)
+        ens = forecast_step(ens, cfg, rng, _still(1))
     want = 1e-3 / (1.0 - 0.9**2)
     assert ens.base[:, 0].var(ddof=1) == pytest.approx(want, rel=0.05)
 
@@ -316,8 +332,8 @@ def test_seeded_determinism():
     b = init_ensemble(4, cfg, substream(5, "run"))
     ra, rb = substream(6, "fc"), substream(6, "fc")
     for _ in range(3):
-        a = forecast_step(a, cfg, ra)
-        b = forecast_step(b, cfg, rb)
+        a = forecast_step(a, cfg, ra, _still(4))
+        b = forecast_step(b, cfg, rb, _still(4))
     assert np.array_equal(a.base, b.base)
     assert np.array_equal(a.hour, b.hour)
 
@@ -338,14 +354,18 @@ def test_matches_exact_kalman_filter_1d():
         init_base_sd=0.3, init_glob_sd=0.0, max_global_obs=0,
     )
     rng = substream(2, "kf-twin")
-    ens = init_ensemble(1, cfg, rng, alpha_0=1.0)
+    one = init_ensemble(1, cfg, rng, alpha_0=1.0)
+    # two anchor segments that no camera reaches start every member at 0,
+    # so the prior (the median of the three segment means) holds at 0 but
+    # for the mean of the anchors' forecast noise, sd sqrt(q / m) = 2e-4
+    ens = CalibrationEnsemble(np.hstack([one.base, np.zeros((m, 2))]), one.hour, one.day, one.regime)
     kf_mean, kf_var = 0.0, cfg.init_base_sd**2
-    q_hat = np.array([100.0])
-    loc = {0: np.ones(1)}
-    regimes = np.zeros(1, dtype=int)
+    q_hat = np.full(3, 100.0)
+    loc = {0: np.array([1.0, 0.0, 0.0])}
+    regimes = np.zeros(3, dtype=int)
     worst_mean, worst_var = 0.0, 0.0
     for cycle in range(50):
-        ens = forecast_step(ens, cfg, rng, beta_star=0.0)
+        ens = forecast_step(ens, cfg, rng, _still(3))
         kf_mean = (1 - lam) * kf_mean
         kf_var = (1 - lam) ** 2 * kf_var + q
         z = 0.25 * math.sin(cycle / 5.0) + rng.normal(0, math.sqrt(r))
@@ -361,6 +381,7 @@ def test_matches_exact_kalman_filter_1d():
         worst_mean = max(worst_mean, abs(got_mean - kf_mean) / max(abs(kf_mean), 0.05))
     assert worst_var < 0.05, f"variance off by {worst_var:.3%}"
     assert worst_mean < 0.05, f"mean off by {worst_mean:.3%}"
+    assert abs(float(np.median(ens.base.mean(axis=0)))) < 2e-3
 
 
 def test_zero_gain_columns_stay_bitwise_unchanged():
@@ -406,12 +427,11 @@ def _four_array_analysis(parts, observations, q_hat, localization, config, hour,
     return base, hour_c, day_c, regime
 
 
-def _four_draw_forecast(parts, config, rng, transition=None):
+def _four_draw_forecast(parts, config, rng, transition):
     """OU forecast of separate arrays: one normal draw per component."""
     base, hour_c, day_c, regime = parts
     beta_star = float(np.median(base.mean(axis=0)))
-    if transition is not None:
-        base = diffuse(base, transition)
+    base = diffuse(base, transition)
     lb, lg = config.lambda_base, config.lambda_glob
     base = (1.0 - lb) * base + lb * beta_star + rng.normal(0.0, np.sqrt(config.q_base), size=base.shape)
     hour_c = (1.0 - lg) * hour_c + rng.normal(0.0, np.sqrt(config.q_hour), size=hour_c.shape)
@@ -471,9 +491,9 @@ def test_single_state_forecast_matches_four_draw_form(n_segments):
     for i in range(n_segments - 1):
         flows[i, i + 1] = 1.0 + i
     t = build_transition(flows, gamma_pd=0.8, s=0.2)
-    for transition in (None, t):
-        out = forecast_step(ens, cfg, substream(9, "fc"), transition=transition)
-        want = _four_draw_forecast(_components(ens), cfg, substream(9, "fc"), transition=transition)
+    for transition in (_still(n_segments), t):
+        out = forecast_step(ens, cfg, substream(9, "fc"), transition)
+        want = _four_draw_forecast(_components(ens), cfg, substream(9, "fc"), transition)
         for got, ref in zip(_components(out), want):
             assert np.array_equal(got, ref)
 

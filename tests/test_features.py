@@ -13,7 +13,7 @@ from trafficfuse.features import (
     build_tensor,
     temporal_features,
 )
-from trafficfuse.harness import grid_network
+from trafficfuse.harness import GRID_CONNECTOR_COLS, grid_network
 from trafficfuse.network import CountMatrix, SchemaError, Segment, max_storage
 
 from conftest import make_chain, make_network
@@ -160,7 +160,7 @@ def test_temporal_rejects_bad_input():
 def test_los_bands(ratio, value):
     # capacity 4 veh/h over a 900 s bin is Q_max = 1, so q/C is the count exactly
     net = make_network([], n=1, capacity=4.0)
-    ft = build_tensor(net, FD, CountMatrix([[ratio]], 900, T0), None)
+    ft = build_tensor(net, FD, CountMatrix([[ratio]], 900, T0), np.full((1, 1), np.nan))
     assert ft.values[0, 0, 13] == ratio
     assert ft.values[0, 0, 14] == value
     assert los_band(ratio) == value
@@ -170,7 +170,7 @@ def test_los_rejects_negative():
     # a negative volume ratio never reaches the LOS column: counts refuse it
     net = make_network([], n=1, capacity=4.0)
     with pytest.raises(SchemaError):
-        build_tensor(net, FD, CountMatrix([[-0.1]], 900, T0), None)
+        build_tensor(net, FD, CountMatrix([[-0.1]], 900, T0), np.full((1, 1), np.nan))
 
 
 def test_sd_free_flow_empty_segment():
@@ -231,11 +231,21 @@ def test_spatial_block_sums_neighbours_in_ascending_id(seed):
     assert np.array_equal(block, sp_features(b, net))
 
 
+def _grid(rows, cols):
+    """The grid twin's layout at any size: eastbound rows linked southward
+    at the connector columns."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in GRID_CONNECTOR_COLS]
+    return make_network(edges, n=rows * cols)
+
+
 @pytest.mark.parametrize("rows,cols", [(5, 10), (20, 40)])
 def test_spatial_block_matches_dense_products_bitwise(rows, cols):
-    # every degree of the grid twins is at most 2, so any order of the
+    # every degree of the grid layout is at most 2, so any order of the
     # neighbour sum is exact and the dense products agree bit for bit
-    net, _, _ = grid_network(rows=rows, cols=cols)
+    net = _grid(rows, cols)
+    if (rows, cols) == (5, 10):
+        assert net.edges == grid_network()[0].edges
     assert max(net.in_degree.max(), net.out_degree.max()) <= 2
     b, block = _spatial_block(net, rows)
     mean_ds, mean_us = dense_neighbour_means(b, net)
@@ -294,6 +304,10 @@ def test_build_tensor_imputation_diagnostics():
     assert ft.n_imputed_count == 1
     assert ft.values[1, 4, 9] == 1.0  # missing speed reads free flow
     assert ft.values[2, 5, 0] == 0.0  # missing count reads zero
+    # with no speeds at all, every bin reads free flow
+    ft = build_tensor(net, fd, cm, np.full((3, 16), np.nan))
+    assert ft.n_imputed_speed == 3 * 16
+    assert np.array_equal(ft.values[:, :, 9], np.ones((3, 16)))
 
 
 def test_build_tensor_nmax_uses_training_columns_only():
@@ -345,6 +359,6 @@ def test_temporal_block_matches_per_bin_features(start, bin_seconds, n_bins):
     # build_tensor looks each bin up in an (hour, day) table; the per-bin
     # call is the reference, compared bit for bit
     cm = CountMatrix(np.zeros((2, n_bins)), bin_seconds, start)
-    got = build_tensor(make_chain(2), FD, cm, None).values[:, :, 1:8]
+    got = build_tensor(make_chain(2), FD, cm, np.full((2, n_bins), np.nan)).values[:, :, 1:8]
     expected = np.stack([temporal_features(int(h), int(d)) for h, d in zip(cm.hours(), cm.days())])
     assert (got.view(np.uint64) == expected.view(np.uint64)).all()

@@ -294,12 +294,13 @@ class TestTwins:
             assert rows[i] == pytest.approx(expected)
 
     def test_grid_bottleneck_capacity_applies(self):
-        net, _, _ = grid_network(bottleneck=(2, 5), bottleneck_capacity=1234.0)
-        assert net.segments[25].capacity_vph == 1234.0
-        assert net.segments[24].capacity_vph == 3600.0
+        net, _, _ = grid_network()
+        # one reduced-capacity cell, at row 2, column 5
+        assert net.segments[25].capacity_vph == 1700.0
+        assert [i for i, seg in enumerate(net.segments) if seg.capacity_vph != 3600.0] == [25]
 
     def test_chain_twin(self):
-        net, beta, sources = chain_network(n=4)
+        net, beta, sources = chain_network()
         assert net.n_segments == 4
         assert net.edges == ((0, 1), (1, 2), (2, 3))
         assert sources == [0]

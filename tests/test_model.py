@@ -313,7 +313,7 @@ def test_build_windows_rejects_short_series():
 
 def test_training_beats_untrained_baseline():
     cfg, a_hat, windows, qmax, _, _ = _training_setup()
-    res = train(cfg, a_hat, windows, qmax, seed=1, steps=150, batch_size=8, eval_every=25)
+    res = train(cfg, a_hat, windows, qmax, seed=1, steps=150, batch_size=8)
     n_val = int(round(len(windows) * 0.2))
     val_w = windows.subset(np.arange(len(windows) - n_val, len(windows)))
     from trafficfuse.util import substream
@@ -325,22 +325,25 @@ def test_training_beats_untrained_baseline():
         assert np.isfinite(p.data).all()
 
 
-def test_training_is_seed_deterministic():
+def test_training_is_seed_deterministic(monkeypatch):
+    monkeypatch.setattr(train_module, "EVAL_EVERY", 20)
     cfg, a_hat, windows, qmax, _, _ = _training_setup()
-    r1 = train(cfg, a_hat, windows, qmax, seed=4, steps=40, batch_size=8, eval_every=20)
-    r2 = train(cfg, a_hat, windows, qmax, seed=4, steps=40, batch_size=8, eval_every=20)
+    r1 = train(cfg, a_hat, windows, qmax, seed=4, steps=40, batch_size=8)
+    r2 = train(cfg, a_hat, windows, qmax, seed=4, steps=40, batch_size=8)
     for k in r1.params:
         assert np.array_equal(r1.params[k].data, r2.params[k].data), k
     assert r1.log == r2.log
-    r3 = train(cfg, a_hat, windows, qmax, seed=5, steps=40, batch_size=8, eval_every=20)
+    r3 = train(cfg, a_hat, windows, qmax, seed=5, steps=40, batch_size=8)
     assert any(not np.array_equal(r1.params[k].data, r3.params[k].data) for k in r1.params)
 
 
-def test_training_divergence_is_reported():
+def test_training_divergence_is_reported(monkeypatch):
+    monkeypatch.setattr(train_module, "LR", 1e12)
+    monkeypatch.setattr(train_module, "EVAL_EVERY", 100)
     cfg, a_hat, windows, qmax, _, _ = _training_setup()
     with np.errstate(all="ignore"):
         with pytest.raises(RuntimeError, match="not finite"):
-            train(cfg, a_hat, windows, qmax, seed=2, steps=8, batch_size=4, lr=1e12, eval_every=100)
+            train(cfg, a_hat, windows, qmax, seed=2, steps=8, batch_size=4)
 
 
 def test_training_needs_a_step():
@@ -689,9 +692,10 @@ def test_a_float32_tape_and_its_optimizer_stay_float32(monkeypatch):
 
     monkeypatch.setattr(train_module, "_Adam", RecordingAdam)
     monkeypatch.setattr(train_module, "CLIP_NORM", 1e-6)
+    monkeypatch.setattr(train_module, "EVAL_EVERY", 2)
     cfg, a_hat, windows, qmax, _, _ = _training_setup()
     made.clear()
-    res = train(cfg, a_hat, windows, qmax, seed=0, steps=4, batch_size=4, eval_every=2)
+    res = train(cfg, a_hat, windows, qmax, seed=0, steps=4, batch_size=4)
     (opt,) = optimizers
     assert opt.t == 4
     assert made and set(made) == {np.dtype(np.float32)}
@@ -717,9 +721,10 @@ def test_float32_forward_stays_close_to_the_float64_forward():
     assert gap < 1e-5, gap
 
 
-def test_training_steps_hold_one_tape_at_a_time():
+def test_training_steps_hold_one_tape_at_a_time(monkeypatch):
     # each step's backward frees its tape, so no tape or interior gradient
     # of one step is alive during the next, and more steps add no peak
+    monkeypatch.setattr(train_module, "EVAL_EVERY", 10**6)
     pipe = Pipeline(ExperimentConfig(twin="grid", days=2, forecast_days=0))
     pipe.features()
     cfg = pipe.cfg
@@ -731,7 +736,7 @@ def test_training_steps_hold_one_tape_at_a_time():
     for steps in (1, 3):
         tracemalloc.start()
         try:
-            train(cfg.model, a_hat, windows, qmax, seed=0, steps=steps, eval_every=10**6)
+            train(cfg.model, a_hat, windows, qmax, seed=0, steps=steps)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

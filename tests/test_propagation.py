@@ -9,6 +9,7 @@ import pytest
 from conftest import check_transition_invariants, make_chain
 from trafficfuse.harness import PENETRATION_BASE, ExperimentConfig, Pipeline
 from trafficfuse.propagation import (
+    CONFIDENCE_DECAY,
     TransitionMatrix,
     _effective_rows,
     build_transition,
@@ -127,9 +128,16 @@ def test_build_transition_rejects_non_finite_flows(value):
 
 
 def test_diffuse_zero_smoothing_is_identity():
-    t = _chain_transition()
+    t = _chain_transition(s=0.0)
     beta = np.random.default_rng(0).normal(size=(4, 3))
-    assert np.array_equal(diffuse(beta, t, s=0.0), beta)
+    assert np.array_equal(diffuse(beta, t), beta)
+
+
+@pytest.mark.parametrize("s", [-0.1, 1.0, float("nan")])
+def test_build_transition_rejects_a_smoothing_coefficient_outside_the_unit_interval(s):
+    # the kernel is the only source of diffuse's coefficient
+    with pytest.raises(ValueError, match="smoothing coefficient"):
+        _chain_transition(s=s)
 
 
 def test_diffuse_constant_field_is_fixed_point():
@@ -140,9 +148,9 @@ def test_diffuse_constant_field_is_fixed_point():
 
 
 def test_diffuse_single_member_vector():
-    t = _chain_transition()
+    t = _chain_transition(s=0.4)
     beta = np.array([1.0, 0.0, -1.0])
-    out = diffuse(beta, t, s=0.4)
+    out = diffuse(beta, t)
     assert out.shape == (3,)
     # middle segment pulled toward the average of its neighbours
     assert out[1] == pytest.approx(0.4 * (0.25 * 1.0 + 0.25 * -1.0 - 0.5 * 0.0), abs=1e-15)
@@ -152,10 +160,10 @@ def test_diffuse_matches_direct_form():
     rng = np.random.default_rng(3)
     flows = rng.uniform(0, 5, size=(6, 6)) * (rng.random((6, 6)) < 0.4)
     np.fill_diagonal(flows, 0)
-    t = build_transition(flows, gamma_pd=0.8)
+    t = build_transition(flows, gamma_pd=0.8, s=0.25)
     beta = rng.normal(size=(4, 6))
     direct = (1 - 0.25) * beta + 0.25 * beta @ t.w_eff.T
-    assert np.allclose(diffuse(beta, t, s=0.25), direct, atol=1e-12)
+    assert np.allclose(diffuse(beta, t), direct, atol=1e-12)
 
 
 def test_diffuse_memory_scales_with_edges():
@@ -274,8 +282,8 @@ def test_update_confidence_rules():
     delta = update_confidence(np.zeros(3), np.ones(3), np.full(3, 100.0), cameras=[1])
     assert delta[1] == 1.0 and delta[0] < 0.1
     # geometric decay keeps the running maximum
-    delta = update_confidence(np.array([0.9]), np.array([1.0]), np.array([100.0]), decay=0.999)
-    assert delta[0] == pytest.approx(0.999 * 0.9)
+    delta = update_confidence(np.array([0.9]), np.array([1.0]), np.array([100.0]))
+    assert delta[0] == pytest.approx(CONFIDENCE_DECAY * 0.9)
     with pytest.raises(ValueError, match="positive"):
         update_confidence(np.zeros(1), np.array([0.0]), np.array([1.0]))
 
@@ -288,12 +296,15 @@ def test_shrink_blend_interpolates():
 
 def test_calibrate_counts():
     q = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(calibrate_counts(q, np.ones(2)), q)
-    out = calibrate_counts(q, np.array([2.0, 0.5]))
+    assert np.array_equal(calibrate_counts(q, np.ones((2, 2))), q)
+    out = calibrate_counts(q, np.array([[2.0, 2.0], [0.5, 0.5]]))
     assert np.array_equal(out, [[2.0, 4.0], [1.5, 2.0]])
-    assert np.array_equal(calibrate_counts(np.zeros(2), np.array([7.0, 9.0])), np.zeros(2))
+    assert np.array_equal(calibrate_counts(np.zeros((2, 2)), np.array([[7.0, 7.0], [9.0, 9.0]])), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="positive"):
-        calibrate_counts(q, np.array([1.0, 0.0]))
+        calibrate_counts(q, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # one factor per segment does not broadcast over the bins
+    with pytest.raises(ValueError, match="do not match"):
+        calibrate_counts(q, np.array([2.0, 0.5]))
 
 
 def test_calibrate_counts_per_bin_factors():

@@ -240,6 +240,64 @@ def test_config_fields_are_pinned():
         assert set(cls.__dataclass_fields__) == names, cls.__name__
 
 
+def _defaulted_parameters(body, prefix: str, in_class: bool = False) -> dict:
+    """{qualified name: parameter names with a default} over the public
+    functions and methods in body, a public class's dunders included."""
+    found = {}
+    for node in body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found.update(_defaulted_parameters(node.body, f"{prefix}{node.name}.", in_class=True))
+        elif isinstance(node, ast.FunctionDef):
+            dunder = in_class and node.name.startswith("__") and node.name.endswith("__")
+            if node.name.startswith("_") and not dunder:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if names:
+                found[prefix + node.name] = set(names)
+    return found
+
+
+def test_function_defaults_are_pinned():
+    # Every parameter with a default is one more configuration that tests
+    # must cover. A new default needs two callers outside tests that need
+    # different values; a value every caller shares is a constant next to
+    # the code that reads it.
+    pinned = {
+        "autodiff.Tensor.__init__": {"requires_grad"},
+        "autodiff.Tensor.sum": {"axis", "keepdims"},
+        "autodiff.Tensor.mean": {"axis", "keepdims"},
+        "autodiff.softmax": {"axis"},
+        "autodiff.affine": {"b"},
+        "cli.main": {"argv"},
+        "ctm.default_fd_params": {"bin_seconds"},
+        "ctm.simulate": {"initial"},
+        "ensrf.CalibrationEnsemble.__init__": {"confidence", "n_assimilated"},
+        "ensrf.CalibrationEnsemble.from_state": {"n_assimilated"},
+        "ensrf.init_ensemble": {"alpha_0"},
+        "features.build_tensor": {"boundary_in", "boundary_out", "train_cols"},
+        "harness.pool_windows": {"others"},
+        "harness.evaluate": {"lo", "hi"},
+        "harness.run_pipeline": {"out_dir"},
+        "model.forward": {"carry"},
+        "observability.linearize": {"beta", "bin_seconds", "cameras"},
+        "observability.gramian": {"horizon"},
+        "observability.lyapunov_gramian": {"tol"},
+        "observability.analyze": {"beta", "bin_seconds"},
+        "propagation.build_transition": {"gamma_pd", "s"},
+        "propagation.update_confidence": {"cameras"},
+        "train.build_windows": {"boundary_in", "boundary_out", "t_last"},
+        "train.train": {"seed", "steps", "batch_size"},
+    }
+    assert sum(map(len, pinned.values())) == 38
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.update(_defaulted_parameters(ast.parse(path.read_text(), filename=str(path)).body, f"{path.stem}."))
+    assert found == pinned
+
+
 def test_readme_configs_load(tmp_path):
     # every config README shows must load, so the documented schema cannot drift
     blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
