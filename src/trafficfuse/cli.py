@@ -1,11 +1,12 @@
 """Command-line front end: `run` and `observability`.
 
-Both commands read the same experiment JSON (defaults apply when no
-config is given) and write into --out. `run` executes the whole chain
-and writes the full artifact set; `observability` builds the network and
-writes only the camera-placement analysis, training nothing. A bad config
-or a failed stage prints one line, `trafficfuse: error: <stage>: <cause>`,
-to stderr and exits 1.
+Both commands take two flags: --config, the experiment JSON (defaults
+apply when none is given), and --out. The config's seed field is the one
+place a run's seed is set. `run` executes the whole chain and writes
+the full artifact set; `observability` builds the network and writes
+only the camera-placement analysis, training nothing. A bad config or a
+failed stage prints one line, `trafficfuse: error: <stage>: <cause>`, to
+stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import ctypes
 import os
 import sys
-from dataclasses import replace
 
 from .harness import ExperimentConfig, Pipeline, PipelineError, load_config
 
@@ -50,16 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="experiment JSON (defaults when omitted)")
-        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
-
-
-def _configure(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
 
 
 def _cmd_observability(pipe: Pipeline, out: str) -> str:
@@ -86,7 +78,7 @@ _COMMANDS = {
 def _run(args) -> str:
     """The command's summary line; a PipelineError names the failed stage."""
     try:
-        cfg = _configure(args)
+        cfg = load_config(args.config) if args.config else ExperimentConfig()
     except (OSError, ValueError) as exc:
         raise PipelineError("config", exc) from exc
     try:

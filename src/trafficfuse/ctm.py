@@ -42,8 +42,8 @@ class FdParams:
     wave_speed is the congestion wave speed v_w (m/s), jam_density is per
     lane-metre (veh/m), crit_speed is the free/congested branch threshold
     speed v_crit (m/s). Both speeds must stay below every segment's free
-    flow speed: FdArrays.build checks that per segment, naming the first
-    that fails, and validate() checks it against a network.
+    flow speed: FdArrays.build checks that, naming the first segment that
+    fails.
     """
 
     wave_speed: float
@@ -53,13 +53,6 @@ class FdParams:
     def __post_init__(self):
         if self.wave_speed <= 0 or self.jam_density <= 0 or self.crit_speed <= 0:
             raise ValueError("FdParams fields must be positive")
-
-    def validate(self, net: RoadNetwork) -> None:
-        vmin = min(s.free_flow_mps for s in net.segments)
-        if self.wave_speed >= vmin:
-            raise ValueError(f"wave_speed {self.wave_speed} >= min free flow {vmin}")
-        if self.crit_speed >= vmin:
-            raise ValueError(f"crit_speed {self.crit_speed} >= min free flow {vmin}")
 
     def jam_pseudo(self, seg: Segment) -> float:
         """Aggregate jam pseudo-density of one segment (count / speed units)."""
@@ -143,7 +136,9 @@ class FdArrays:
     Every FD map in the package evaluates these methods: the scalar API
     below, the stepping kernel and the feature build. Built once per
     (segments, FdParams, bin width); the methods broadcast over arrays
-    whose last axis runs over the segments.
+    whose last axis runs over the segments. build is the one place the
+    FD speeds are checked against each segment's free flow speed, so
+    linearize reads its speeds from here too.
     """
 
     qmax: np.ndarray

@@ -181,10 +181,12 @@ class CalibrationEnsemble:
 
 @dataclass(frozen=True)
 class CameraObservation:
+    """One camera reading. A camera with no reading in a bin has no
+    observation: the caller drops it, so count must be finite."""
+
     segment: int
     t_index: int
     count: float
-    missing: bool = False
 
 
 def log_ratio(y, q_hat):
@@ -295,8 +297,8 @@ def analysis_step(
     q_hat holds the predictor counts the ratios are taken against, at the
     observation time. localization maps camera segment id to its gain
     mask. Duplicate observations for a segment are dropped after the
-    first; missing-flagged ones are skipped, and a non-finite count must
-    be flagged missing. Each observation is one update of the whole state,
+    first, and a non-finite count raises: a camera without a reading has
+    no observation. Each observation is one update of the whole state,
     with gain row [rho | global_gain_scale] for the first max_global_obs
     observations and [rho | 0] after them.
     """
@@ -306,12 +308,12 @@ def analysis_step(
     seen = set()
     todo = []
     for obs in observations:
-        if obs.missing or obs.segment in seen:
+        if obs.segment in seen:
             continue
         if not 0 <= obs.segment < n:
             raise ValueError(f"observation at unknown segment {obs.segment}")
         if not np.isfinite(obs.count):
-            raise ValueError(f"non-finite camera count at segment {obs.segment} is not flagged missing")
+            raise ValueError(f"non-finite camera count at segment {obs.segment}")
         if obs.count < 0:
             raise ValueError(f"negative camera count at segment {obs.segment}")
         seen.add(obs.segment)

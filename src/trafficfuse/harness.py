@@ -21,7 +21,7 @@ import json
 import os
 import statistics
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class PenetrationModel:
 def thin_counts(truth: CountMatrix, pen: PenetrationModel) -> CountMatrix:
     """Binomial probe sample of a true count matrix; NaN bins stay NaN."""
     values = truth.values
-    if np.nanmin(values) < 0:
+    if (values < 0).any():
         raise ValueError("true counts must be nonnegative")
     rate = pen.effective(values.shape[0], truth.hours(), truth.days())
     missing = np.isnan(values)
@@ -172,9 +172,6 @@ class LocationMetrics:
     r2: float | None
     r: float | None
 
-    def to_dict(self) -> dict:
-        return {"mae": self.mae, "rmse": self.rmse, "r2": self.r2, "r": self.r}
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -187,13 +184,10 @@ class MetricsReport:
     notes: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "per_location": {str(k): v.to_dict() for k, v in self.per_location.items()},
-            "pooled_r2": self.pooled_r2,
-            "coverage": self.coverage,
-            "n_points": self.n_points,
-            "notes": list(self.notes),
-        }
+        """asdict, with per_location keyed by strings, as JSON keys are."""
+        d = asdict(self)
+        d["per_location"] = {str(k): v for k, v in d["per_location"].items()}
+        return d
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -415,23 +409,14 @@ class ExperimentConfig:
             raise ValueError(f"bin_seconds {self.bin_seconds} does not divide a day (86400 s)")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if is_dataclass(value):
-                value = {k.name: getattr(value, k.name) for k in fields(value)}
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = config_kwargs(d, cls, "experiment")
-        if "model" in d:
-            d["model"] = ModelConfig.from_dict(d["model"])
-        if "filter" in d:
-            d["filter"] = ensrf.FilterConfig(**config_kwargs(d["filter"], ensrf.FilterConfig, "filter"))
+        for key, section in (("model", ModelConfig), ("filter", ensrf.FilterConfig)):
+            if key in d:
+                d[key] = section(**config_kwargs(d[key], section, key))
         for key in ("cameras_calibration", "cameras_validation"):
             if key in d:
                 d[key] = tuple(d[key])
@@ -642,8 +627,8 @@ class Pipeline:
         regimes = ensrf.regime_index(ratios[:, run].T)  # (bins, N)
         hour_of, day_of = self.truth.hours().tolist(), self.truth.days().tolist()
         y_cams = self.truth.values[cams]
-        # a camera bin without a finite count or predictor estimate is
-        # skipped, not assimilated
+        # a camera bin without a finite count or predictor estimate gets no
+        # observation: the one place a missing reading is dropped
         missing = ~(np.isfinite(y_cams) & np.isfinite(self.q_hat[cams]))
 
         rng = substream(cfg.seed, "ensrf")

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, affine, gelu, grad_enabled, layer_norm, neighbour_affine, softmax
-from .util import config_kwargs
 
 __all__ = ["ModelConfig", "Prediction", "init_params", "normalized_adjacency", "forward", "loss_components"]
 
@@ -66,13 +65,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.embed_dim % self.heads != 0:
             raise ValueError("embed_dim must be divisible by heads")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**config_kwargs(d, cls, "model"))
 
 
 def _glorot(rng, fan_in, fan_out):

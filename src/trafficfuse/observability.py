@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctm import FdParams, TurnRatios
+from .ctm import FdArrays, FdParams, TurnRatios
 from .network import RoadNetwork, boundary_segments
 from .util import write_csv, write_json
 
@@ -81,10 +81,6 @@ class LinearSystem:
     def n(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def cameras(self) -> tuple:
-        return tuple(int(np.argmax(row)) for row in self.c)
-
 
 def selection_matrix(cameras, n: int) -> np.ndarray:
     cams = [int(i) for i in cameras]
@@ -119,13 +115,15 @@ def linearize(
     perturbation advances along its outgoing edges (split by turn ratios),
     the rest is retained; exits at segments without downstream neighbours.
     Congestion: the same construction on the reversed influence graph at
-    the backward wave speed, split by inflow shares.
+    the backward wave speed, split by inflow shares. Both speeds come from
+    FdArrays, so an fd whose speeds reach a segment's free flow speed
+    fails there, naming the segment.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
     if beta is None:
         beta = TurnRatios.uniform(net)
-    fd.validate(net)
+    fdk = FdArrays.build(net.segments, fd, bin_seconds)
     n = len(net.segments)
     a = np.zeros((n, n))
     lengths = net.lengths()
@@ -133,10 +131,10 @@ def linearize(
     # edges are distinct and never self-loops, so each scatter writes a
     # fresh off-diagonal entry once
     if regime == "free":
-        frac = np.minimum(1.0, net.free_flow() * bin_seconds / lengths)
+        frac = np.minimum(1.0, fdk.v_free * bin_seconds / lengths)
         a[dst, src] = beta.edge_beta * frac[src]
     else:
-        frac = np.minimum(1.0, fd.wave_speed * bin_seconds / lengths)
+        frac = np.minimum(1.0, fdk.v_w * bin_seconds / lengths)
         a[src, dst] = _inflow_shares(net, beta) * frac[dst]
     np.fill_diagonal(a, 1.0 - frac)
     boundary = sorted(boundary_segments(net))

@@ -14,7 +14,7 @@ gradient-norm clipping; runs are bitwise reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -314,4 +314,4 @@ def predict(
 def save_checkpoint(prefix: str, params: dict, cfg: ModelConfig) -> None:
     """One binary of named arrays plus a JSON config sidecar."""
     write_npz(prefix + ".npz", {k: v.data for k, v in params.items()})
-    write_json(prefix + ".json", cfg.to_dict())
+    write_json(prefix + ".json", asdict(cfg))

@@ -109,10 +109,10 @@ def test_speed_density_roundtrip_congested_branch(b):
 
 def test_fd_validation_against_network():
     net = make_chain(3, vfree=10.0)
-    with pytest.raises(ValueError, match="wave_speed"):
-        FdParams(wave_speed=11.0, jam_density=1.0, crit_speed=7.0).validate(net)
-    with pytest.raises(ValueError, match="crit_speed"):
-        FdParams(wave_speed=2.0, jam_density=1.0, crit_speed=10.0).validate(net)
+    with pytest.raises(ValueError, match=r"^segment 0: fd speeds must stay below free flow 10\.0$"):
+        FdArrays.build(net.segments, FdParams(wave_speed=11.0, jam_density=1.0, crit_speed=7.0), BIN)
+    with pytest.raises(ValueError, match=r"^segment 0: fd speeds must stay below free flow 10\.0$"):
+        FdArrays.build(net.segments, FdParams(wave_speed=2.0, jam_density=1.0, crit_speed=10.0), BIN)
     with pytest.raises(ValueError):
         FdParams(wave_speed=0.0, jam_density=1.0, crit_speed=1.0)
 
@@ -132,7 +132,7 @@ def test_fd_speeds_above_a_segments_free_flow_fail_naming_it(entry):
 def test_default_fd_params_supply_reaches_capacity():
     net = make_network([(0, 1), (1, 2)], capacity=[1800.0, 3600.0, 900.0], vfree=10.0)
     fd = default_fd_params(net, BIN)
-    fd.validate(net)
+    FdArrays.build(net.segments, fd, BIN)
     for s in net.segments:
         at_zero = supply(0.0, s, fd, BIN)
         assert at_zero == pytest.approx(max_storage(s, BIN), rel=1e-12)

@@ -246,11 +246,14 @@ def test_degenerate_ensemble_does_not_divide_by_zero():
 
 def test_duplicate_and_missing_observations():
     ens, obs, q_hat, loc, cfg = _oracle_setup()
-    doubled = obs + [CameraObservation(0, 0, obs[0].count * 3), CameraObservation(0, 0, 5.0, missing=True)]
+    doubled = obs + [CameraObservation(0, 0, obs[0].count * 3)]
     out_once = analysis_step(ens, obs, q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
     out_twice = analysis_step(ens, doubled, q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
     assert np.array_equal(out_once.base, out_twice.base)
     assert out_twice.n_assimilated == 1
+    # a camera without a reading has no observation, so a NaN count raises
+    with pytest.raises(ValueError, match="^non-finite camera count at segment 0$"):
+        analysis_step(ens, [CameraObservation(0, 0, np.nan)] + obs, q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
 
 
 def test_analysis_rejects_unknown_segment_and_negative_count():

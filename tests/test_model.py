@@ -4,7 +4,7 @@ import datetime as dt
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -76,10 +76,10 @@ def test_config_rejects_nonpositive_sizes():
 
 def test_config_dict_round_trip():
     cfg = ModelConfig(embed_dim=16, heads=4, history=3)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ExperimentConfig.from_dict({"model": asdict(cfg)}).model == cfg
     # the key of a removed option is unknown like any other
     with pytest.raises(ValueError, match="^unknown model config keys: row_normalize_adjacency$"):
-        ModelConfig.from_dict({**cfg.to_dict(), "row_normalize_adjacency": True})
+        ExperimentConfig.from_dict({"model": {**asdict(cfg), "row_normalize_adjacency": True}})
 
 
 def test_normalized_adjacency_rows():
@@ -760,11 +760,12 @@ def test_predict_rejects_features_that_do_not_align_with_counts():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    cfg = TINY
+    # an experiment's model reads the full feature set
+    cfg = replace(TINY, n_features=22)
     params = init_params(cfg, np.random.default_rng(8))
     prefix = str(tmp_path / "model")
     save_checkpoint(prefix, params, cfg)
-    cfg2 = ModelConfig.from_dict(json.loads((tmp_path / "model.json").read_text()))
+    cfg2 = ExperimentConfig.from_dict({"model": json.loads((tmp_path / "model.json").read_text())}).model
     assert cfg2 == cfg
     with np.load(prefix + ".npz") as z:
         loaded = {k: Tensor(z[k]) for k in z.files}

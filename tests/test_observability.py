@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_chain, make_network, make_ring
-from trafficfuse.ctm import TurnRatios, default_fd_params
+from trafficfuse.ctm import FdParams, TurnRatios, default_fd_params
 from trafficfuse.harness import CHAIN_CAMERAS, GRID_CAMERAS, chain_network, grid_network
 from trafficfuse.observability import (
     REGIMES,
@@ -181,7 +181,7 @@ def test_congested_merge_splits_by_unequal_ratios():
 
 def test_boundary_inputs_and_camera_rows(chain3):
     sys = linearize(chain3, default_fd_params(chain3), "free", cameras=(2, 0))
-    assert sys.cameras == (2, 0)
+    assert np.array_equal(sys.c, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     assert sys.b.shape == (3, 2)  # chain ends admit exogenous flow
     assert np.array_equal(sys.b.sum(axis=0), np.ones(2))
 
@@ -192,6 +192,15 @@ def test_linearize_rejects_bad_inputs(chain3):
         linearize(chain3, fd, "gridlock")
     with pytest.raises(ValueError, match="outside the network"):
         linearize(chain3, fd, "free", cameras=(7,))
+
+
+def test_linearize_names_the_segment_an_fd_speed_reaches():
+    # linearize reads its speeds from FdArrays.build, which names the first
+    # segment whose free flow speed they reach
+    net = make_chain(3, vfree=[10.0, 10.0, 5.0])
+    fd = FdParams(wave_speed=6.0, jam_density=1.0, crit_speed=4.0)
+    with pytest.raises(ValueError, match=r"^segment 2: fd speeds must stay below free flow 5\.0$"):
+        linearize(net, fd, "congested")
 
 
 def test_linear_system_keeps_the_nonzeros_of_a_in_row_major_order():

@@ -1,5 +1,6 @@
 """Source-tree rules that no single module test covers."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -296,6 +297,32 @@ def test_function_defaults_are_pinned():
     for path in sorted(PACKAGE.glob("*.py")):
         found.update(_defaulted_parameters(ast.parse(path.read_text(), filename=str(path)).body, f"{path.stem}."))
     assert found == pinned
+
+
+def test_config_and_report_codecs_are_pinned():
+    # Configs and reports are written with dataclasses.asdict. A to_dict or
+    # from_dict beyond these is a second codec for something asdict writes.
+    found = {
+        f"{path.stem}.{cls.name}.{fn.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in ("to_dict", "from_dict")
+    }
+    assert found == {"harness.ExperimentConfig.to_dict", "harness.ExperimentConfig.from_dict",
+                     "harness.MetricsReport.to_dict"}
+
+
+def test_cli_flags_are_pinned():
+    # a run is set in its config, the seed included; the flags only say
+    # where the config is and where the artifacts go
+    from trafficfuse import cli
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(cli._COMMANDS)
+    for name, sub in commands.choices.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == {"--config", "--out"}, name
 
 
 def test_readme_configs_load(tmp_path):
