@@ -79,18 +79,15 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
-def _axis_sums(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """a.sum(axis, keepdims=True) as BLAS mat-vecs against ones: ufunc.reduce
+def _axis_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(-1, keepdims=True) as BLAS mat-vecs against ones: ufunc.reduce
     over a short axis pays a loop per row. One mat-vec over the flattened
-    rows where the swapped array is C-contiguous, numpy's stacked product
-    elsewhere, which needs no copy of a."""
-    a = a.swapaxes(axis, -1)
+    rows where a is C-contiguous, numpy's stacked product elsewhere, which
+    needs no copy of a."""
     ones = np.ones(a.shape[-1], dtype=a.dtype)
     if a.flags.c_contiguous:
-        s = (a.reshape(-1, a.shape[-1]) @ ones).reshape(a.shape[:-1] + (1,))
-    else:
-        s = (a @ ones)[..., None]
-    return s.swapaxes(axis, -1)
+        return (a.reshape(-1, a.shape[-1]) @ ones).reshape(a.shape[:-1] + (1,))
+    return (a @ ones)[..., None]
 
 
 def _col_sums(a2: np.ndarray) -> np.ndarray:
@@ -473,29 +470,28 @@ def gelu(x: Tensor) -> Tensor:
     return _result(out, (nx,), backward)
 
 
-def _max_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
-    """np.max(a, axis, keepdims=True) as in-place np.maximum passes over
-    the slices of a short axis: the same bits, NaN included, without the
-    reduction's per-row loop."""
-    a = np.moveaxis(a, axis, -1)
+def _max_keepdims(a: np.ndarray) -> np.ndarray:
+    """np.max(a, -1, keepdims=True) as in-place np.maximum passes over
+    the slices of a short last axis: the same bits, NaN included, without
+    the reduction's per-row loop."""
     m = a[..., :1].copy()
     for j in range(1, a.shape[-1]):
         np.maximum(m, a[..., j : j + 1], out=m)
-    return np.moveaxis(m, -1, axis)
+    return m
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; the max shift cancels, so the gradient
-    is exact."""
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis; the max shift
+    cancels, so the gradient is exact."""
     (nx,) = _tape(x)
-    y = x.data - _max_keepdims(x.data, axis)
+    y = x.data - _max_keepdims(x.data)
     np.exp(y, out=y)
-    y /= _axis_sums(y, axis)
+    y /= _axis_sums(y)
 
     def backward(g):
         # y * (g - sum(g * y))
         gy = g * y
-        np.subtract(g, _axis_sums(gy, axis), out=gy)
+        np.subtract(g, _axis_sums(gy), out=gy)
         gy *= y
         nx._accumulate(gy)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import CountMatrix, RoadNetwork, Segment, boundary_segments, max_storage
+from .network import BIN_SECONDS, CountMatrix, RoadNetwork, Segment, boundary_segments, max_storage
 
 __all__ = [
     "FdParams",
@@ -59,7 +59,7 @@ class FdParams:
         return self.jam_density * seg.length_m * seg.lanes / seg.free_flow_mps
 
 
-def default_fd_params(net: RoadNetwork, bin_seconds: float = 900.0) -> FdParams:
+def default_fd_params(net: RoadNetwork, bin_seconds: float = BIN_SECONDS) -> FdParams:
     """Network-calibrated defaults.
 
     wave_speed = 0.25 * min free-flow speed, crit_speed = 0.7 * min free-flow

@@ -114,12 +114,12 @@ class CalibrationEnsemble:
 
     The members live in one (M, N + 24 + 7 + N_REGIMES) state array; base,
     hour, day and regime are column views of it, so an in-place write to a
-    component is a write to the state. A confidence argument is only
-    checked for shape; the pipeline keeps per-segment confidence itself
-    (propagation.update_confidence).
+    component is a write to the state. A new ensemble has assimilated
+    nothing. A confidence argument is only checked for shape; the pipeline
+    keeps per-segment confidence itself (propagation.update_confidence).
     """
 
-    def __init__(self, base, hour, day, regime, confidence=None, n_assimilated: int = 0):
+    def __init__(self, base, hour, day, regime, confidence=None):
         parts = {"base": base, "hour": hour, "day": day, "regime": regime}
         parts = {name: np.asarray(v, dtype=float) for name, v in parts.items()}
         widths = {"hour": 24, "day": 7, "regime": N_REGIMES}
@@ -133,11 +133,11 @@ class CalibrationEnsemble:
                 raise ValueError(f"ensemble component {name} has {v.shape[1]} columns, not {widths[name]}")
         if confidence is not None and np.shape(confidence) != (n,):
             raise ValueError(f"ensemble component confidence has shape {np.shape(confidence)}, not ({n},)")
-        self._adopt(np.concatenate(list(parts.values()), axis=1), n_assimilated)
+        self._adopt(np.concatenate(list(parts.values()), axis=1), 0)
         self._check()
 
     @classmethod
-    def from_state(cls, state: np.ndarray, n_assimilated: int = 0) -> "CalibrationEnsemble":
+    def from_state(cls, state: np.ndarray, n_assimilated: int) -> "CalibrationEnsemble":
         """Wrap an (M, N + N_GLOBAL) state array without copying it."""
         ens = cls.__new__(cls)
         ens._adopt(state, n_assimilated)
@@ -220,7 +220,7 @@ def warmup_alpha(y, q_hat) -> float:
 
 
 def init_ensemble(n_segments: int, config: FilterConfig, rng: np.random.Generator,
-                  alpha_0: float = 1.0) -> CalibrationEnsemble:
+                  alpha_0: float) -> CalibrationEnsemble:
     if alpha_0 <= 0:
         raise ValueError("alpha_0 must be positive")
     m = config.n_members
@@ -296,9 +296,10 @@ def analysis_step(
 
     q_hat holds the predictor counts the ratios are taken against, at the
     observation time. localization maps camera segment id to its gain
-    mask. Duplicate observations for a segment are dropped after the
-    first, and a non-finite count raises: a camera without a reading has
-    no observation. Each observation is one update of the whole state,
+    mask. Every observation's segment and count are checked, and a
+    non-finite count raises: a camera without a reading has no
+    observation. Duplicate observations for a segment are then dropped
+    after the first. Each observation is one update of the whole state,
     with gain row [rho | global_gain_scale] for the first max_global_obs
     observations and [rho | 0] after them.
     """
@@ -308,14 +309,14 @@ def analysis_step(
     seen = set()
     todo = []
     for obs in observations:
-        if obs.segment in seen:
-            continue
         if not 0 <= obs.segment < n:
             raise ValueError(f"observation at unknown segment {obs.segment}")
         if not np.isfinite(obs.count):
             raise ValueError(f"non-finite camera count at segment {obs.segment}")
         if obs.count < 0:
             raise ValueError(f"negative camera count at segment {obs.segment}")
+        if obs.segment in seen:
+            continue
         seen.add(obs.segment)
         todo.append(obs)
     todo.sort(key=lambda o: o.segment)

@@ -108,19 +108,18 @@ def build_tensor(
     speeds: np.ndarray,
     boundary_in: np.ndarray | None = None,
     boundary_out: np.ndarray | None = None,
-    train_cols: int | None = None,
+    *,
+    train_cols: int,
 ) -> FeatureTensor:
     """Assemble the (n_segments, n_bins, 22) tensor from aligned inputs.
 
     speeds is in m/s with NaN for missing bins; missing speeds impute free
     flow (b = 1) and missing counts impute 0, both counted on the result.
-    train_cols bounds the columns used for n_max and the normalization
-    statistics (defaults to every column). The neighbour means sum over
-    net's edges in their (from, to) order, so in ascending neighbour id.
+    The first train_cols columns give n_max and the normalization
+    statistics. The neighbour means sum over net's edges in their
+    (from, to) order, so in ascending neighbour id.
     """
     n, t = counts.values.shape
-    if train_cols is None:
-        train_cols = t
     if not 0 < train_cols <= t:
         raise ValueError("train_cols must lie in (0, n_bins]")
 

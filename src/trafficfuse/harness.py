@@ -7,7 +7,7 @@ bottleneck), metric computation, and run_pipeline, which chains
 simulate -> thin -> features -> train -> predict -> assimilate ->
 calibrate -> evaluate and writes every artifact with the seed embedded
 in its metadata. The pipeline draws one probe sample; pool_windows sums
-independent samples of the same weeks, for callers that have several.
+a sample with independent others of the same weeks.
 
 All randomness descends from one experiment seed through named
 substreams, so a rerun with the same config is byte-identical.
@@ -30,6 +30,7 @@ from .ctm import FdArrays, TurnRatios, default_fd_params, simulate
 from .features import FEATURE_NAMES, WEEKEND_DAYS, build_tensor
 from .model import DTYPE, ModelConfig, normalized_adjacency
 from .network import (
+    BIN_SECONDS,
     CountMatrix,
     RoadNetwork,
     Segment,
@@ -86,14 +87,14 @@ class PenetrationModel:
     """Heterogeneous probe sampling rates.
 
     base is the per-segment rate (scalar or length-N array); hour and day
-    multipliers modulate it by time of week. The effective rate is
-    clipped to [RATE_FLOOR, 1].
+    multipliers, when given, modulate it by time of week. The effective
+    rate is clipped to [RATE_FLOOR, 1]. seed sets the thinning draws.
     """
 
-    base: float | np.ndarray = 0.1
+    base: float | np.ndarray
+    seed: int
     hour_mult: np.ndarray | None = None
     day_mult: np.ndarray | None = None
-    seed: int = 0
 
     def __post_init__(self):
         base = np.atleast_1d(np.asarray(self.base, dtype=float))
@@ -139,17 +140,15 @@ def _week_keys(cm: CountMatrix) -> np.ndarray:
     return (cm.start_time.weekday() * 86400 + cm._seconds()) % (7 * 86400)
 
 
-def pool_windows(probe: CountMatrix, others=()) -> CountMatrix:
+def pool_windows(probe: CountMatrix, others) -> CountMatrix:
     """Sum count matrices whose bins start at the same second of the week.
 
     Pooling independent samples of the same underlying traffic raises the
     effective penetration additively: k datasets at rate p behave like
     one at k*p. Bins missing everywhere stay missing; otherwise missing
-    bins contribute zero. Pooling a single matrix returns it unchanged.
+    bins contribute zero. With no others, the result equals probe.
     """
     matrices = [probe, *others]
-    if len(matrices) == 1:
-        return probe
     ref_keys = _week_keys(probe)
     for k, cm in enumerate(matrices[1:], start=1):
         if cm.values.shape != probe.values.shape or cm.bin_seconds != probe.bin_seconds:
@@ -369,7 +368,7 @@ class ExperimentConfig:
     network_path: str | None = None
     days: int = 14
     forecast_days: int = 0
-    bin_seconds: int = 900
+    bin_seconds: int = BIN_SECONDS
     demand_peak: float = 700.0
     cameras_calibration: tuple = ()
     cameras_validation: tuple = ()
@@ -607,9 +606,13 @@ class Pipeline:
         # prior scale from the first day of the assimilation span, starting
         # at the first bin where a calibration camera has a finite pair
         cams = list(self.calibration)
+        y_cams = self.truth.values[cams]
+        # a camera bin without a finite count or predictor estimate gets no
+        # observation: the one place a missing reading is dropped
+        missing = ~(np.isfinite(y_cams) & np.isfinite(self.q_hat[cams]))
         span = slice(self.first_bin, t_assim)
-        y_span, q_span = self.truth.values[cams, span], self.q_hat[cams, span]
-        finite = np.isfinite(y_span) & np.isfinite(q_span)
+        y_span, q_span = y_cams[:, span], self.q_hat[cams, span]
+        finite = ~missing[:, span]
         paired = np.flatnonzero(finite.any(axis=0))
         if paired.size == 0:
             raise ValueError("no calibration camera has a finite count and predictor estimate in the assimilation span")
@@ -626,10 +629,6 @@ class Pipeline:
         run = slice(first, t_total)
         regimes = ensrf.regime_index(ratios[:, run].T)  # (bins, N)
         hour_of, day_of = self.truth.hours().tolist(), self.truth.days().tolist()
-        y_cams = self.truth.values[cams]
-        # a camera bin without a finite count or predictor estimate gets no
-        # observation: the one place a missing reading is dropped
-        missing = ~(np.isfinite(y_cams) & np.isfinite(self.q_hat[cams]))
 
         rng = substream(cfg.seed, "ensrf")
         ens = ensrf.init_ensemble(n, fcfg, rng, alpha_0=self.alpha_star)

@@ -122,8 +122,7 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
 class Prediction:
     """Forward outputs, kept on the tape for loss construction."""
 
-    q_hat: Tensor  # (B, N, F) anchored counts
-    mu: Tensor  # (B, N, F) increments
+    q_hat: Tensor  # (B, N, F) anchored counts, the last count plus the increment head
     log_var: Tensor  # (B, N, F) predictive log-variance
     # (K + U, N, d) carried then new embedded bins, only when forward was
     # given carried embeddings
@@ -203,7 +202,7 @@ def forward(
         del y
         att = (qs @ ks.swapaxes(-1, -2)) * inv_sqrt
         del qs, ks
-        att = softmax(att, axis=-1)
+        att = softmax(att)
         ctx = att @ vs
         del att, vs
         ctx = ctx.swapaxes(2, 3).reshape(bsz, n, hh, d)
@@ -221,7 +220,7 @@ def forward(
     mu = affine(gelu(affine(hv, params["mu_w1"], params["mu_b1"])), params["mu_w2"], params["mu_b2"])
     log_var = affine(gelu(affine(hv, params["lv_w1"], params["lv_b1"])), params["lv_w2"], params["lv_b2"])
     q_hat = Tensor(anchor[:, :, None].astype(mu.data.dtype)) + mu
-    return Prediction(q_hat=q_hat, mu=mu, log_var=log_var, embedded=embedded)
+    return Prediction(q_hat=q_hat, log_var=log_var, embedded=embedded)
 
 
 def loss_components(

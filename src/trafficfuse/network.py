@@ -35,6 +35,7 @@ __all__ = [
 
 # Advisory bounds; violations are diagnostics, not errors.
 LENGTH_RANGE_M = (50.0, 2000.0)
+BIN_SECONDS = 900  # the bin width, in seconds, of a run or an analysis that sets none
 
 
 class SchemaError(ValueError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ctm import FdArrays, FdParams, TurnRatios
-from .network import RoadNetwork, boundary_segments
+from .network import BIN_SECONDS, RoadNetwork, boundary_segments
 from .util import write_csv, write_json
 
 __all__ = [
@@ -106,8 +106,9 @@ def linearize(
     fd: FdParams,
     regime: str,
     beta: TurnRatios | None = None,
-    bin_seconds: int = 900,
-    cameras=(),
+    bin_seconds: int = BIN_SECONDS,
+    *,
+    cameras,
 ) -> LinearSystem:
     """Regime-dependent propagation matrix from segment kinematics.
 
@@ -196,14 +197,12 @@ def observability_rank(sys: LinearSystem):
     return rank, rank / n
 
 
-def gramian(sys: LinearSystem, horizon: int | None = None) -> np.ndarray:
-    """Finite-horizon observability Gramian sum_k (CA^k)' CA^k, default horizon N.
+def gramian(sys: LinearSystem, horizon: int) -> np.ndarray:
+    """Finite-horizon observability Gramian sum_k (CA^k)' CA^k for k < horizon.
 
     Dense, O(N^2) memory: the reference that the scores of ``analyze``
     are checked against.
     """
-    if horizon is None:
-        horizon = sys.n
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     blk = sys.c
@@ -239,7 +238,7 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(rho)
 
 
-def lyapunov_gramian(sys: LinearSystem, tol: float = 1e-10) -> np.ndarray:
+def lyapunov_gramian(sys: LinearSystem, tol: float) -> np.ndarray:
     """Infinite-horizon Gramian as the fixed point of W <- A'WA + C'C."""
     rho = spectral_radius(sys.a)
     if rho >= 1.0 - 1e-12:
@@ -295,7 +294,7 @@ def analyze(
     fd: FdParams,
     cameras,
     beta: TurnRatios | None = None,
-    bin_seconds: int = 900,
+    bin_seconds: int = BIN_SECONDS,
 ) -> ObservabilityReport:
     """Rank index, Gramian scores, and stability estimates for a placement,
     in both regimes and over the full horizon N (the segment count)."""

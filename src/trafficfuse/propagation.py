@@ -152,11 +152,11 @@ def diffuse(beta: np.ndarray, t: TransitionMatrix) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def update_confidence(delta_prev: np.ndarray, alpha_mean: np.ndarray, alpha_var: np.ndarray, cameras=()) -> np.ndarray:
+def update_confidence(delta_prev: np.ndarray, alpha_mean: np.ndarray, alpha_var: np.ndarray, cameras) -> np.ndarray:
     """Confidence rises as the ensemble coefficient of variation falls.
 
     delta = max(CONFIDENCE_DECAY * previous, 1 / (1 + cv)), pinned to 1 on
-    segments a camera observed this step.
+    cameras, the segments a camera observed this step.
     """
     alpha_mean = np.asarray(alpha_mean, dtype=float)
     alpha_var = np.asarray(alpha_var, dtype=float)

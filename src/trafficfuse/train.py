@@ -118,7 +118,8 @@ def build_windows(
     cfg: ModelConfig,
     boundary_in: np.ndarray | None = None,
     boundary_out: np.ndarray | None = None,
-    t_last: int | None = None,
+    *,
+    t_last: int,
 ) -> WindowSet:
     """Slide history/future windows over the bin axis.
 
@@ -128,14 +129,13 @@ def build_windows(
     the boundary arrays when given and from the observed total change
     otherwise. Windows whose anchor, target or conserved total is not
     finite (a missing probe bin) are dropped; windows whose history holds
-    an imputed bin are still emitted, and t_last bounds the span.
+    an imputed bin are still emitted. t_last is the last window's anchor
+    bin.
     """
     h, f = cfg.history, cfg.horizon
     n, t = counts.shape
     if tensor.values.shape[:2] != (n, t):
         raise ValueError("feature tensor does not align with counts")
-    if t_last is None:
-        t_last = t - f - 1
     starts = np.arange(h - 1, t_last + 1)
     if len(starts) == 0:
         raise ValueError("horizon leaves no complete window")
@@ -210,14 +210,15 @@ def train(
     a_hat: np.ndarray,
     windows: WindowSet,
     qmax: np.ndarray,
-    seed: int = 0,
-    steps: int = 500,
-    batch_size: int = 8,
+    seed: int,
+    steps: int,
+    batch_size: int,
 ) -> TrainResult:
     """Optimize the predictor on a window set.
 
     Windows are split chronologically (the trailing VAL_FRACTION is the
-    validation span). Adam runs at learning rate LR and the validation
+    validation span). Up to steps batches of batch_size windows are drawn
+    from seed's substreams. Adam runs at learning rate LR and the validation
     loss is taken every EVAL_EVERY steps and at the last; early stopping
     keeps the parameters with the best validation loss. Training aborts
     with a step-indexed error if the loss or any parameter stops being

@@ -211,7 +211,6 @@ def test_softmax_gradient():
     a = RNG.normal(size=(2, 3, 5)) * 3.0
     w = RNG.normal(size=(2, 3, 5))
     gradcheck(lambda x: (softmax(x) * w).sum(), a)
-    gradcheck(lambda x: (softmax(x, axis=1) * w).sum(), a)
 
 
 def test_softmax_rows_sum_to_one():
@@ -221,15 +220,14 @@ def test_softmax_rows_sum_to_one():
     assert (s >= 0).all()
 
 
-def _softmax_by_reduction(x, axis):
-    y = x - np.max(x, axis=axis, keepdims=True)
+def _softmax_by_reduction(x):
+    y = x - np.max(x, axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
     return y
 
 
-@pytest.mark.parametrize("axis", [-1, 1])
-def test_softmax_max_shift_matches_the_reduction_bit_for_bit(axis):
+def test_softmax_max_shift_matches_the_reduction_bit_for_bit():
     x = RNG.normal(size=(6, 5, 7)) * 1e300  # large magnitudes
     x[0, 0] = -np.inf  # a whole row of -inf
     x[1, 1, 2] = -np.inf
@@ -238,8 +236,8 @@ def test_softmax_max_shift_matches_the_reduction_bit_for_bit(axis):
     x[4, :, 0] = np.nan
     x[5, 0, :2] = [-0.0, 0.0]
     with np.errstate(invalid="ignore", over="ignore"):
-        got = softmax(Tensor(x), axis=axis).data
-        want = _softmax_by_reduction(x, axis)
+        got = softmax(Tensor(x)).data
+        want = _softmax_by_reduction(x)
     assert np.isnan(got).any() and np.isfinite(got).any()
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -126,7 +126,7 @@ def test_fd_speeds_above_a_segments_free_flow_fail_naming_it(entry):
         if entry == "simulate":
             simulate(net, fd, TurnRatios.uniform(net), np.zeros((3, 4)), BIN, T0)
         else:
-            build_tensor(net, fd, CountMatrix(np.ones((3, 4)), 900, T0), np.full((3, 4), 8.0))
+            build_tensor(net, fd, CountMatrix(np.ones((3, 4)), 900, T0), np.full((3, 4), 8.0), train_cols=4)
 
 
 def test_default_fd_params_supply_reaches_capacity():

@@ -251,9 +251,11 @@ def test_duplicate_and_missing_observations():
     out_twice = analysis_step(ens, doubled, q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
     assert np.array_equal(out_once.base, out_twice.base)
     assert out_twice.n_assimilated == 1
-    # a camera without a reading has no observation, so a NaN count raises
-    with pytest.raises(ValueError, match="^non-finite camera count at segment 0$"):
-        analysis_step(ens, [CameraObservation(0, 0, np.nan)] + obs, q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
+    # a camera without a reading has no observation, so a NaN count raises,
+    # before or after a finite reading at the same segment
+    for listed in ([CameraObservation(0, 0, np.nan)] + obs, obs + [CameraObservation(0, 0, np.nan)]):
+        with pytest.raises(ValueError, match="^non-finite camera count at segment 0$"):
+            analysis_step(ens, listed, q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
 
 
 def test_analysis_rejects_unknown_segment_and_negative_count():
@@ -331,8 +333,8 @@ def test_ou_stationary_variance():
 
 def test_seeded_determinism():
     cfg = FilterConfig(n_members=16)
-    a = init_ensemble(4, cfg, substream(5, "run"))
-    b = init_ensemble(4, cfg, substream(5, "run"))
+    a = init_ensemble(4, cfg, substream(5, "run"), alpha_0=1.0)
+    b = init_ensemble(4, cfg, substream(5, "run"), alpha_0=1.0)
     ra, rb = substream(6, "fc"), substream(6, "fc")
     for _ in range(3):
         a = forecast_step(a, cfg, ra, _still(4))
@@ -502,7 +504,7 @@ def test_single_state_forecast_matches_four_draw_form(n_segments):
 
 
 def test_components_are_views_of_one_state():
-    ens = init_ensemble(3, FilterConfig(n_members=4), substream(1, "views"))
+    ens = init_ensemble(3, FilterConfig(n_members=4), substream(1, "views"), alpha_0=1.0)
     assert ens.state.shape == (4, 3 + 24 + 7 + N_REGIMES)
     ens.hour[:, 5] = 0.5
     assert np.array_equal(ens.state[:, 3 + 5], np.full(4, 0.5))

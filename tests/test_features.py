@@ -160,7 +160,7 @@ def test_temporal_rejects_bad_input():
 def test_los_bands(ratio, value):
     # capacity 4 veh/h over a 900 s bin is Q_max = 1, so q/C is the count exactly
     net = make_network([], n=1, capacity=4.0)
-    ft = build_tensor(net, FD, CountMatrix([[ratio]], 900, T0), np.full((1, 1), np.nan))
+    ft = build_tensor(net, FD, CountMatrix([[ratio]], 900, T0), np.full((1, 1), np.nan), train_cols=1)
     assert ft.values[0, 0, 13] == ratio
     assert ft.values[0, 0, 14] == value
     assert los_band(ratio) == value
@@ -170,7 +170,7 @@ def test_los_rejects_negative():
     # a negative volume ratio never reaches the LOS column: counts refuse it
     net = make_network([], n=1, capacity=4.0)
     with pytest.raises(SchemaError):
-        build_tensor(net, FD, CountMatrix([[-0.1]], 900, T0), np.full((1, 1), np.nan))
+        build_tensor(net, FD, CountMatrix([[-0.1]], 900, T0), np.full((1, 1), np.nan), train_cols=1)
 
 
 def test_sd_free_flow_empty_segment():
@@ -214,7 +214,7 @@ def _spatial_block(net, seed, t=6):
     rng = np.random.default_rng(seed)
     n = net.n_segments
     counts = CountMatrix(rng.uniform(0, 300, (n, t)), 900, T0)
-    ft = build_tensor(net, FD, counts, rng.uniform(0.5, 10.0, (n, t)))
+    ft = build_tensor(net, FD, counts, rng.uniform(0.5, 10.0, (n, t)), train_cols=t)
     return ft.values[:, :, 9], ft.values[:, :, 18:22]
 
 
@@ -259,7 +259,7 @@ def test_build_tensor_peak_is_far_below_one_n_by_n_array():
     counts = CountMatrix(np.full((n, t), 50.0), 900, T0)
     tracemalloc.start()
     try:
-        build_tensor(net, FD, counts, np.full((n, t), 8.0))
+        build_tensor(net, FD, counts, np.full((n, t), 8.0), train_cols=t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -299,13 +299,13 @@ def test_build_tensor_shape_and_consistency_with_scalar_ops():
 def test_build_tensor_imputation_diagnostics():
     net, cm, speeds = _toy_inputs(missing_speed=True, missing_count=True)
     fd = FdParams(wave_speed=2.0, jam_density=2.0, crit_speed=7.0)
-    ft = build_tensor(net, fd, cm, speeds)
+    ft = build_tensor(net, fd, cm, speeds, train_cols=16)
     assert ft.n_imputed_speed == 1
     assert ft.n_imputed_count == 1
     assert ft.values[1, 4, 9] == 1.0  # missing speed reads free flow
     assert ft.values[2, 5, 0] == 0.0  # missing count reads zero
     # with no speeds at all, every bin reads free flow
-    ft = build_tensor(net, fd, cm, np.full((3, 16), np.nan))
+    ft = build_tensor(net, fd, cm, np.full((3, 16), np.nan), train_cols=16)
     assert ft.n_imputed_speed == 3 * 16
     assert np.array_equal(ft.values[:, :, 9], np.ones((3, 16)))
 
@@ -317,7 +317,7 @@ def test_build_tensor_nmax_uses_training_columns_only():
     q_rel = FEATURE_NAMES.index("q_rel_max")
     ft = build_tensor(net, fd, cm, speeds, train_cols=12)
     assert np.array_equal(ft.values[0, :, q_rel], cm.values[0] / cm.values[0, :12].max())
-    all_cols = build_tensor(net, fd, cm, speeds)
+    all_cols = build_tensor(net, fd, cm, speeds, train_cols=16)
     assert np.array_equal(all_cols.values[0, :, q_rel], cm.values[0] / 10_000.0)
 
 
@@ -340,7 +340,7 @@ def test_boundary_feature_zero_off_boundary():
     fd = FdParams(wave_speed=2.0, jam_density=2.0, crit_speed=7.0)
     bi = np.full((3, 16), 5.0)
     bo = np.full((3, 16), 2.0)
-    ft = build_tensor(net, fd, cm, speeds, boundary_in=bi, boundary_out=bo)
+    ft = build_tensor(net, fd, cm, speeds, boundary_in=bi, boundary_out=bo, train_cols=16)
     # chain boundary is {0, 2}; interior segment keeps a zero feature
     assert np.allclose(ft.values[0, :, 8], 3.0 / 450.0)
     assert np.all(ft.values[1, :, 8] == 0.0)
@@ -359,6 +359,6 @@ def test_temporal_block_matches_per_bin_features(start, bin_seconds, n_bins):
     # build_tensor looks each bin up in an (hour, day) table; the per-bin
     # call is the reference, compared bit for bit
     cm = CountMatrix(np.zeros((2, n_bins)), bin_seconds, start)
-    got = build_tensor(make_chain(2), FD, cm, np.full((2, n_bins), np.nan)).values[:, :, 1:8]
+    got = build_tensor(make_chain(2), FD, cm, np.full((2, n_bins), np.nan), train_cols=n_bins).values[:, :, 1:8]
     expected = np.stack([temporal_features(int(h), int(d)) for h, d in zip(cm.hours(), cm.days())])
     assert (got.view(np.uint64) == expected.view(np.uint64)).all()

@@ -64,7 +64,7 @@ class TestPenetrationModel:
         hour_mult[8] = 2.0
         day_mult = np.ones(7)
         day_mult[6] = 0.5
-        pen = PenetrationModel(base=0.2, hour_mult=hour_mult, day_mult=day_mult)
+        pen = PenetrationModel(base=0.2, seed=0, hour_mult=hour_mult, day_mult=day_mult)
         rate = pen.effective(3, np.array([0, 8, 8]), np.array([0, 0, 6]))
         assert rate.shape == (3, 3)
         assert np.allclose(rate[:, 0], 0.2)
@@ -72,15 +72,15 @@ class TestPenetrationModel:
         assert np.allclose(rate[:, 2], 0.2)
 
     def test_rates_clip_into_unit_interval(self):
-        pen = PenetrationModel(base=0.9, hour_mult=np.full(24, 3.0))
+        pen = PenetrationModel(base=0.9, seed=0, hour_mult=np.full(24, 3.0))
         rate = pen.effective(1, np.arange(24), np.zeros(24, dtype=int))
         assert np.all(rate == 1.0)
-        tiny = PenetrationModel(base=1e-9 + RATE_FLOOR, hour_mult=np.full(24, 1e-6))
+        tiny = PenetrationModel(base=1e-9 + RATE_FLOOR, seed=0, hour_mult=np.full(24, 1e-6))
         rate = tiny.effective(1, np.array([0]), np.array([0]))
         assert rate[0, 0] == RATE_FLOOR
 
     def test_per_segment_base_vector(self):
-        pen = PenetrationModel(base=np.array([0.1, 0.5]))
+        pen = PenetrationModel(base=np.array([0.1, 0.5]), seed=0)
         rate = pen.effective(2, np.array([0]), np.array([0]))
         assert rate[0, 0] == pytest.approx(0.1)
         assert rate[1, 0] == pytest.approx(0.5)
@@ -88,19 +88,19 @@ class TestPenetrationModel:
     @pytest.mark.parametrize("base", [0.0, -0.1, 1.5])
     def test_base_outside_unit_interval_rejected(self, base):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            PenetrationModel(base=base)
+            PenetrationModel(base=base, seed=0)
 
     def test_multiplier_shape_and_sign_checked(self):
         with pytest.raises(ValueError, match="hour multipliers"):
-            PenetrationModel(hour_mult=np.ones(23))
+            PenetrationModel(base=0.1, seed=0, hour_mult=np.ones(23))
         with pytest.raises(ValueError, match="day multipliers"):
-            PenetrationModel(day_mult=-np.ones(7))
+            PenetrationModel(base=0.1, seed=0, day_mult=-np.ones(7))
 
 
 class TestThinCounts:
     def test_full_penetration_returns_rounded_truth(self):
         truth = make_counts([[10.4, 20.6, 0.0]])
-        probe = thin_counts(truth, PenetrationModel(base=1.0))
+        probe = thin_counts(truth, PenetrationModel(base=1.0, seed=0))
         assert np.array_equal(probe.values, [[10.0, 21.0, 0.0]])
 
     def test_nan_bins_stay_nan(self):
@@ -111,21 +111,21 @@ class TestThinCounts:
 
     def test_negative_truth_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            thin_counts(make_counts([[-1.0]]), PenetrationModel())
+            thin_counts(make_counts([[-1.0]]), PenetrationModel(base=0.1, seed=0))
 
     def test_an_all_missing_matrix_samples_without_a_warning(self):
         # NaN compares as not negative, so an all-missing matrix is not an error
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            probe = thin_counts(make_counts([[np.nan, np.nan], [np.nan, np.nan]]), PenetrationModel())
+            probe = thin_counts(make_counts([[np.nan, np.nan], [np.nan, np.nan]]), PenetrationModel(base=0.1, seed=0))
         assert np.isnan(probe.values).all()
 
     def test_a_count_too_large_to_sample_is_named(self):
         # an int64 count stops below 2**63; the largest float under it samples
         top = 2.0**63 - 1024
-        assert thin_counts(make_counts([[top]]), PenetrationModel(base=1.0)).values[0, 0] == top
+        assert thin_counts(make_counts([[top]]), PenetrationModel(base=1.0, seed=0)).values[0, 0] == top
         with pytest.raises(ValueError, match=r"^segment row 1, bin 2: count 1e\+19 is too large to sample"):
-            thin_counts(make_counts([[0.0, 1.0, 2.0], [3.0, 4.0, 1e19]]), PenetrationModel())
+            thin_counts(make_counts([[0.0, 1.0, 2.0], [3.0, 4.0, 1e19]]), PenetrationModel(base=0.1, seed=0))
 
     def test_same_seed_reproduces_sample(self):
         truth = flat_counts(4, 96, 300)
@@ -147,9 +147,11 @@ class TestThinCounts:
 
 
 class TestPoolWindows:
-    def test_single_matrix_is_identity(self):
-        probe = flat_counts(2, 96, 50)
-        assert pool_windows(probe) is probe
+    def test_a_single_matrix_pools_to_equal_counts(self):
+        probe = make_counts([[1.0, np.nan], [0.0, 7.0]])
+        pooled = pool_windows(probe, ())
+        assert np.array_equal(pooled.values, probe.values, equal_nan=True)
+        assert (pooled.bin_seconds, pooled.start_time) == (probe.bin_seconds, probe.start_time)
 
     def test_three_identical_copies_triple(self):
         probe = make_counts(np.arange(192, dtype=float).reshape(2, 96))

@@ -91,12 +91,12 @@ def test_normalized_adjacency_rows():
 
 
 def test_untrained_model_is_persistence():
-    # zero-initialized head outputs: mu = 0, log_var = 0, q_hat = anchor
+    # zero-initialized head outputs: a zero increment, so q_hat = anchor,
+    # and log_var = 0
     cfg = TINY
     params = init_params(cfg, np.random.default_rng(3))
     a_hat, hist, anchor = _tiny_inputs(cfg)
     pred = forward(params, cfg, a_hat, *_stacked(hist), anchor)
-    assert np.array_equal(pred.mu.data, np.zeros((2, 3, cfg.horizon)))
     assert np.array_equal(pred.log_var.data, np.zeros((2, 3, cfg.horizon)))
     assert np.array_equal(pred.q_hat.data, np.broadcast_to(anchor[:, :, None], (2, 3, cfg.horizon)))
 
@@ -143,7 +143,7 @@ def test_forward_permutation_equivariance():
 def _manual_prediction(q_hat, log_var=None):
     q = Tensor(np.asarray(q_hat, dtype=float))
     lv = Tensor(np.zeros_like(q.data) if log_var is None else np.asarray(log_var, dtype=float))
-    return Prediction(q_hat=q, mu=q, log_var=lv)
+    return Prediction(q_hat=q, log_var=lv)
 
 
 def test_capacity_hinge_frozen_value():
@@ -264,13 +264,13 @@ def _training_setup(t_bins=96, seed=0, n=3):
     counts = np.stack([20 + 8 * np.sin(2 * np.pi * tt / 12.0 + i) for i in range(n)])
     cm = CountMatrix(counts, 900, dt.datetime(2024, 3, 4, 0, 0))
     speeds = np.full_like(counts, 10.0)
-    tensor = build_tensor(net, fd, cm, speeds)
+    tensor = build_tensor(net, fd, cm, speeds, train_cols=t_bins)
     cfg = ModelConfig(
         n_features=22, embed_dim=8, spatial_layers=1, temporal_blocks=1,
         heads=2, history=4, horizon=2, ffn_width=16,
     )
     a_hat = normalized_adjacency(_adjacency(net))
-    windows = build_windows(tensor, counts, cfg)
+    windows = build_windows(tensor, counts, cfg, t_last=t_bins - cfg.horizon - 1)
     qmax = np.array([s.capacity_vph / 3600.0 * 900 for s in net.segments])
     return cfg, a_hat, windows, qmax, tensor, counts
 
@@ -281,7 +281,7 @@ def test_build_windows_alignment():
     tensor = make_feature_tensor(values)
     counts = np.arange(24, dtype=float).reshape(2, 12)
     cfg = TINY
-    w = build_windows(tensor, counts, cfg)
+    w = build_windows(tensor, counts, cfg, t_last=12 - cfg.horizon - 1)
     assert len(w) == 8  # t = 2 .. 9
     assert np.array_equal(w.t_index, np.arange(2, 10))
     # the predictor reads its features in model.DTYPE
@@ -300,7 +300,7 @@ def test_build_windows_boundary_totals():
     counts = np.ones((2, 12))
     bi = np.full((2, 12), 0.5)
     bo = np.full((2, 12), 0.2)
-    w = build_windows(tensor, counts, TINY, boundary_in=bi, boundary_out=bo)
+    w = build_windows(tensor, counts, TINY, boundary_in=bi, boundary_out=bo, t_last=12 - TINY.horizon - 1)
     # anchor total 2, net boundary inflow 2 * (0.5 - 0.2)
     assert np.allclose(w.n_tot, 2.0 + 0.6)
 
@@ -308,7 +308,7 @@ def test_build_windows_boundary_totals():
 def test_build_windows_rejects_short_series():
     tensor = make_feature_tensor(np.zeros((2, 4, 5)))
     with pytest.raises(ValueError, match="window"):
-        build_windows(tensor, np.zeros((2, 4)), TINY)
+        build_windows(tensor, np.zeros((2, 4)), TINY, t_last=4 - TINY.horizon - 1)
 
 
 def test_training_beats_untrained_baseline():
@@ -349,7 +349,7 @@ def test_training_divergence_is_reported(monkeypatch):
 def test_training_needs_a_step():
     cfg, a_hat, windows, qmax, _, _ = _training_setup()
     with pytest.raises(ValueError, match="steps must be >= 1"):
-        train(cfg, a_hat, windows, qmax, steps=0)
+        train(cfg, a_hat, windows, qmax, seed=0, steps=0, batch_size=8)
 
 
 def test_predict_matches_forward():
@@ -420,7 +420,7 @@ def test_evaluate_over_a_dropped_window_equals_the_per_window_mean(monkeypatch, 
     cfg, a_hat, _, qmax, tensor, counts = _training_setup(n=4)
     counts = counts.copy()
     counts[1, 30] = np.nan
-    windows = build_windows(tensor, counts, cfg)
+    windows = build_windows(tensor, counts, cfg, t_last=counts.shape[1] - cfg.horizon - 1)
     assert 30 not in windows.t_index and 31 in windows.t_index
     monkeypatch.setattr(train_module, "INFER_ROWS", windows_per_batch * cfg.history * counts.shape[0])
     params = _perturbed_params(cfg, 8)
@@ -736,7 +736,7 @@ def test_training_steps_hold_one_tape_at_a_time(monkeypatch):
     for steps in (1, 3):
         tracemalloc.start()
         try:
-            train(cfg.model, a_hat, windows, qmax, seed=0, steps=steps)
+            train(cfg.model, a_hat, windows, qmax, seed=0, steps=steps, batch_size=cfg.train_batch)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

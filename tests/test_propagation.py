@@ -274,7 +274,7 @@ def test_transition_invariants_random_sweep():
 
 
 def test_update_confidence_rules():
-    delta = update_confidence(np.zeros(3), np.ones(3), np.array([0.0, 1.0, 4.0]))
+    delta = update_confidence(np.zeros(3), np.ones(3), np.array([0.0, 1.0, 4.0]), cameras=())
     assert delta[0] == 1.0  # zero variance: cv = 0
     assert delta[1] == 0.5  # cv = 1
     assert delta[2] == pytest.approx(1.0 / 3.0)
@@ -282,10 +282,10 @@ def test_update_confidence_rules():
     delta = update_confidence(np.zeros(3), np.ones(3), np.full(3, 100.0), cameras=[1])
     assert delta[1] == 1.0 and delta[0] < 0.1
     # geometric decay keeps the running maximum
-    delta = update_confidence(np.array([0.9]), np.array([1.0]), np.array([100.0]))
+    delta = update_confidence(np.array([0.9]), np.array([1.0]), np.array([100.0]), cameras=())
     assert delta[0] == pytest.approx(CONFIDENCE_DECAY * 0.9)
     with pytest.raises(ValueError, match="positive"):
-        update_confidence(np.zeros(1), np.array([0.0]), np.array([1.0]))
+        update_confidence(np.zeros(1), np.array([0.0]), np.array([1.0]), cameras=())
 
 
 def test_shrink_blend_interpolates():
