@@ -16,7 +16,8 @@ style of Chen et al. 2016): gelu's tanh value, and the a @ z of
 freed as soon as the forward code drops it. backward() walks the tape in reverse
 topological order and accumulates exact gradients into the leaves.
 Broadcasting follows numpy semantics with gradients summed back over
-broadcast axes.
+broadcast axes. A walk of the tape starts at a tensor's _node, and reshape
+takes its sizes as separate integers.
 
 The dtype follows the input. A Tensor keeps a float32 array as float32
 and makes anything else float64; every op allocates its values and
@@ -171,15 +172,6 @@ class Tensor:
     def grad(self):
         return None if self._node is None else self._node.grad
 
-    # the tape as seen from a tensor, for walking it from a loss
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
-
-    @property
-    def _backward(self):
-        return None if self._node is None else self._node._backward
-
     @property
     def shape(self):
         return self.data.shape
@@ -274,8 +266,6 @@ class Tensor:
     # -- shape -------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         (na,) = _tape(self)
         old = self.shape
 

@@ -423,7 +423,7 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return ExperimentConfig.from_dict(json.load(fh))
 
 

@@ -197,7 +197,7 @@ def _csv_rows(path: str, fields: list):
     """(line number, cells) of each non-blank row after a header that
     matches fields up to surrounding spaces; every row must have as many
     cells as the header."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [f.strip() for f in header] != fields:

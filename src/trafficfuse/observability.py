@@ -35,7 +35,6 @@ __all__ = [
     "gramian",
     "spectral_radius",
     "lyapunov_gramian",
-    "segment_scores",
     "analyze",
     "report_to_json",
     "report_to_csv",
@@ -271,24 +270,6 @@ class ObservabilityReport:
     cameras: tuple
 
 
-def segment_scores(diagonals: dict) -> tuple:
-    """Max-over-regimes Gramian diagonal and its normalized confidence.
-
-    diagonals maps each regime to its (N,) Gramian diagonal.
-    """
-    if not diagonals:
-        raise ValueError("need at least one regime's Gramian diagonal")
-    diags = np.stack(list(diagonals.values()))
-    if diags.ndim != 2:
-        raise ValueError("Gramian diagonals must be 1-D (N,) vectors; pass np.diag(w) for a Gramian w")
-    obs = diags.max(axis=0)
-    top = obs.max()
-    if top <= 0.0:
-        warnings.warn("all-zero Gramian: no segment is observed", stacklevel=2)
-        return obs, np.zeros_like(obs)
-    return obs, obs / top
-
-
 def analyze(
     net: RoadNetwork,
     fd: FdParams,
@@ -297,17 +278,27 @@ def analyze(
     bin_seconds: int = BIN_SECONDS,
 ) -> ObservabilityReport:
     """Rank index, Gramian scores, and stability estimates for a placement,
-    in both regimes and over the full horizon N (the segment count)."""
+    in both regimes and over the full horizon N (the segment count).
+
+    A segment's score obs is the larger of its two regimes' Gramian
+    diagonals, and conf is obs over the largest score. An all-zero Gramian
+    (no segment observed) warns and leaves conf at zero.
+    """
     n = len(net.segments)
-    diagonals: dict = {}
+    obs = np.zeros(n)
     gamma: dict = {}
     radius: dict = {}
     for regime in REGIMES:
         sys = linearize(net, fd, regime, beta=beta, bin_seconds=bin_seconds, cameras=cameras)
         _, gamma[regime] = observability_rank(sys)
         radius[regime] = spectral_radius(sys.a)
-        diagonals[regime] = _gramian_diagonal(sys, n)
-    obs, conf = segment_scores(diagonals)
+        obs = np.maximum(obs, _gramian_diagonal(sys, n))
+    top = obs.max()
+    if top <= 0.0:
+        warnings.warn("all-zero Gramian: no segment is observed", stacklevel=2)
+        conf = np.zeros_like(obs)
+    else:
+        conf = obs / top
     return ObservabilityReport(
         obs=obs, conf=conf, gamma_rank=gamma, spectral_radius=radius,
         horizon=n, cameras=tuple(int(i) for i in cameras),

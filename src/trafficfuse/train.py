@@ -167,6 +167,8 @@ class TrainResult:
 
 
 class _Adam:
+    """Adam with global-norm clipping; every parameter needs a gradient at every step."""
+
     def __init__(self, params, lr):
         self.lr = lr
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
@@ -178,16 +180,13 @@ class _Adam:
         self.t += 1
         norm_sq = 0.0
         for p in params.values():
-            if p.grad is not None:
-                norm_sq += float((p.grad * p.grad).sum())
+            norm_sq += float((p.grad * p.grad).sum())
         scale = 1.0
         # a Python float: an np.float64 scale would promote float32 weights
         norm = math.sqrt(norm_sq)
         if norm > CLIP_NORM:
             scale = CLIP_NORM / norm
         for k, p in params.items():
-            if p.grad is None:
-                continue
             g = p.grad * scale
             self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
             self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g

@@ -381,7 +381,7 @@ def test_no_grad_builds_no_tape():
     t = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
         out = (t * 5.0).sum()
-    assert out._backward is None and not out.requires_grad
+    assert out._node is None and not out.requires_grad
 
 
 def test_backward_requires_scalar():

@@ -268,6 +268,14 @@ def test_analysis_rejects_unknown_segment_and_negative_count():
         analysis_step(ens, [CameraObservation(0, 0, np.nan)], q_hat, loc, cfg, 0, 0, np.zeros(1, dtype=int))
 
 
+def test_analysis_rejects_a_camera_without_a_localization_vector():
+    ens, obs, q_hat, loc, cfg = _oracle_setup(n=2)
+    before = ens.state.copy()
+    with pytest.raises(ValueError, match="^no localization vector for camera segment 1$"):
+        analysis_step(ens, [CameraObservation(1, 0, 5.0)], q_hat, loc, cfg, 0, 0, np.zeros(2, dtype=int))
+    assert np.array_equal(ens.state, before)
+
+
 def test_global_observation_cap():
     cfg = FilterConfig(n_members=4, sigma_0=0.1, sigma_y=0.0, max_global_obs=1,
                        global_gain_scale=0.5)

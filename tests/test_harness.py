@@ -813,6 +813,10 @@ def test_a_shuffled_edge_file_changes_no_artifact(tmp_path):
      "trafficfuse: error: config: init_base_sd 1e+300: log-space spread 1e+300 exceeds 17.74"),
     ({"filter": {"init_glob_sd": 1e300}},
      "trafficfuse: error: config: init_glob_sd 1e+300: log-space spread 1e+300 exceeds 17.74"),
+    # camera segments are checked against the twin in build; the chain twin
+    # validates at segment 3 unless the config says otherwise
+    ({"cameras_calibration": [3]}, "trafficfuse: error: build: calibration and validation cameras overlap: [3]"),
+    ({"cameras_calibration": [9]}, "trafficfuse: error: build: camera segment 9 outside the network"),
 ])
 def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, edit, line):
     config = tmp_path / "experiment.json"
@@ -895,6 +899,19 @@ def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text, kind
     captured = capsys.readouterr()
     assert captured.err == f"trafficfuse: error: config: experiment config must be a JSON object, not {kind}\n"
     assert captured.out == ""
+
+
+def test_a_config_with_a_byte_order_mark_loads(tmp_path):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(small_config().to_dict()), encoding="utf-8-sig")
+    assert load_config(str(config)) == small_config()
+
+
+def test_cli_reports_an_output_directory_below_a_file(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert cli.main(["run", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"trafficfuse: error: write: [Errno 20] Not a directory: '{out}'\n"
 
 
 def test_a_run_without_calibration_cameras_fails_before_training(tmp_path, capsys, monkeypatch):

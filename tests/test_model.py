@@ -525,7 +525,7 @@ def test_backward_frees_every_interior_node():
     target = anchor[:, :, None] + 1.0
     pred = forward(params, TINY, a_hat, *_stacked(hist), anchor)
     loss = loss_components(pred, target, np.full(3, 30.0), target[:, :, 0].sum(axis=1))["total"]
-    interior, stack, seen = [], [loss], set()
+    interior, stack, seen = [], [loss._node], set()
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -549,7 +549,7 @@ def test_no_backward_closure_holds_a_tensor():
     target = anchor[:, :, None] + 1.0
     pred = forward(params, TINY, a_hat, *_stacked(hist), anchor)
     loss = loss_components(pred, target, np.full(3, 30.0), target[:, :, 0].sum(axis=1))["total"]
-    closures, stack, seen = 0, [loss], set()
+    closures, stack, seen = 0, [loss._node], set()
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -647,7 +647,7 @@ def test_no_backward_closure_keeps_a_neighbour_product():
     pred = forward(params, cfg, a_hat, *_stacked(hist), anchor)
     loss = loss_components(pred, target, np.full(3, 30.0), target[:, :, 0].sum(axis=1))["total"]
     z_shape = (hist.shape[0] * cfg.history, 3, cfg.embed_dim)
-    kept, stack, seen = [], [loss], set()
+    kept, stack, seen = [], [loss._node], set()
     while stack:
         node = stack.pop()
         if id(node) not in seen:

@@ -1,10 +1,15 @@
 """Network container, schema validation, network files and the count writer."""
 
 import datetime as dt
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trafficfuse
 from trafficfuse.network import (
     CountMatrix,
     RoadNetwork,
@@ -147,6 +152,34 @@ def test_network_roundtrip_byte_identical(tmp_path):
     assert net2.external_ids == net.external_ids
 
 
+def test_network_files_with_a_byte_order_mark_load(tmp_path):
+    # spreadsheet exports start a UTF-8 file with a byte-order mark
+    (tmp_path / "segments.csv").write_text(_SEGMENTS_HEADER + _TWO_SEGMENTS, encoding="utf-8-sig")
+    (tmp_path / "edges.csv").write_text("from_id,to_id\na,b\n", encoding="utf-8-sig")
+    assert load_network(tmp_path) == RoadNetwork(make_network([(0, 1)]).segments, ((0, 1),), ("a", "b"))
+
+
+def test_a_non_ascii_id_reloads_under_a_non_utf8_locale(tmp_path):
+    # the writer encodes UTF-8 whatever the locale, so the reader must too;
+    # under LC_ALL=C with UTF-8 mode off, the locale's codec is ASCII
+    code = (
+        "import sys\n"
+        "from trafficfuse.harness import chain_network\n"
+        "from trafficfuse.network import RoadNetwork, load_network, save_network\n"
+        "net = chain_network()[0]\n"
+        "net = RoadNetwork(net.segments, net.edges, ('\\u00c9lys\\u00e9es',) + net.external_ids[1:])\n"
+        "save_network(net, sys.argv[1])\n"
+        "assert load_network(sys.argv[1]) == net\n"
+    )
+    package_root = str(pathlib.Path(trafficfuse.__file__).parent.parent)
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", LANG="C", PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    written = (tmp_path / "segments.csv").read_bytes()
+    assert written.startswith(b"id,") and "\u00c9lys\u00e9es,".encode() in written  # UTF-8, no byte-order mark
+
+
 def test_load_network_reports_line_locus(tmp_path):
     (tmp_path / "segments.csv").write_text(
         "id,length_m,lanes,capacity_vph,free_flow_mps,is_boundary\n"
@@ -214,12 +247,17 @@ _TWO_SEGMENTS = "a,500,2,1800,10,0\nb,500,2,1800,10,0\n"
         (_SEGMENTS_HEADER + "a,500,0,1800,10,0\n", "from_id,to_id\n", r"segments\.csv line 2: segment 0: lanes must be >= 1"),
         (_SEGMENTS_HEADER + "a,500,2,1800,10,maybe\n", "from_id,to_id\n", r"segments\.csv line 2: bad boolean 'maybe'"),
         (_SEGMENTS_HEADER + _TWO_SEGMENTS, "from_id,to_id\na,b\nb,b\n", r"edges\.csv line 3: self-loop on segment 'b'"),
+        (_SEGMENTS_HEADER + ",500,2,1800,10,0\n", "from_id,to_id\n", r"segments\.csv line 2: empty id"),
+        # the blank row at line 3 is skipped, and still counted
+        (_SEGMENTS_HEADER + "a,500,2,1800,10,0\n\na,500,2,1800,10,0\n", "from_id,to_id\n",
+         r"segments\.csv line 4: duplicate id 'a'"),
         # spaces after the header's commas are accepted, and the rows are read by position
         (_SEGMENTS_HEADER + _TWO_SEGMENTS, "from_id, to_id\na,b\n", None),
         (_SEGMENTS_HEADER.replace(",", ", ") + _TWO_SEGMENTS, "from_id,to_id\na,b\n", None),
     ],
     ids=["edge_one_cell", "edge_extra_cell", "segment_extra_cell", "nan_length", "inf_capacity",
-         "zero_lanes", "bad_boolean", "self_loop", "spaced_edge_header", "spaced_segment_header"],
+         "zero_lanes", "bad_boolean", "self_loop", "empty_id", "duplicate_id_after_blank_row", "spaced_edge_header",
+         "spaced_segment_header"],
 )
 def test_malformed_network_files_name_file_and_line(tmp_path, segments, edges, message):
     (tmp_path / "segments.csv").write_text(segments)

@@ -27,7 +27,6 @@ from trafficfuse.observability import (
     observability_rank,
     report_to_csv,
     report_to_json,
-    segment_scores,
     selection_matrix,
     spectral_radius,
 )
@@ -460,22 +459,24 @@ def test_observable_stable_system_has_positive_definite_gramian():
 
 
 def test_segment_scores_take_regime_maximum():
-    g = {"free": np.array([1.0, 0.0, 0.2]), "congested": np.array([0.5, 4.0, 0.1])}
-    obs, conf = segment_scores(g)
-    assert np.array_equal(obs, [1.0, 4.0, 0.2])
-    assert np.array_equal(conf, [0.25, 1.0, 0.05])
+    # a mid-chain camera sees its upstream in free flow and its downstream
+    # in congestion, so each regime wins somewhere
+    net = make_chain(5)
+    fd = default_fd_params(net)
+    free, cong = (_gramian_diagonal(linearize(net, fd, r, cameras=(2,)), 5) for r in REGIMES)
+    assert (free > cong).any() and (cong > free).any()
+    report = analyze(net, fd, (2,))
+    want = np.maximum(free, cong)
+    assert np.array_equal(report.obs, want)
+    assert np.array_equal(report.conf, want / want.max())
 
 
 def test_all_zero_scores_warn_instead_of_dividing():
+    net = make_chain(3)
     with pytest.warns(UserWarning, match="no segment is observed"):
-        obs, conf = segment_scores({"free": np.zeros(3)})
-    assert np.array_equal(conf, np.zeros(3))
-
-
-def test_segment_scores_reject_a_gramian_matrix():
-    # np.diag of a diagonal would silently build a matrix instead
-    with pytest.raises(ValueError, match="1-D"):
-        segment_scores({"free": np.eye(3)})
+        report = analyze(net, default_fd_params(net), ())
+    assert np.array_equal(report.obs, np.zeros(3))
+    assert np.array_equal(report.conf, np.zeros(3))
 
 
 def test_analyze_scales_past_the_dense_limit():
@@ -517,7 +518,8 @@ def test_confidence_decays_with_hop_distance():
     # free flow alone, over 12 steps
     net = make_chain(6, vfree=1.0, length=1800.0)
     sys = linearize(net, default_fd_params(net), "free", cameras=(5,))
-    _, conf = segment_scores({"free": _gramian_diagonal(sys, 12)})
+    diag = _gramian_diagonal(sys, 12)
+    conf = diag / diag.max()
     assert conf[5] == 1.0
     assert (np.diff(conf) > 0).all()
     hops = np.arange(5, -1, -1)

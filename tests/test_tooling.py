@@ -40,13 +40,17 @@ def test_package_has_no_assert_statements():
 _WRITERS = {"writer", "DictWriter", "save", "savez", "savez_compressed", "savetxt", "tofile", "write_text", "write_bytes"}
 
 
+def _open_mode(call: ast.Call):
+    return call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+
+
 def _writes_a_file(call: ast.Call) -> bool:
     name = getattr(call.func, "attr", getattr(call.func, "id", None))
     if name in _WRITERS:
         return True
     if name != "open":
         return False
-    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    mode = _open_mode(call)
     return mode is not None and not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
 
 
@@ -60,6 +64,26 @@ def test_only_util_writes_files():
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and _writes_a_file(node)]
     assert not found, f"files written outside util: {found}"
+
+
+def _text_open_without_encoding(call: ast.Call) -> bool:
+    # the builtin open; os.open returns a descriptor, not a text file
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    mode = _open_mode(call)
+    binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+    return not binary and not any(k.arg == "encoding" for k in call.keywords)
+
+
+def test_every_text_open_names_its_encoding():
+    # util's writers encode UTF-8 whatever the locale, so a reader that
+    # took the locale's codec could fail on a file the package wrote
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _text_open_without_encoding(node)]
+    assert not found, f"text-mode open without an encoding: {found}"
 
 
 _EDGE_ARRAYS = {"edge_from", "edge_to", "edges"}
