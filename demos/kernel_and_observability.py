@@ -45,10 +45,10 @@ def main():
 
     # a constant field is a fixed point of the diffusion; a spike spreads
     const = np.full(net.n_segments, 0.3)
-    assert np.array_equal(diffuse(const, trans), const)
+    assert np.array_equal(diffuse(const[None], trans)[0], const)
     spike = np.zeros(net.n_segments)
     spike[cam] = 1.0
-    spread = diffuse(spike, trans)
+    spread = diffuse(spike[None], trans)[0]
     print(f"diffused spike: kept {spread[cam]:.3f}, "
           f"sent {spread.sum() - spread[cam]:.3f} to {np.count_nonzero(spread) - 1} neighbors")
 

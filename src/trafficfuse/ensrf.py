@@ -49,10 +49,9 @@ MAX_LOG_SD = math.log(np.finfo(float).max) / 40
 
 
 def regime_index(b):
-    """Coarse regime from the speed ratio: free >= 0.7, congested < 0.4."""
+    """Regime array of b's shape from the speed ratio: free >= 0.7, congested < 0.4."""
     b = np.asarray(b, dtype=float)
-    out = np.where(b >= 0.7, REGIME_FREE, np.where(b >= 0.4, REGIME_TRANSITIONAL, REGIME_CONGESTED))
-    return out if out.ndim else int(out)
+    return np.where(b >= 0.7, REGIME_FREE, np.where(b >= 0.4, REGIME_TRANSITIONAL, REGIME_CONGESTED))
 
 
 @dataclass(frozen=True)

@@ -336,15 +336,13 @@ DEMAND_FLOOR = 0.12  # off-peak demand as a share of the peak
 
 
 def demand_profile(net: RoadNetwork, counts_like: CountMatrix, sources, peak: float) -> np.ndarray:
-    """Daily two-peak demand at the source segments, damped on weekends."""
+    """Daily two-peak demand from one scalar peak at every source segment, damped on weekends."""
     t = counts_like.n_bins
     hour_frac = counts_like.hours() + counts_like.minutes() / 60.0
     days = counts_like.days()
     shape = DEMAND_FLOOR + (1.0 - DEMAND_FLOOR) * _daily_weight(hour_frac)
     profile = np.zeros((net.n_segments, t))
-    peaks = np.broadcast_to(np.atleast_1d(np.asarray(peak, dtype=float)), (len(sources),))
-    for s, p in zip(sources, peaks):
-        profile[s] = p * shape * DAY_FACTORS[days]
+    profile[list(sources)] = peak * shape * DAY_FACTORS[days]
     return profile
 
 
@@ -446,25 +444,22 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def _once(name: str):
+def _once(method):
     """Make a Pipeline stage method run to completion at most once.
 
-    A stage that raised (as PipelineError naming `name`) runs again on its
-    next call; one that completed returns self at once.
+    A stage that raised (as PipelineError naming the method) runs again on
+    its next call; one that completed returns self at once.
     """
 
-    def wrap(method):
-        @functools.wraps(method)
-        def run(self):
-            if method.__name__ not in self._done:
-                with _stage(name):
-                    method(self)
-                self._done.add(method.__name__)
-            return self
+    @functools.wraps(method)
+    def run(self):
+        if method.__name__ not in self._done:
+            with _stage(method.__name__):
+                method(self)
+            self._done.add(method.__name__)
+        return self
 
-        return run
-
-    return wrap
+    return run
 
 
 class Pipeline:
@@ -480,7 +475,7 @@ class Pipeline:
 
     # - network and ground truth -
 
-    @_once("build")
+    @_once
     def build(self):
         cfg = self.cfg
         if cfg.twin is None:
@@ -503,7 +498,7 @@ class Pipeline:
         self.fd = default_fd_params(self.net, cfg.bin_seconds)
         self.bins_per_day = int(round(86400 / cfg.bin_seconds))
 
-    @_once("simulate")
+    @_once
     def simulate(self):
         self.build()
         cfg = self.cfg
@@ -513,7 +508,7 @@ class Pipeline:
         self.sim = simulate(self.net, self.fd, self.beta, profile, cfg.bin_seconds, START)
         self.truth = self.sim.counts
 
-    @_once("sample")
+    @_once
     def sample(self):
         self.simulate()
         hours = np.arange(24)
@@ -525,7 +520,7 @@ class Pipeline:
         )
         self.probe = thin_counts(self.truth, self.penetration)
 
-    @_once("features")
+    @_once
     def features(self):
         self.sample()
         self.train_bins = round(0.7 * self.cfg.days) * self.bins_per_day
@@ -533,7 +528,7 @@ class Pipeline:
             self.net, self.fd, self.probe, self.sim.speeds, train_cols=self.train_bins
         )
 
-    @_once("train")
+    @_once
     def fit(self):
         self.features()
         cfg = self.cfg
@@ -546,13 +541,15 @@ class Pipeline:
             self.tensor, self.probe.values, cfg.model,
             t_last=self.train_bins - cfg.model.horizon - 1,
         )
+        del self.tensor  # training reads windows' float32 copy; features() rebuilds it
+        self._done.discard("features")
         self.trained = train(
             cfg.model, self.a_hat, windows, self.qmax,
             seed=cfg.seed, steps=cfg.train_steps, batch_size=cfg.train_batch,
         )
         self.feats = windows.feats  # the bin-major features, read once more by forecasts
 
-    @_once("predict")
+    @_once
     def forecasts(self):
         self.fit()
         cfg = self.cfg
@@ -568,7 +565,7 @@ class Pipeline:
         self.q_hat[:, anchors + 1] = np.maximum(raw[:, :, 0], 0.0).T
         self.first_bin = h  # earliest bin with an estimate
 
-    @_once("transition")
+    @_once
     def transition(self):
         self.simulate()
         # the probe fleet reports a binomial share of each edge's simulated moves
@@ -584,7 +581,7 @@ class Pipeline:
         self.reached = np.vstack([np.zeros(n), *self.localization.values()]).any(axis=0)
         self.far_segments = np.flatnonzero(~self.reached).tolist()
 
-    @_once("calibrate")
+    @_once
     def calibrate(self):
         # fail before the predictor trains, not after
         self.build()
@@ -697,7 +694,7 @@ class Pipeline:
         else:
             self.far_alpha_width_daily = np.zeros(0)
 
-    @_once("evaluate")
+    @_once
     def metrics(self):
         self.calibrate()
         t0 = max(self.first_bin, BURN_DAYS * self.bins_per_day)

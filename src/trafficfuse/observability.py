@@ -1,18 +1,19 @@
 """Linearized observability analysis for camera placement.
 
 The simulator's update is linearized around a nominal regime into
-x(t+1) = A x(t) + B u(t), y = C x with C selecting camera segments. In
-free flow a perturbation advects forward along turn-ratio-weighted edges
-and dissipates at downstream exits; in congestion the influence pattern
-is transposed (spillback moves upstream) and dissipates at entries. Rank
-of the stacked observability matrix and the Gramian diagonal then score
-how well each segment is seen by a set of cameras. Both come from the
-blocks C A^k, built over the nonzeros of A that LinearSystem finds once,
-so scoring forms neither the N x N Gramian nor the stacked Nm x N
-matrix; the dense finite- and infinite-horizon Gramians are kept as
-references. The rank takes one SVD per block: row and Frobenius norms
-bracket its tolerance, and the block's exact 2-norm is computed only for
-a singular value inside the bracket.
+x(t+1) = A x(t) + B u(t), y = C x with C selecting camera segments; no
+score reads B, so it is left empty. In free flow a perturbation advects
+forward along turn-ratio-weighted edges and dissipates at downstream
+exits; in congestion the influence pattern is transposed (spillback
+moves upstream) and dissipates at entries. Rank of the stacked
+observability matrix and the Gramian diagonal then score how well each
+segment is seen by a set of cameras. Both come from the blocks C A^k,
+built over the nonzeros of A that LinearSystem finds once, so scoring
+forms neither the N x N Gramian nor the stacked Nm x N matrix; the dense
+finite- and infinite-horizon Gramians are kept as references. The rank
+takes one SVD per block: row and Frobenius norms bracket its tolerance,
+and the block's exact 2-norm is computed only for a singular value
+inside the bracket.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ctm import FdArrays, FdParams, TurnRatios
-from .network import BIN_SECONDS, RoadNetwork, boundary_segments
+from .network import BIN_SECONDS, RoadNetwork
 from .util import write_csv, write_json
 
 __all__ = [
@@ -48,9 +49,10 @@ LYAPUNOV_ITERATIONS = 200_000
 class LinearSystem:
     """One-regime linear surrogate of the network dynamics.
 
-    a_nonzeros holds the (rows, cols, values) of A's nonzeros in row-major
-    order as read-only arrays, found once at construction and left out of
-    equality; every product with A sums over them in that order.
+    linearize leaves b empty, (N, 0). a_nonzeros holds the (rows, cols,
+    values) of A's nonzeros in row-major order as read-only arrays, found
+    once at construction and left out of equality; every product with A
+    sums over them in that order.
     """
 
     a: np.ndarray  # (N, N)
@@ -137,9 +139,7 @@ def linearize(
         frac = np.minimum(1.0, fdk.v_w * bin_seconds / lengths)
         a[src, dst] = _inflow_shares(net, beta) * frac[dst]
     np.fill_diagonal(a, 1.0 - frac)
-    boundary = sorted(boundary_segments(net))
-    b = selection_matrix(boundary, n).T if boundary else np.zeros((n, 0))
-    return LinearSystem(a=a, b=b, c=selection_matrix(cameras, n), regime=regime)
+    return LinearSystem(a=a, b=np.zeros((n, 0)), c=selection_matrix(cameras, n), regime=regime)
 
 
 def _markov_blocks(sys: LinearSystem, horizon: int):

@@ -135,16 +135,15 @@ def localization_vectors(t: TransitionMatrix, cameras) -> dict:
 
 
 def diffuse(beta: np.ndarray, t: TransitionMatrix) -> np.ndarray:
-    """One diffusion step, (1-s) * beta + s * W_eff beta, per member, at
-    the kernel's own smoothing coefficient s = t.s.
+    """One diffusion step, (1-s) * beta + s * W_eff beta, for each row
+    (member) of the (M, N) field beta, at the kernel's own smoothing
+    coefficient s = t.s.
 
     Written in difference form beta_i + s * sum_j w_ij (beta_j - beta_i),
     summed over the nonzero entries of W_eff only (the edge list kept on
     t), so a spatially constant field passes through bitwise unchanged.
     """
-    beta = np.asarray(beta, dtype=float)
-    squeeze = beta.ndim == 1
-    b = beta[None, :] if squeeze else beta
+    b = np.asarray(beta, dtype=float)
     m, n = b.shape
     rows, cols, weights = t.edges
     # pairwise differences keep the consensus state an exact fixed point;
@@ -153,8 +152,7 @@ def diffuse(beta: np.ndarray, t: TransitionMatrix) -> np.ndarray:
     terms = b.T[cols] - b.T[rows]
     terms *= weights[:, None]
     pulled = np.bincount(t.member_slots(m), weights=terms.ravel(), minlength=m * n).reshape(m, n)
-    out = b + t.s * pulled
-    return out[0] if squeeze else out
+    return b + t.s * pulled
 
 
 def update_confidence(delta_prev: np.ndarray, alpha_mean: np.ndarray, alpha_var: np.ndarray, cameras) -> np.ndarray:

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -14,6 +16,7 @@ import pytest
 
 from trafficfuse import cli, ensrf, harness, propagation
 from trafficfuse.ctm import simulate
+from trafficfuse.features import build_tensor
 from trafficfuse.harness import (
     CHAIN_CAMERAS,
     GRID_CAMERAS,
@@ -34,6 +37,7 @@ from trafficfuse.harness import (
 from trafficfuse.model import ModelConfig
 from trafficfuse.network import CountMatrix, boundary_segments, save_network
 from trafficfuse.observability import analyze
+from trafficfuse.train import train
 
 MONDAY = dt.datetime(2024, 3, 4)
 
@@ -555,6 +559,48 @@ class TestPipeline:
         assert len(calls) == 2
         assert pipe.probe.values.shape == pipe.truth.values.shape
 
+    @pytest.mark.parametrize("module, name, stage", [
+        (harness, "simulate", "simulate"),
+        (harness, "build_tensor", "features"),
+        (harness, "train", "fit"),
+        (harness, "predict", "forecasts"),
+        (harness, "build_transition", "transition"),
+        (ensrf, "analysis_step", "calibrate"),
+        (harness, "evaluate", "metrics"),
+        (harness, "analyze", "observability"),
+    ])
+    def test_a_failed_stage_is_named_by_its_method(self, monkeypatch, tmp_path, module, name, stage):
+        def fails(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(module, name, fails)
+        with pytest.raises(PipelineError, match=f"^{stage}: injected$") as err:
+            run_pipeline(small_config(train_steps=2), out_dir=str(tmp_path))
+        assert err.value.stage == stage
+
+    def test_fit_drops_the_feature_tensor_and_a_retry_rebuilds_it(self, monkeypatch):
+        built, trained = [], []
+
+        def counted_build(*args, **kwargs):
+            built.append(1)
+            return build_tensor(*args, **kwargs)
+
+        def fails_once(*args, **kwargs):
+            trained.append(1)
+            if len(trained) == 1:
+                raise RuntimeError("injected")
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_tensor", counted_build)
+        monkeypatch.setattr(harness, "train", fails_once)
+        pipe = Pipeline(small_config(train_steps=2))
+        with pytest.raises(PipelineError, match="^fit: injected") as err:
+            pipe.fit()
+        assert err.value.stage == "fit"
+        pipe.fit()
+        assert not hasattr(pipe, "tensor")
+        assert len(built) == 2 and len(trained) == 2
+
     def test_nan_camera_bins_are_skipped(self, chain_run):
         pipe = Pipeline(small_config()).forecasts()
         (cam,) = pipe.calibration
@@ -759,6 +805,29 @@ def test_cli_observability_files_match_run(tmp_path, capsys):
     assert {p.name for p in outs["observability"].iterdir()} == names
     for name in names:
         assert (outs["observability"] / name).read_bytes() == (outs["run"] / name).read_bytes(), name
+
+
+def test_optimized_bytecode_changes_no_artifact(tmp_path):
+    # invariants are checks that raise, not asserts, so -O (which strips
+    # asserts) must leave every artifact as it is
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({"twin": "chain", "days": 2, "forecast_days": 1, "train_steps": 20, "seed": 4}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (os.path.dirname(os.path.dirname(harness.__file__)), os.environ.get("PYTHONPATH")))))
+    outs = {}
+    for flags in ((), ("-O",)):
+        outs[flags] = tmp_path / ("optimized" if flags else "plain")
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "trafficfuse.cli", "run", "--config", str(config), "--out", str(outs[flags])],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    plain, optimized = outs[()], outs[("-O",)]
+    names = sorted(p.name for p in plain.iterdir())
+    assert len(names) == 10
+    assert sorted(p.name for p in optimized.iterdir()) == names
+    for name in names:
+        assert (optimized / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 def test_a_shuffled_edge_file_changes_no_artifact(tmp_path):

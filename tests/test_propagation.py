@@ -149,9 +149,8 @@ def test_diffuse_constant_field_is_fixed_point():
 
 def test_diffuse_single_member_vector():
     t = _chain_transition(s=0.4)
-    beta = np.array([1.0, 0.0, -1.0])
-    out = diffuse(beta, t)
-    assert out.shape == (3,)
+    beta = np.array([[1.0, 0.0, -1.0]])
+    out = diffuse(beta, t)[0]
     # middle segment pulled toward the average of its neighbours
     assert out[1] == pytest.approx(0.4 * (0.25 * 1.0 + 0.25 * -1.0 - 0.5 * 0.0), abs=1e-15)
 
